@@ -63,7 +63,6 @@ from .density import (
     apply_B,
     apply_S,
     dyson_phillips,
-    mass,
     resolvent_A,
     resolvent_series,
 )
@@ -107,7 +106,7 @@ __all__ = [
     "estimate_survival_mass", "path_rng", "run_chains", "simulate_chain",
     "state_at",
     "GridDensity", "LogGrid", "OperatorTrace", "apply_B", "apply_S",
-    "dyson_phillips", "mass", "resolvent_A", "resolvent_series",
+    "dyson_phillips", "resolvent_A", "resolvent_series",
     "GrowthTauParams", "TauOracle", "exact_mass", "explosion_cdf",
     "mass_upper_bound", "mu0", "sample_tau", "tau_tail",
     "Classification", "Verdict", "classify", "classify_power_family",

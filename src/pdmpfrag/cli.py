@@ -210,13 +210,16 @@ def _action_evolve(cfg, spec, power, k_cfg, out, seed, workers):
             except OutOfRegime:
                 pass
         rows.append((float(t), res.total_mass, res.grid_mass,
-                     res.sub_grid_mass, res.super_grid_mass, oracle_val, tol))
+                     res.sub_grid_mass, res.super_grid_mass, oracle_val, tol,
+                     len(trace.term_norms), float(trace.term_norms[-1]),
+                     int(trace.converged)))
         files.append(_write_csv(
             out, f"density_t{t:g}.csv", "node,cell_mass",
             list(zip(map(float, grid.nodes), map(float, res.masses)))))
     files.append(_write_csv(
         out, "mass_vs_t.csv",
-        "t,mass_total,mass_grid,sub_grid,super_grid,oracle,tolerance", rows))
+        "t,mass_total,mass_grid,sub_grid,super_grid,oracle,tolerance,"
+        "n_terms,tail,converged", rows))
     if budget_hit:
         raise NumericalError("Dyson-Phillips expansion hit the term budget "
                              "before the tail criterion")

@@ -100,11 +100,6 @@ class GridDensity:
                    delimiter=",", header="node,cell_mass", comments="")
 
 
-def mass(u: GridDensity) -> float:
-    """Grid-resident mass; sub/super-grid companions live on the density."""
-    return u.grid_mass
-
-
 @dataclass
 class OperatorTrace:
     """Per-term norms of a truncated expansion plus identity residuals."""
@@ -118,14 +113,19 @@ class OperatorTrace:
 # -- semigroup S(t) ----------------------------------------------------------
 
 class _SOperator:
-    """One application of S(t) on cell masses, with out-of-grid accounting."""
+    """S(t) on cell masses along the trailing axis, with out-of-grid accounting.
+
+    A pure-jump S(t) (and S(0) in any regime) is the diagonal ``factor``;
+    transport is the sparse ``mat``.  ``sub_row`` / ``sup_row`` give the
+    surviving mass each cell sends below x_min / above x_max."""
 
     def __init__(self, spec, grid, t):
-        self.kind = "diag" if spec.regime is Regime.PURE_JUMP else "transport"
+        n = grid.n_cells
+        self.mat = None
         if t == 0.0:
-            self.kind = "identity"
+            self.factor = np.ones(n)
             return
-        if self.kind == "diag":
+        if spec.regime is Regime.PURE_JUMP:
             # cell-averaged survival: exact for cellwise-constant densities
             avg = gauss_panels(
                 lambda x: np.exp(-np.asarray(spec.phi(x), float) * t) * x,
@@ -140,59 +140,55 @@ class _SOperator:
         w_dest = w_edges + d * t  # source cell i -> [w_dest[i], w_dest[i+1]]
         survival = np.exp(-np.asarray(
             cumulative_rate(spec, grid.nodes, t), dtype=float))
-        n = grid.n_cells
-        rows, cols, vals = [], [], []
-        sub = np.zeros(n)
-        sup = np.zeros(n)
-        for i in range(n):
-            a, b = w_dest[i], w_dest[i + 1]
+        a, b = w_dest[:-1], w_dest[1:]
+        with np.errstate(invalid="ignore"):
             width = b - a
-            if not np.isfinite(width) or width <= 0:
-                # degenerate: deposit at the midpoint's destination
-                mid = 0.5 * (a + b) if np.isfinite(a) else b
-                k = int(np.searchsorted(w_edges, mid, side="right") - 1)
-                if k < 0:
-                    sub[i] = survival[i]
-                elif k >= n:
-                    sup[i] = survival[i]
-                else:
-                    rows.append(k), cols.append(i), vals.append(survival[i])
-                continue
-            lo_frac = (w_edges[0] - a) / width
-            hi_frac = (b - w_edges[-1]) / width
-            if lo_frac > 0:
-                sub[i] = survival[i] * min(lo_frac, 1.0)
-            if hi_frac > 0:
-                sup[i] = survival[i] * min(hi_frac, 1.0)
-            k0 = max(0, int(np.searchsorted(w_edges, a, side="right") - 1))
-            k1 = min(n - 1, int(np.searchsorted(w_edges, b, side="left") - 1))
-            for k in range(k0, k1 + 1):
-                ov = min(b, w_edges[k + 1]) - max(a, w_edges[k])
-                if ov > 0:
-                    rows.append(k), cols.append(i), vals.append(
-                        survival[i] * ov / width)
-        self.mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        self.sub_row = sub
-        self.sup_row = sup
+            regular = np.isfinite(width) & (width > 0)
+            mid = np.where(np.isfinite(a), 0.5 * (a + b), b)
+        # a regular cell spreads over the destination cells [k0, k1] it
+        # overlaps; what falls outside [w_edges[0], w_edges[-1]] is a bucket
+        src = np.flatnonzero(regular)
+        a, b, width, surv = a[src], b[src], width[src], survival[src]
+        self.sub_row = np.zeros(n)
+        self.sup_row = np.zeros(n)
+        self.sub_row[src] = surv * np.clip((w_edges[0] - a) / width, 0.0, 1.0)
+        self.sup_row[src] = surv * np.clip((b - w_edges[-1]) / width, 0.0, 1.0)
+        k0 = np.maximum(np.searchsorted(w_edges, a, side="right") - 1, 0)
+        k1 = np.minimum(np.searchsorted(w_edges, b, side="left") - 1, n - 1)
+        counts = np.maximum(k1 - k0 + 1, 0)
+        pos = np.repeat(np.arange(len(src)), counts)
+        rows = k0[pos] + np.arange(len(pos)) - (np.cumsum(counts) - counts)[pos]
+        ov = np.minimum(b[pos], w_edges[rows + 1]) - np.maximum(a[pos], w_edges[rows])
+        keep = ov > 0
+        pos, rows = pos[keep], rows[keep]
+        vals = surv[pos] * ov[keep] / width[pos]
+        # a degenerate cell deposits whole at its midpoint's destination
+        deg = np.flatnonzero(~regular)
+        k_d = np.searchsorted(w_edges, mid[deg], side="right") - 1
+        self.sub_row[deg[k_d < 0]] = survival[deg[k_d < 0]]
+        self.sup_row[deg[k_d >= n]] = survival[deg[k_d >= n]]
+        on = (k_d >= 0) & (k_d < n)
+        self.mat = sp.csr_matrix(
+            (np.concatenate([vals, survival[deg[on]]]),
+             (np.concatenate([rows, k_d[on]]),
+              np.concatenate([src[pos], deg[on]]))), shape=(n, n))
 
     def apply(self, masses):
-        """Returns (new_masses, sub_deposit, super_deposit)."""
-        if self.kind == "identity":
-            return masses.copy(), 0.0, 0.0
-        if self.kind == "diag":
-            return masses * self.factor, 0.0, 0.0
-        return (self.mat @ masses, float(self.sub_row @ masses),
-                float(self.sup_row @ masses))
+        """S(t) on one density (n,) or a stack (..., n): returns the moved
+        masses and the sub- and super-grid deposits, one per density."""
+        if self.mat is None:
+            none = np.zeros(masses.shape[:-1])
+            return masses * self.factor, none, none
+        return (self.mat @ masses.T).T, masses @ self.sub_row, masses @ self.sup_row
 
 
 def apply_S(spec, t, u: GridDensity) -> GridDensity:
     """Explicit substochastic semigroup S(t): survival-weighted transport."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    op = _SOperator(spec, u.grid, float(t))
-    m, sub, sup = op.apply(u.masses)
-    return GridDensity(u.grid, m, u.sub_grid_mass + sub,
-                       u.super_grid_mass + sup)
+    m, sub, sup = _SOperator(spec, u.grid, float(t)).apply(u.masses)
+    return GridDensity(u.grid, m, u.sub_grid_mass + float(sub),
+                       u.super_grid_mass + float(sup))
 
 
 # -- perturbation B = P(phi .) ------------------------------------------------
@@ -215,8 +211,9 @@ class _BOperator:
         self.sub_row = sub
 
     def apply(self, masses):
-        inflow = self.phi * masses
-        return self.frac @ inflow, float(self.sub_row @ inflow)
+        """B on one density (n,) or a stack (..., n): (masses, sub deposits)."""
+        inflow = masses * self.phi
+        return (self.frac @ inflow.T).T, inflow @ self.sub_row
 
 
 def apply_B(spec, u: GridDensity, _op=None) -> GridDensity:
@@ -224,7 +221,7 @@ def apply_B(spec, u: GridDensity, _op=None) -> GridDensity:
     the part landing below x_min goes to the sub-grid bucket."""
     op = _op if _op is not None else _BOperator(spec, u.grid)
     m, sub = op.apply(u.masses)
-    return GridDensity(u.grid, m, u.sub_grid_mass + sub, u.super_grid_mass)
+    return GridDensity(u.grid, m, u.sub_grid_mass + float(sub), u.super_grid_mass)
 
 
 # -- resolvent of A -----------------------------------------------------------
@@ -307,12 +304,22 @@ def dyson_phillips(spec, t, u: GridDensity, N=60, n_s=64):
     """Truncated expansion sum_{n<=N} S_n(t) u with
     S_{n+1}(t) u = int_0^t S(t-s) B S_n(s) u ds.
 
-    The time convolution uses a midpoint Volterra rule: B S_n is averaged
-    onto subinterval midpoints and propagated by S evaluated at half-integer
-    multiples of the step, so every S factor acts over a time >= h/2.  This
-    keeps the recursion stable where the jump rate is stiff (phi * h >> 1):
-    a trapezoid rule would apply the unbounded B at the s = t endpoint
-    without any survival damping and diverge.
+    Each term is held on the time grid s_k = k h, h = t / n_s, as an
+    (n_s+1, n) stack of cell masses plus one sub- and one super-grid bucket
+    per row.  The convolution uses a midpoint Volterra rule:
+    S_{n+1}(k h) u = h sum_{j<k} S((k-j-1/2) h) Wbar_j, with Wbar_j the
+    average of B S_n u over [s_j, s_{j+1}].  Every S factor acts over a time
+    >= h/2, which keeps the recursion stable where the jump rate is stiff
+    (phi * h >> 1); a trapezoid rule would apply the unbounded B at s = t
+    without any survival damping and diverge.  The operator depends only on
+    the lag d = k-j-1, so a level costs one B product on the whole stack and
+    one application of each S((d+1/2) h) to the block Wbar[:n_s-d].
+
+    The buckets are fluxes: level n+1 deposits, integrated once over time,
+    the part of B S_n u that lands below the grid and the mass S carries out
+    of the grid on each side.  Level n's buckets are never pushed through B
+    or into level n+1 (minimal semigroup, Kato-Voigt setting), so the total
+    over all terms stays substochastic.
 
     Returns (GridDensity, OperatorTrace).  Stops early once a term's total
     mass falls below 1e-8 * ||u||; if the budget N is reached first the
@@ -321,61 +328,51 @@ def dyson_phillips(spec, t, u: GridDensity, N=60, n_s=64):
     if t < 0 or N < 0 or n_s < 1:
         raise ValueError("need t >= 0, N >= 0, n_s >= 1")
     grid = u.grid
-    n = grid.n_cells
     if t == 0.0 or N == 0:
         res = apply_S(spec, t, u)
-        tr = OperatorTrace(term_norms=[res.total_mass])
-        return res, tr
+        return res, OperatorTrace(term_norms=[res.total_mass])
 
     h = t / n_s
-    s_int = [_SOperator(spec, grid, k * h) for k in range(n_s + 1)]
-    s_half = [_SOperator(spec, grid, (k + 0.5) * h) for k in range(n_s)]
+    s_half = [_SOperator(spec, grid, (d + 0.5) * h) for d in range(n_s)]
     b_op = _BOperator(spec, grid)
     eps_tail = EPS_TAIL_FACTOR * u.total_mass
 
-    # V[k] = (masses, bucket_sub, bucket_sup) of S_n(k h) u for current n
-    V = []
+    # term 0 on the time grid: row k is S(k h) u, its buckets include u's own
+    V = np.empty((n_s + 1, grid.n_cells))
+    sub = np.empty(n_s + 1)
+    sup = np.empty(n_s + 1)
     for k in range(n_s + 1):
-        m, sub, sup = s_int[k].apply(u.masses)
-        V.append([m, u.sub_grid_mass + sub, u.super_grid_mass + sup])
+        V[k], sub[k], sup[k] = _SOperator(spec, grid, k * h).apply(u.masses)
+    sub += u.sub_grid_mass
+    sup += u.super_grid_mass
 
-    def term_total(v):
-        return float(np.sum(v[0])) + v[1] + v[2]
-
-    acc = [V[n_s][0].copy(), V[n_s][1], V[n_s][2]]
-    trace = OperatorTrace(term_norms=[term_total(V[n_s])])
+    acc, acc_sub, acc_sup = V[-1].copy(), sub[-1], sup[-1]
+    trace = OperatorTrace(term_norms=[float(V[-1].sum() + sub[-1] + sup[-1])])
     for _level in range(1, N + 1):
-        W = []
-        for k in range(n_s + 1):
-            bm, bsub = b_op.apply(V[k][0])
-            W.append([bm, V[k][1] + bsub, V[k][2]])
-        # midpoint values of B S_n(s) u on each subinterval
-        Wm = [[0.5 * (W[j][0] + W[j + 1][0]),
-               0.5 * (W[j][1] + W[j + 1][1]),
-               0.5 * (W[j][2] + W[j + 1][2])] for j in range(n_s)]
-        newV = [[np.zeros(n), 0.0, 0.0]]
-        for k in range(1, n_s + 1):
-            accm = np.zeros(n)
-            accsub = 0.0
-            accsup = 0.0
-            for j in range(k):
-                sm, ssub, ssup = s_half[k - j - 1].apply(Wm[j][0])
-                accm += h * sm
-                accsub += h * (ssub + Wm[j][1])
-                accsup += h * (ssup + Wm[j][2])
-            newV.append([accm, accsub, accsup])
-        V = newV
-        tn = term_total(V[n_s])
+        bm, bsub = b_op.apply(V)
+        # h times the midpoint values of B S_n(s) u on each subinterval
+        wm = (0.5 * h) * (bm[:-1] + bm[1:])
+        V = np.zeros_like(V)
+        sub = np.zeros(n_s + 1)
+        sup = np.zeros(n_s + 1)
+        sub[1:] = np.cumsum((0.5 * h) * (bsub[:-1] + bsub[1:]))
+        # lags in decreasing order add each row's sources j = 0, 1, ... in turn
+        for d in range(n_s - 1, -1, -1):
+            sm, ssub, ssup = s_half[d].apply(wm[:n_s - d])
+            V[d + 1:] += sm
+            sub[d + 1:] += ssub
+            sup[d + 1:] += ssup
+        tn = float(V[-1].sum() + sub[-1] + sup[-1])
         trace.term_norms.append(tn)
-        acc[0] += V[n_s][0]
-        acc[1] += V[n_s][1]
-        acc[2] += V[n_s][2]
+        acc += V[-1]
+        acc_sub += sub[-1]
+        acc_sup += sup[-1]
         if tn < eps_tail:
             break
     else:
         trace.converged = False
         trace.note = f"tail {trace.term_norms[-1]:.3e} above {eps_tail:.3e} at N={N}"
-    return GridDensity(grid, acc[0], acc[1], acc[2]), trace
+    return GridDensity(grid, acc, float(acc_sub), float(acc_sup)), trace
 
 
 # -- resolvent series for R(lam, C) --------------------------------------------

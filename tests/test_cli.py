@@ -56,6 +56,26 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_evolve_mass_vs_t_telemetry(tmp_path):
+    # the Dyson term count, tail and convergence flag travel with each mass
+    # row, and the CSV bodies are byte-identical across reruns
+    outs = []
+    for tag in ("a", "b"):
+        out = tmp_path / tag
+        res = _run(["evolve", "-c", str(CONFIGS / "evolve.yaml"), "-o", str(out)])
+        assert res.exit_code == 0, res.output
+        outs.append(out)
+    body = (outs[0] / "mass_vs_t.csv").read_text()
+    assert body == (outs[1] / "mass_vs_t.csv").read_text()
+    lines = body.strip().splitlines()
+    assert lines[0].endswith(",n_terms,tail,converged")
+    for line in lines[1:]:
+        n_terms, tail, converged = line.split(",")[-3:]
+        assert int(n_terms) > 1
+        assert 0.0 <= float(tail) < 1e-8
+        assert converged == "1"
+
+
 def test_simulate_oracle_column_agrees(tmp_path):
     out = tmp_path / "sim"
     res = _run(["simulate", "-c", str(CONFIGS / "simulate.yaml"),
@@ -138,3 +158,5 @@ def test_evolve_budget_exhausted_exit_4(tmp_path):
     res = _run(["evolve", "-c", str(cfg), "-o", str(tmp_path / "o")])
     assert res.exit_code == 4
     assert "numerical error" in res.output
+    row = (tmp_path / "o" / "mass_vs_t.csv").read_text().splitlines()[1]
+    assert row.split(",")[-3::2] == ["2", "0"]  # n_terms, converged

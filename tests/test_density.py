@@ -1,6 +1,9 @@
 """Grid engine: S(t), B, resolvents, Dyson-Phillips, resolvent series."""
 
+import json
 import math
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,13 +19,16 @@ from pdmpfrag import (
     apply_B,
     apply_S,
     build_characteristics,
+    cumulative_rate,
     dyson_phillips,
-    mass,
     resolvent_A,
     resolvent_series,
 )
+from pdmpfrag.density import _SOperator
 from pdmpfrag.oracles import TauOracle, exact_mass
 from conftest import aligned_grid, power_model
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _zero_rate():
@@ -34,7 +40,7 @@ def test_grid_and_density_basics(tmp_path):
     assert grid.n_cells == 64
     u = GridDensity.uniform_in_m(grid, 1.0, 2.0)
     assert abs(u.total_mass - 1.0) < 1e-12
-    assert abs(mass(u) - 1.0) < 1e-12
+    assert abs(u.grid_mass - 1.0) < 1e-12
     # from_function: smooth density projected by quadrature, mass checked
     # against an independent adaptive quadrature
     u2 = GridDensity.from_function(grid, lambda x: np.exp(-x))
@@ -53,7 +59,7 @@ def test_grid_and_density_basics(tmp_path):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     np.testing.assert_allclose(data[:, 1], u.masses)
     empty = GridDensity(grid, np.zeros(grid.n_cells))
-    assert mass(empty) == 0.0
+    assert empty.grid_mass == 0.0
 
 
 def test_apply_S_identity_and_diag(pure_frag):
@@ -79,7 +85,7 @@ def test_apply_S_mass_vs_quadrature(pure_frag):
     ut = apply_S(pure_frag, 1.0, u)
     want, _ = quad(lambda x: (2.0 / 3.0) * math.exp(-1.0 / x) * x, 1.0, 2.0,
                    epsabs=1e-13, epsrel=1e-13)
-    assert abs(mass(ut) - want) < 1e-8
+    assert abs(ut.grid_mass - want) < 1e-8
 
 
 def test_apply_S_growth_pushforward():
@@ -299,3 +305,66 @@ def test_resolvent_series_identity_and_flags(pure_frag, bounded_pure_jump):
     # too-small budget: flagged unconverged, result still returned
     _, trs = resolvent_series(pure_frag, 1.0, u, N=3)
     assert not trs.converged
+
+
+def test_dyson_honest_conservation(bounded_pure_jump):
+    # phi = 1 is honest: grid mass plus sub-grid bucket stays ||u|| = 1 up to
+    # the time-quadrature error, which doubling n_s exposes
+    grid = LogGrid(1e-1, 1e2, 192)
+    u = GridDensity.uniform_in_m(grid, 1.0, 2.0)
+    tot = {n_s: dyson_phillips(bounded_pure_jump, 4.0, u, N=60,
+                               n_s=n_s)[0].total_mass for n_s in (32, 64)}
+    assert abs(tot[64] - 1.0) <= abs(tot[64] - tot[32])
+
+
+@pytest.mark.parametrize("name,spec", [
+    ("pure_frag", power_model("pure_jump", alpha=-1.0)),
+    ("growth", power_model("growth", alpha=0.0, beta=0.0)),
+    ("decay", power_model("decay", alpha=0.0, beta=-1.0)),
+])
+def test_dyson_golden_grid_masses(name, spec):
+    # grid masses of the element-by-element convolution this engine replaced
+    # (commit 8c82c92); N = 3 stops both on the budget, not on the tail rule
+    want = json.loads((DATA / "dyson_golden.json").read_text())[name]
+    u = GridDensity.uniform_in_m(LogGrid(1e-4, 1e2, 64), 1.0, 2.0)
+    res, tr = dyson_phillips(spec, 1.0, u, N=3, n_s=16)
+    assert not tr.converged
+    np.testing.assert_allclose(res.masses, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("t", [0.1, 2.0])
+@pytest.mark.parametrize("spec", [
+    power_model("growth", alpha=0.0, beta=0.0),
+    power_model("decay", alpha=0.0, beta=-1.0),
+])
+def test_transport_S_columns_carry_survival(spec, t):
+    # each source cell's mass goes on-grid or to a bucket, scaled by survival
+    grid = LogGrid(1e-4, 1e2, 64)
+    op = _SOperator(spec, grid, t)
+    cols = np.asarray(op.mat.sum(axis=0)).ravel() + op.sub_row + op.sup_row
+    want = np.exp(-np.asarray(cumulative_rate(spec, grid.nodes, t)))
+    np.testing.assert_allclose(cols, want, rtol=0.0, atol=1e-14)
+
+
+def test_transport_S_degenerate_cells(monkeypatch):
+    # a zero-width or unbounded destination interval deposits the whole
+    # surviving cell mass at its midpoint's destination cell, or in a bucket
+    import pdmpfrag.density as density
+    monkeypatch.setattr(density, "cumulative_rate",
+                        lambda spec, x, t: np.full(np.shape(x), 0.25))
+
+    class StepG:  # G on the 7 grid edges: a flat piece and infinite ends
+        direction = 1
+
+        def __call__(self, x):
+            return np.array([-np.inf, 0.0, 1.0, 1.0, 2.0, 3.0, np.inf])
+
+    spec = SimpleNamespace(regime=Regime.GROWTH, G=StepG())
+    op = _SOperator(spec, LogGrid(1.0, 64.0, 6), 0.5)
+    surv = math.exp(-0.25)
+    mat = op.mat.toarray()
+    np.testing.assert_allclose(mat.sum(axis=0) + op.sub_row + op.sup_row,
+                               surv, rtol=0.0, atol=1e-15)
+    assert mat[1, 0] == surv  # (-inf, 0.5]: deposited at 0.5
+    assert mat[3, 2] == surv  # [1.5, 1.5]: deposited at 1.5
+    assert op.sup_row[5] == surv  # [3.5, inf): above the grid

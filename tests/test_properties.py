@@ -1,6 +1,7 @@
 """Property-based invariants: kernels, semiflows, rates, substochasticity."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdmpfrag import (
@@ -150,3 +151,26 @@ def test_dyson_dominates_free_semigroup(name, t, lo):
     free = apply_S(spec, t, u)
     total, _ = dyson_phillips(spec, t, u, N=2, n_s=6)
     assert np.all(total.masses >= free.masses - 1e-12)
+
+
+@pytest.mark.parametrize("width", [1.1, 4.0])
+@pytest.mark.parametrize("lo", [0.05, 0.5, 5.0])
+@pytest.mark.parametrize("t", [0.3, 1.0, 3.0, 5.0])
+@pytest.mark.parametrize("name", ["bounded", "decay", "growth"])
+def test_dyson_substochastic(name, t, lo, width):
+    # grid mass plus both buckets never exceeds ||u||: out-of-grid mass is a
+    # flux counted once, not re-added at every later term (N = 60 is costly,
+    # hence a fixed grid of cases rather than hypothesis)
+    u = GridDensity.uniform_in_m(_grid, lo, lo * width)
+    res, _ = dyson_phillips(_specs[name], t, u, N=60, n_s=16)
+    assert res.total_mass <= u.total_mass * (1.0 + 1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "open spatial-consistency defect: S(t) decays each cell by its "
+    "cell-averaged survival while B injects at the nodal phi; for phi = 1/x "
+    "on this 64-cell grid that creates 3.5e-4 to 3.8e-4 of mass at any n_s"))
+def test_dyson_substochastic_pure_frag():
+    u = GridDensity.uniform_in_m(_grid, 5.0, 20.0)
+    res, _ = dyson_phillips(_specs["pure_frag"], 1.0, u, N=60, n_s=16)
+    assert res.total_mass <= u.total_mass * (1.0 + 1e-9)
