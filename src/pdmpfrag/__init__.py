@@ -7,7 +7,6 @@ the semigroup as stochastic (honest) or strongly stable.
 """
 
 from .errors import (
-    BudgetExceeded,
     ConfigError,
     DomainError,
     DomainExit,
@@ -91,10 +90,10 @@ from .diagnose import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExceeded", "ConfigError", "DomainError", "DomainExit",
-    "HorizonExceeded", "InfiniteHolding", "KernelDomain", "ModelError",
-    "NoDensity", "NonConvergent", "NonIntegrableRate", "NotADensity",
-    "NumericalError", "OutOfRegime",
+    "ConfigError", "DomainError", "DomainExit", "HorizonExceeded",
+    "InfiniteHolding", "KernelDomain", "ModelError", "NoDensity",
+    "NonConvergent", "NonIntegrableRate", "NotADensity", "NumericalError",
+    "OutOfRegime",
     "ClosedFormMap", "MonotoneMap", "TabulatedIntegralMap",
     "CharacteristicsSpec", "RateSpec", "Regime", "SemiflowSpec",
     "build_characteristics", "build_gq", "cumulative_rate", "flow",

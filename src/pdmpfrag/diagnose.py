@@ -56,9 +56,10 @@ def f_lambda_dual(spec, lam, probes, n_iter, n_paths=400, *, seed=0,
     """Per-probe dual iterates f_hat(x) = mean of e^{-lambda t_{n_iter}}.
 
     Exact per path: jump times are sampled exactly and e^{-lambda t_n} is
-    evaluated on them.  Paths absorbed at 0 before the n_iter-th jump have
-    t_n = inf and contribute 0.  Returns one Estimate per probe; diagnostics
-    carry the last-step decrement and the half-budget convergence gap.
+    evaluated on them.  A path absorbed at 0 by its n-th step has t_n = inf
+    and contributes 0 at that checkpoint.  Returns one Estimate per probe;
+    diagnostics carry the last-step decrement and the half-budget
+    convergence gap.
     """
     if lam <= 0 or n_iter < 1:
         raise ValueError("need lam > 0 and n_iter >= 1")
@@ -73,7 +74,9 @@ def f_lambda_dual(spec, lam, probes, n_iter, n_paths=400, *, seed=0,
             checkpoints=cps, t_stop=t_stop, workers=workers,
             path_offset=k * n_paths)
         w = np.exp(-lam * times)
-        w[:, status == 3] = 0.0  # absorbed at 0: no further jumps ever
+        # absorbed at 0: t_n = inf from the absorbing step on, where the
+        # checkpoint repeats the absorption time; earlier ones lie below it
+        w[(status == 3) & (times == times[-1])] = 0.0
         w_full = w[cp_list.index(n_iter)]
         w_prev = w[cp_list.index(max(1, n_iter - 1))]
         w_half = w[cp_list.index(half)]

@@ -45,14 +45,6 @@ class NumericalError(Exception):
     """Base class for numerical non-convergence (distinct from model errors)."""
 
 
-class BudgetExceeded(NumericalError):
-    """Series truncated at the term budget without tail convergence."""
-
-    def __init__(self, message, result=None):
-        self.result = result
-        super().__init__(message)
-
-
 class NonConvergent(NumericalError):
     """A quadrature failed to converge."""
 

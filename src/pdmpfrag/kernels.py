@@ -59,15 +59,6 @@ class JumpKernel:
         return self.ratio_cdf(x, np.clip(r / x, 0.0, 1.0))
 
 
-def sample_jump(kernel, q, x):
-    """Module-level convenience wrapper around ``kernel.sample``."""
-    return kernel.sample(q, x)
-
-
-def transition_density(kernel, x, y):
-    return kernel.transition_density(x, y)
-
-
 class PowerLawKernel(JumpKernel):
     """Homogeneous kernel with h(z) = (nu + 2) z**nu, nu > -2 (closed forms)."""
 

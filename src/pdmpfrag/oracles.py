@@ -46,11 +46,12 @@ class TauOracle:
 
 @dataclass(frozen=True)
 class GrowthTauParams:
-    """Growth variant: g(x) = a x^{1-beta} (beta > 0), power kernel, phi = g/x...
+    """Growth power family: g(x) = x^{1-beta} and phi(x) = a x^{-beta}.
 
-    Covers the explosion-time series of the growth regime where each holding
-    time is (e^{beta eps/a} - 1) x^beta / (a beta) up to the family's scaling;
-    only the normalized series (x0 = 1) is provided.
+    Here beta > 0 and the kernel is the power kernel h(z) = (nu+2) z^nu.
+    Q(x) = a log x, so from state x the pre-jump state is x e^{eps/a}, the
+    holding time is x^beta (e^{beta eps/a} - 1) / beta, and the daughter is
+    the pre-jump state times H^{<-}(theta) = theta^{1/(nu+2)}.
     """
 
     nu: float = 0.0
@@ -126,8 +127,9 @@ def sample_tau(params, rng, K_max=100_000, x0=1.0) -> float:
     """One explosion time by direct summation of the holding-time series.
 
     Pure fragmentation (TauOracle): tau = sum_k eps_k prod_{l<k} H^{<-}(th_l)^gamma,
-    scaled by x0^gamma / a.  Growth variant (GrowthTauParams):
-    tau = sum_k (e^{beta eps_k/a} - 1) prod_{l<k} H^{<-}(th_l)^beta e^{beta eps_l/a}.
+    scaled by x0^gamma / a.  Growth family (GrowthTauParams):
+    tau = sum_k (e^{beta eps_k/a} - 1) prod_{l<k} H^{<-}(th_l)^beta e^{beta eps_l/a},
+    scaled by x0^beta / beta.
 
     Truncates once the running product drops below 1e-16; raises NonConvergent
     if the budget K_max is exhausted first.
@@ -152,7 +154,7 @@ def sample_tau(params, rng, K_max=100_000, x0=1.0) -> float:
             grow = math.exp(params.beta * eps / params.a)
             total += (grow - 1.0) * prod
             if prod < _PROD_FLOOR:
-                return total * x0 ** params.beta
+                return total * x0 ** params.beta / params.beta
             prod *= grow * rng.random() ** inv_pow
             if prod > 1e12 or total > 1e12:
                 return math.inf  # series diverging: no explosion on this path

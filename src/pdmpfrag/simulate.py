@@ -3,10 +3,12 @@
 Jump chains are sampled exactly: holding times via the generalized inverse
 of the cumulative rate, pre-jump positions directly through Q (never by
 composing the flow with the holding time), daughter sizes through the
-kernel's inverse CDF.  Randomness is counter-based (Philox keyed by master
-seed and path index) so paths are independent and reproducible for any
-worker count.  Explosion is never detected, only bracketed: estimators
-expose their truncation sensitivity.
+kernel's inverse CDF.  One vectorized step, ``_jump``, does this for a batch
+of paths: ``run_chains`` drives it over many paths and records checkpoints,
+``simulate_chain`` runs it on one path and records every jump.  Randomness
+is counter-based (Philox keyed by master seed and path index) so paths are
+independent and reproducible for any worker count.  Explosion is never
+detected, only bracketed: estimators expose their truncation sensitivity.
 """
 
 from __future__ import annotations
@@ -69,74 +71,107 @@ def path_rng(seed, path_id):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# run_chains status codes
+_RUNNING, _SETTLED, _PARKED, _ABSORBED = 0, 1, 2, 3
+
+
+def _jump(spec, x, t, u_eps, u_theta, t_stop):
+    """One jump of a batch of running paths: (t_new, x_new, status).
+
+    A path settles in place when its time no longer advances (numerically
+    converged jump times) or its state leaves float range, and also settles
+    after jumping out of (0, inf); a decay orbit that reaches 0 before its
+    next jump is absorbed there; past ``t_stop`` a path is parked.
+    """
+    regime = spec.regime
+    eps = -np.log1p(-u_eps)
+    theta = _clamp_q(u_theta)
+    exceeded = np.zeros(len(x), dtype=bool)
+    if regime is Regime.PURE_JUMP:
+        rate = np.asarray(spec.phi(x), dtype=float)
+        if np.any(rate <= 0):
+            raise InfiniteHolding("zero jump rate in pure-jump regime")
+        dt = eps / rate
+        x_pre = x
+    else:
+        lim = spec.Q.limit_inf if regime is Regime.GROWTH else spec.Q.limit_zero
+        lim = np.inf if lim is None else lim
+        qx = spec.Q(x)
+        with np.errstate(invalid="ignore"):
+            exceeded = eps > (lim - qx)
+        g0 = spec.G.limit_zero
+        if np.any(exceeded) and (regime is Regime.GROWTH or g0 is None
+                                 or not np.isfinite(g0)):
+            raise InfiniteHolding(
+                "cumulative rate along the orbit is bounded; check asGQ/asGQd")
+        x_pre = spec.Q.inverse(qx + np.where(exceeded, 0.0, eps))
+        gx = spec.G(x)
+        # a state below float range cannot be advanced: freeze via the guard
+        dead = ~(x_pre > 0.0) | ~np.isfinite(x_pre)
+        x_pre = np.where(dead, x, x_pre)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dt = spec.G(x_pre) - gx
+            lossy = dt <= 1e-8 * np.abs(gx)
+            if np.any(lossy):
+                # G-difference lost to rounding: short orbit segment,
+                # eps/phi(geometric midpoint) is the exact limit
+                mid = np.sqrt(x * x_pre)
+                rate = np.asarray(spec.phi(mid), dtype=float)
+                dt = np.where(lossy, eps / rate, dt)
+        dt = np.where(dead, np.nan, dt)
+    x_new = np.asarray(spec.kernel.sample(theta, x_pre), dtype=float)
+    t_new = t + dt
+    if np.any(exceeded):
+        # no jump before the rate budget runs out: the orbit hits 0 first
+        t_new = np.where(exceeded, t + (g0 - gx), t_new)
+        x_new = np.where(exceeded, 0.0, x_new)
+    # non-increasing or non-finite time: the increment is lost to rounding;
+    # settle at the previous time without a bogus jump
+    degenerate = ~(np.isfinite(t_new) & (t_new > t)) & ~exceeded
+    t_new = np.where(degenerate, t, t_new)
+    x_new = np.where(degenerate, x, x_new)
+    status = np.full(len(x), _RUNNING, dtype=np.int8)
+    status[degenerate | (x_new <= 0) | ~np.isfinite(x_new)] = _SETTLED
+    status[exceeded] = _ABSORBED
+    if t_stop is not None:
+        status[(t_new > t_stop) & (status == _RUNNING)] = _PARKED
+    return t_new, x_new, status
+
+
 def simulate_chain(spec, x0, *, seed, path_id=0, n_max=DEFAULT_N_MAX,
                    t_max=DEFAULT_T_MAX):
     """Sample one jump chain.  Bit-identical for identical (seed, path_id, spec).
 
-    Stops at the first of: t_n > t_max, n = n_max jumps, or 0-absorption of
-    the decay orbit.  Raises InfiniteHolding for mis-specified models whose
-    cumulative rate along an orbit stays bounded.
+    The one-path run of ``run_chains``' step, recording every jump.  Stops at
+    the first of: t_n > t_max, n = n_max jumps, 0-absorption of the decay
+    orbit, or a step whose time no longer advances (not recorded).  Raises
+    InfiniteHolding for mis-specified models whose cumulative rate along an
+    orbit stays bounded.
     """
     if x0 <= 0:
         raise ValueError("x0 must be positive")
     if n_max < 1 or t_max <= 0:
         raise ValueError("need n_max >= 1 and t_max > 0")
     gen = path_rng(seed, path_id)
-    regime = spec.regime
     times = [0.0]
     positions = [float(x0)]
-    status = TrajectoryStatus.EXHAUSTED_JUMP_BUDGET
-    t = 0.0
-    x = float(x0)
+    code = _RUNNING
     for _ in range(n_max):
-        u_eps, u_theta = gen.random(2)
-        eps = -math.log1p(-u_eps)
-        if regime is Regime.PURE_JUMP:
-            rate = float(spec.phi(x))
-            if rate <= 0:
-                raise InfiniteHolding("zero jump rate in pure-jump regime")
-            dt = eps / rate
-            x_pre = x
-        else:
-            qx = float(spec.Q(np.array([x]))[0])
-            lim = spec.Q.limit_inf if regime is Regime.GROWTH else spec.Q.limit_zero
-            avail = np.inf if lim is None else lim - qx
-            if eps > avail:
-                # no jump before the rate budget runs out along this orbit
-                g0 = spec.G.limit_zero
-                if regime is Regime.DECAY and g0 is not None and np.isfinite(g0):
-                    t = t + float(g0 - spec.G(np.array([x]))[0])
-                    status = TrajectoryStatus.DOMAIN_EXIT_AT_ZERO
-                    times.append(t)
-                    positions.append(0.0)
-                    break
-                raise InfiniteHolding(
-                    "cumulative rate along the orbit is bounded; check asGQ/asGQd")
-            x_pre = float(spec.Q.inverse(np.array([qx + eps]))[0])
-            if not (x_pre > 0.0 and math.isfinite(x_pre)):
-                break  # state below float range; time frozen here
-            gx = float(spec.G(np.array([x]))[0])
-            dt = float(spec.G(np.array([x_pre]))[0]) - gx
-            if dt <= 1e-8 * abs(gx):
-                # the G-difference has lost its mantissa; the orbit segment is
-                # then short, so eps / phi(midpoint) is the exact limit
-                mid = math.sqrt(x * x_pre)
-                with np.errstate(over="ignore"):
-                    dt = eps / float(spec.phi(mid))
-        if not (dt > 0.0 and math.isfinite(dt)):
-            # time increment lost to rounding: the jump times have numerically
-            # converged (explosion candidate); stop without a bogus jump
+        u = gen.random(2)
+        t_new, x_new, st = _jump(spec, np.array(positions[-1:]),
+                                 np.array(times[-1:]), u[:1], u[1:], t_max)
+        code = int(st[0])
+        if code == _SETTLED and t_new[0] == times[-1]:
+            break  # settled in place: nothing to record
+        times.append(float(t_new[0]))
+        positions.append(float(x_new[0]))
+        if code != _RUNNING:
             break
-        x = float(spec.kernel.sample(u_theta, x_pre))
-        t = t + dt
-        times.append(t)
-        positions.append(x)
-        if t > t_max:
-            status = TrajectoryStatus.ALIVE_AT_HORIZON
-            break
-        if x <= 0.0 or not math.isfinite(x):
-            status = TrajectoryStatus.DOMAIN_EXIT_AT_ZERO
-            break
+    if code == _SETTLED:  # stuck in place, or jumped out of (0, inf)
+        code = _RUNNING if 0.0 < positions[-1] < math.inf else _ABSORBED
+    status = {_RUNNING: TrajectoryStatus.EXHAUSTED_JUMP_BUDGET,
+              _PARKED: TrajectoryStatus.ALIVE_AT_HORIZON,
+              _ABSORBED: TrajectoryStatus.DOMAIN_EXIT_AT_ZERO}[code]
     return Trajectory(np.array(times), np.array(positions), status,
                       float(t_max), int(seed), int(path_id))
 
@@ -165,109 +200,32 @@ def state_at(traj, spec, t):
 def _run_block(spec, x0s, seed, path_offset, n_max, checkpoints, t_stop,
                out_times, out_final_x, out_status, sl):
     """Advance a contiguous block of paths; writes results into slices."""
-    regime = spec.regime
-    kernel = spec.kernel
     P = len(x0s)
     x = np.asarray(x0s, dtype=float).copy()
     t = np.zeros(P)
-    status = np.zeros(P, dtype=np.int8)  # 0 running, 1 stabilized, 2 t_stop, 3 exit0
+    status = np.full(P, _RUNNING, dtype=np.int8)
     gens = [path_rng(seed, path_offset + i) for i in range(P)]
-    cps = list(checkpoints)
-    cp_rows = {c: k for k, c in enumerate(cps)}
+    cp_rows = {c: k for k, c in enumerate(checkpoints)}
     chunk = 64
+    draws = np.empty((P, 2 * chunk))
     n_done = 0
-    if regime is not Regime.PURE_JUMP:
-        lim = spec.Q.limit_inf if regime is Regime.GROWTH else spec.Q.limit_zero
-        lim = np.inf if lim is None else lim
-        g0 = spec.G.limit_zero
-        g0 = np.inf if g0 is None else g0
     while n_done < n_max:
-        steps = min(chunk, n_max - n_done)
-        run = np.nonzero(status == 0)[0]
+        run = np.nonzero(status == _RUNNING)[0]
         if len(run) == 0:
-            # all paths settled; remaining checkpoints see frozen times
-            for c in cps:
-                if c > n_done:
-                    out_times[cp_rows[c], sl] = t
             break
-        draws = np.empty((len(run), 2 * steps))
-        for r, i in enumerate(run):
-            draws[r] = gens[i].random(2 * steps)
-        loc_x = x[run]
-        loc_t = t[run]
-        loc_stat = np.zeros(len(run), dtype=np.int8)
-        for s in range(steps):
-            act = loc_stat == 0
-            if np.any(act):
-                eps = -np.log1p(-draws[act, 2 * s])
-                theta = _clamp_q(draws[act, 2 * s + 1])
-                xa = loc_x[act]
-                if regime is Regime.PURE_JUMP:
-                    rate = np.asarray(spec.phi(xa), dtype=float)
-                    if np.any(rate <= 0):
-                        raise InfiniteHolding("zero jump rate in pure-jump regime")
-                    dt = eps / rate
-                    x_pre = xa
-                    exceeded = np.zeros(len(xa), dtype=bool)
-                else:
-                    qx = spec.Q(xa)
-                    with np.errstate(invalid="ignore"):
-                        exceeded = eps > (lim - qx)
-                    x_pre = spec.Q.inverse(qx + np.where(exceeded, 0.0, eps))
-                    ga = spec.G(xa)
-                    # paths whose state dropped below float range cannot be
-                    # advanced further; they are frozen at their current time
-                    dead = ~(x_pre > 0.0) | ~np.isfinite(x_pre)
-                    x_pre = np.where(dead, xa, x_pre)
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        dt = spec.G(x_pre) - ga
-                        lossy = dt <= 1e-8 * np.abs(ga)
-                        if np.any(lossy):
-                            # G-difference lost to rounding: short orbit
-                            # segment, eps/phi(geometric midpoint) is exact
-                            mid = np.sqrt(xa * x_pre)
-                            dt = np.where(lossy, eps / np.asarray(
-                                spec.phi(mid), dtype=float), dt)
-                    dt = np.where(dead, np.nan, dt)  # freeze via the guard below
-                x_new = np.asarray(kernel.sample(theta, x_pre), dtype=float)
-                t_new = loc_t[act] + dt
-                if np.any(exceeded):
-                    if regime is Regime.GROWTH or not np.isfinite(g0):
-                        raise InfiniteHolding(
-                            "cumulative rate along the orbit is bounded")
-                    t_new = np.where(exceeded, loc_t[act] + (g0 - spec.G(xa)),
-                                     t_new)
-                    x_new = np.where(exceeded, 0.0, x_new)
-                # non-increasing or non-finite time: increment lost to
-                # rounding, i.e. the jump times have numerically converged;
-                # freeze at the previous time without recording a bogus jump
-                degenerate = ~(np.isfinite(t_new) & (t_new > loc_t[act]))
-                degenerate &= ~exceeded
-                t_new = np.where(degenerate, loc_t[act], t_new)
-                x_new = np.where(degenerate, loc_x[act], x_new)
-                stab = degenerate | (x_new <= 0) | ~np.isfinite(x_new)
-                newstat = np.zeros(len(xa), dtype=np.int8)
-                newstat[stab] = 1
-                if np.any(exceeded):
-                    newstat[exceeded] = 3
-                if t_stop is not None:
-                    newstat[(t_new > t_stop) & (newstat == 0)] = 2
-                loc_t[act] = t_new
-                loc_x[act] = x_new
-                loc_stat[act] = newstat
-            n_jump = n_done + s + 1
-            if n_jump in cp_rows:
-                t[run] = loc_t
-                out_times[cp_rows[n_jump], sl.start + run] = loc_t
-                # frozen paths outside `run` keep their settled times
-                frozen = status != 0
-                if np.any(frozen):
-                    idx = np.nonzero(frozen)[0]
-                    out_times[cp_rows[n_jump], sl.start + idx] = t[idx]
-        x[run] = loc_x
-        t[run] = loc_t
-        status[run] = loc_stat
-        n_done += steps
+        s = n_done % chunk
+        if s == 0:
+            width = 2 * min(chunk, n_max - n_done)
+            for i in run:
+                gens[i].random(out=draws[i, :width])
+        t[run], x[run], status[run] = _jump(
+            spec, x[run], t[run], draws[run, 2 * s], draws[run, 2 * s + 1],
+            t_stop)
+        n_done += 1
+        if n_done in cp_rows:
+            out_times[cp_rows[n_done], sl] = t
+    # paths all settled early: later checkpoints repeat their times
+    out_times[np.searchsorted(checkpoints, n_done, side="right"):, sl] = t
     out_final_x[sl] = x
     out_status[sl] = status
 
@@ -276,12 +234,14 @@ def run_chains(spec, x0s, *, seed, n_max=DEFAULT_N_MAX, checkpoints=None,
                t_stop=None, workers=1, path_offset=0):
     """Jump-time checkpoints for a batch of paths.
 
-    Returns (times, final_x, status) where ``times[k, p]`` is t_{checkpoints[k]}
-    of path p.  Paths whose jump-time increments underflow (numerically
-    converged explosion candidates) are frozen; their later checkpoints repeat
-    the settled time, which is exact.  With ``t_stop`` set, paths are parked
-    once t exceeds it (their recorded time is then only a witness > t_stop).
-    Results are independent of the worker count.
+    Returns (times, final_x, status, checkpoints) where ``times[k, p]`` is
+    t_{checkpoints[k]} of path p and ``status[p]`` is 0 running (budget
+    spent), 1 settled, 2 parked or 3 absorbed at 0.  Paths whose jump-time
+    increments underflow (numerically converged explosion candidates) are
+    frozen; their later checkpoints repeat the settled time, which is exact.
+    With ``t_stop`` set, paths are parked once t exceeds it (their recorded
+    time is then only a witness > t_stop).  Results are independent of the
+    worker count.
     """
     x0s = np.asarray(x0s, dtype=float)
     P = len(x0s)

@@ -34,6 +34,15 @@ def power_model(regime, alpha, beta=None, a=1.0, nu=0.0):
     return build_characteristics(semiflow, rate, PowerLawKernel(float(nu)))
 
 
+def unit_decay_model():
+    """Unit-speed decay g = 1, phi = 1: the orbit reaches 0 in finite time."""
+    def one(x):
+        return np.ones_like(np.asarray(x, float))
+    return build_characteristics(
+        SemiflowSpec(regime=Regime.DECAY, g=one), RateSpec(phi=one),
+        PowerLawKernel(0.0), domain=(1e-9, 1e3))
+
+
 @pytest.fixture(scope="session")
 def pure_frag():
     """Pure fragmentation, phi(x) = 1/x, h = 2 (nu=0): the gamma-law model."""

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from pdmpfrag import (
     OutOfRegime,
+    TrajectoryStatus,
     Verdict,
     classify,
     classify_power_family,
@@ -17,9 +18,10 @@ from pdmpfrag import (
     f_lambda_grid,
     lyapunov_check,
     run_chains,
+    simulate_chain,
 )
 from pdmpfrag.density import GridDensity, LogGrid
-from conftest import aligned_grid, power_model
+from conftest import aligned_grid, power_model, unit_decay_model
 
 
 def _h_power(nu):
@@ -58,6 +60,35 @@ def test_f_lambda_dual_guards(pure_frag):
         f_lambda_dual(pure_frag, -1.0, [1.0], 10)
     with pytest.raises(ValueError):
         f_lambda_dual(pure_frag, 1.0, [1.0], 0)
+
+
+def test_f_lambda_dual_absorbed_paths():
+    # from x0 = 8 many paths hit 0 between the half-budget and the last
+    # checkpoint; a path weighs e^{-lambda t_n} up to its absorption and 0
+    # from then on, rebuilt here from the one-path chains of the same paths
+    spec = unit_decay_model()
+    lam, n_iter, n_paths, seed = 1.0, 8, 400, 5
+    (est,) = f_lambda_dual(spec, lam, [8.0], n_iter, n_paths, seed=seed)
+    chains = [simulate_chain(spec, 8.0, seed=seed, path_id=p, n_max=n_iter,
+                             t_max=745.0 / lam) for p in range(n_paths)]
+    late = [tr.status is TrajectoryStatus.DOMAIN_EXIT_AT_ZERO
+            and len(tr.jump_times) > 5 for tr in chains]
+    assert np.mean(late) > 0.1  # absorbed after the half-budget checkpoint
+
+    def weights(n):
+        w = []
+        for tr in chains:
+            k = min(n, len(tr.jump_times) - 1)
+            w.append(0.0 if tr.positions[k] == 0.0
+                     else math.exp(-lam * tr.jump_times[k]))
+        return np.array(w)
+
+    w_half, w_prev, w_full = weights(4), weights(7), weights(8)
+    np.testing.assert_allclose(est.value, np.mean(w_full), rtol=1e-12)
+    np.testing.assert_allclose(est.diagnostics["half_gap"],
+                               np.mean(w_half - w_full), rtol=1e-12)
+    np.testing.assert_allclose(est.diagnostics["decrement"],
+                               np.mean(w_prev - w_full), rtol=1e-12)
 
 
 def test_f_lambda_grid_cross_check(pure_frag):

@@ -12,7 +12,6 @@ from pdmpfrag import (
     PowerLawKernel,
     SeparableKernel,
 )
-from pdmpfrag.kernels import sample_jump, transition_density
 from pdmpfrag.monotone import gauss_panels
 
 
@@ -24,8 +23,8 @@ def _kernel_mass(kernel, y, lo_frac=1e-12, n=2049):
 
 def test_power_kernel_sampling_closed_form():
     k = PowerLawKernel(0.0)  # h = 2
-    assert abs(sample_jump(k, 0.25, 4.0) - 2.0) < 1e-14
-    assert sample_jump(k, 0.999999, 3.0) <= 3.0
+    assert abs(k.sample(0.25, 4.0) - 2.0) < 1e-14
+    assert k.sample(0.999999, 3.0) <= 3.0
     with pytest.raises(ValueError):
         PowerLawKernel(-2.0)
 
@@ -43,8 +42,8 @@ def test_separable_uniform_beta():
 
 def test_transition_density_examples():
     k = PowerLawKernel(0.0)
-    assert abs(transition_density(k, 1.0, 2.0) - 0.5) < 1e-14
-    assert transition_density(k, 3.0, 2.0) == 0.0
+    assert abs(k.transition_density(1.0, 2.0) - 0.5) < 1e-14
+    assert k.transition_density(3.0, 2.0) == 0.0
     # int_0^y p(x, y) x dx = 1 at y = 5 for h(z) = 3z (nu = 1)
     k1 = PowerLawKernel(1.0)
     y = 5.0

@@ -106,15 +106,16 @@ def test_sample_tau_distribution():
     assert abs(t1 - 4.0 * t2) < 1e-12 * t1
 
 
-def test_sample_tau_growth_matches_simulation():
-    # growth with g = a (beta = 1), phi = a/x, h(z) = 0.5 z^{-1.5}: the
+@pytest.mark.parametrize("beta,a", [(1.0, 1.0), (0.5, 1.0), (1.0, 2.0)])
+def test_sample_tau_growth_matches_simulation(beta, a):
+    # growth with g = x^{1-beta}, phi = a x^{-beta}, h(z) = 0.5 z^{-1.5}: the
     # series sampler and the jump-chain engine target the same law
-    params = GrowthTauParams(nu=-1.5, beta=1.0, a=1.0)
+    params = GrowthTauParams(nu=-1.5, beta=beta, a=a)
     rng = np.random.default_rng(23)
     n = 4000
     taus = np.array([sample_tau(params, rng) for _ in range(n)])
     assert np.all(np.isfinite(taus))
-    spec = power_model("growth", alpha=-1.0, beta=1.0, a=1.0, nu=-1.5)
+    spec = power_model("growth", alpha=-beta, beta=beta, a=a, nu=-1.5)
     from pdmpfrag import run_chains
     times, _, status, _ = run_chains(spec, np.full(n, 1.0), seed=31,
                                      n_max=2000)

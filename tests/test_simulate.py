@@ -27,7 +27,7 @@ from pdmpfrag import (
 )
 from pdmpfrag.density import GridDensity
 from pdmpfrag.oracles import explosion_cdf
-from conftest import aligned_grid, power_model
+from conftest import aligned_grid, power_model, unit_decay_model
 
 # Golden jump chain, frozen from a straight-line reference implementation of
 # the recursion dt_n = eps_n / phi(xi_{n-1}), xi_n = sqrt(theta_n) xi_{n-1}
@@ -86,6 +86,14 @@ def test_positions_decrease_for_fragmentation(pure_frag):
             assert np.all(np.diff(tr.jump_times) > 0)
 
 
+def test_jump_times_strictly_increase(pure_frag):
+    # deep in the chain the increments fall below the ulp of t; such steps
+    # settle the chain instead of recording t_n == t_{n-1}
+    for pid in range(10):
+        tr = simulate_chain(pure_frag, 1.0, seed=42, path_id=pid, n_max=200)
+        assert np.all(np.diff(tr.jump_times) > 0)
+
+
 def test_reproducibility_bitwise(pure_frag):
     a = simulate_chain(pure_frag, 1.0, seed=9, path_id=5, n_max=40)
     b = simulate_chain(pure_frag, 1.0, seed=9, path_id=5, n_max=40)
@@ -93,26 +101,52 @@ def test_reproducibility_bitwise(pure_frag):
     assert np.array_equal(a.positions, b.positions)
 
 
-def test_run_chains_matches_scalar_and_workers(pure_frag):
-    x0s = np.full(64, 1.0)
-    t1, x1, s1, cps = run_chains(pure_frag, x0s, seed=21, n_max=30,
-                                 checkpoints=(15, 30), workers=1)
-    t4, x4, s4, _ = run_chains(pure_frag, x0s, seed=21, n_max=30,
-                               checkpoints=(15, 30), workers=4)
+# model builder and start state for the one-path / batched comparison
+ENGINE_MODELS = {
+    "pure_frag": (lambda: power_model("pure_jump", alpha=-1.0), 1.0),
+    "bounded_pure_jump": (lambda: power_model("pure_jump", alpha=0.0), 1.0),
+    "growth": (lambda: power_model("growth", alpha=-1.0, beta=1.0, nu=-1.5),
+               1.0),
+    "decay": (lambda: power_model("decay", alpha=-1.0, beta=0.0), 2.0),
+    "decay_exit": (unit_decay_model, 0.5),
+    # phi as a plain callable: Q is a tabulated map
+    "tabulated_growth": (lambda: build_characteristics(
+        SemiflowSpec(regime=Regime.GROWTH, power_beta=0.0),
+        RateSpec(phi=lambda x: x), PowerLawKernel(0.0)), 1.0),
+}
+
+
+@pytest.mark.parametrize("model", sorted(ENGINE_MODELS))
+def test_run_chains_matches_scalar_and_workers(model):
+    build, x0 = ENGINE_MODELS[model]
+    spec = build()
+    n_max, t_stop = 30, 3.0
+    x0s = np.full(64, x0)
+    t1, x1, s1, _ = run_chains(spec, x0s, seed=21, n_max=n_max,
+                               checkpoints=range(1, n_max + 1), t_stop=t_stop,
+                               workers=1)
+    t4, x4, s4, _ = run_chains(spec, x0s, seed=21, n_max=n_max,
+                               checkpoints=range(1, n_max + 1), t_stop=t_stop,
+                               workers=4)
     assert np.array_equal(t1, t4) and np.array_equal(x1, x4)
     assert np.array_equal(s1, s4)
-    for pid in (0, 7, 63):
-        tr = simulate_chain(pure_frag, 1.0, seed=21, path_id=pid, n_max=30)
-        assert abs(t1[cps.index(30), pid] - tr.jump_times[30]) < 1e-15
+    for pid in range(len(x0s)):
+        tr = simulate_chain(spec, x0, seed=21, path_id=pid, n_max=n_max,
+                            t_max=t_stop)
+        n = len(tr.jump_times) - 1
+        assert np.array_equal(tr.jump_times[1:], t1[:n, pid])
+        assert np.all(t1[n:, pid] == tr.jump_times[-1])  # settled: repeats
+        assert np.array_equal(tr.positions[-1], x1[pid])
+        settled = (TrajectoryStatus.EXHAUSTED_JUMP_BUDGET
+                   if 0 < x1[pid] < np.inf
+                   else TrajectoryStatus.DOMAIN_EXIT_AT_ZERO)
+        assert tr.status is (TrajectoryStatus.EXHAUSTED_JUMP_BUDGET, settled,
+                             TrajectoryStatus.ALIVE_AT_HORIZON,
+                             TrajectoryStatus.DOMAIN_EXIT_AT_ZERO)[s1[pid]]
 
 
 def test_domain_exit_at_zero():
-    # unit-speed decay with bounded rate: the orbit reaches 0 in finite time
-    spec = build_characteristics(
-        SemiflowSpec(regime=Regime.DECAY,
-                     g=lambda x: np.ones_like(np.asarray(x, float))),
-        RateSpec(phi=lambda x: np.ones_like(np.asarray(x, float))),
-        PowerLawKernel(0.0), domain=(1e-9, 1e3))
+    spec = unit_decay_model()
     tr = simulate_chain(spec, 0.5, seed=2, path_id=0, n_max=10_000)
     assert tr.status is TrajectoryStatus.DOMAIN_EXIT_AT_ZERO
     assert tr.positions[-1] == 0.0
