@@ -127,12 +127,14 @@ def _u0_from(cfg, grid):
 # -- artifact helpers ----------------------------------------------------------
 
 def _write_csv(out_dir, name, header, rows):
+    """Write rows; floats as their shortest round-trip repr, so distinct
+    values (such as strictly increasing jump times) stay distinct."""
     path = Path(out_dir) / name
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(f"{v:.12g}" if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+            fh.write(",".join(repr(float(v)) if isinstance(v, float)
+                              else str(v) for v in row) + "\n")
     return path
 
 

@@ -39,16 +39,17 @@ class Verdict(enum.Enum):
 @dataclass
 class Classification:
     verdict: Verdict
-    evidence: list = field(default_factory=list)  # dicts: lambda,x,f_hat,se,n_iter
+    # dicts: lam, x, f_hat, se, n_iter, half_gap
+    evidence: list = field(default_factory=list)
     method: str = "MonteCarloLaplace"
     notes: str = ""
 
     def to_csv(self, path):
         with open(path, "w") as fh:
-            fh.write("lambda,x,f_hat,se,n_iter\n")
+            fh.write("lambda,x,f_hat,se,n_iter,half_gap\n")
             for row in self.evidence:
                 fh.write("{lam:.10g},{x:.10g},{f_hat:.10g},{se:.10g},"
-                         "{n_iter}\n".format(**row))
+                         "{n_iter},{half_gap:.10g}\n".format(**row))
 
 
 def f_lambda_dual(spec, lam, probes, n_iter, n_paths=400, *, seed=0,
@@ -181,9 +182,7 @@ def classify(spec, lam_grid=DEFAULT_LAMBDAS, probe_grid=None, budgets=None,
         verdict = Verdict.INCONCLUSIVE
     note = (f"smallest-lambda policy: verdict from lambda={lam_grid[-1]:g}; "
             f"eps_s={eps_s:g}, eps_ss={eps_ss:g}, eps_conv={eps_conv:g}")
-    rows = [{"lam": r["lam"], "x": r["x"], "f_hat": r["f_hat"],
-             "se": r["se"], "n_iter": r["n_iter"]} for r in evidence]
-    return Classification(verdict, rows, "MonteCarloLaplace", note)
+    return Classification(verdict, evidence, "MonteCarloLaplace", note)
 
 
 # -- embedded jump chain ------------------------------------------------------

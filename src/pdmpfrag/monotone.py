@@ -14,6 +14,12 @@ from .errors import NonIntegrableRate
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
 
+# Newton inverse of tabulated maps: a relative step this small is final; a
+# stalled step stops at |F| within this many ulp of the target; hard cap.
+_NEWTON_RTOL = 1e-14
+_STALL_ULPS = 4.0
+_MAX_STEPS = 64
+
 
 def gauss_panels(f, a, b):
     """Gauss-Legendre integral of ``f`` over panels ``[a_i, b_i]`` (vectorized).
@@ -135,7 +141,7 @@ class TabulatedIntegralMap(MonotoneMap):
     Between nodes the forward map is evaluated exactly (cached cumulative
     value plus a Gauss panel over the remainder), so its accuracy is that of
     the quadrature, not of an interpolant.  The generalized inverse is a
-    bracketing bisection within one grid cell.
+    safeguarded Newton iteration in log x within one grid cell.
     """
 
     construction = "tabulated"
@@ -203,46 +209,68 @@ class TabulatedIntegralMap(MonotoneMap):
     def __call__(self, x):
         return self._sign * self._cum(x) + self._const
 
-    def derivative(self, x):
-        return self._sign * np.asarray(self.f(np.asarray(x, dtype=float)))
-
     # -- generalized inverse ---------------------------------------------
-    def inverse(self, q, n_bisect=48):
+    def inverse(self, q):
         """Generalized inverse, clamped to the tabulation domain.
 
         Increasing maps: inf{x : V(x) >= q}.  Non-increasing maps:
         sup{x : V(x) >= q} (the standard convention for decreasing Q).
+
+        Within the bracketing grid cell [a, b], with F(x) = int_a^x f - tau,
+        each point runs Newton steps in log x, x <- x exp(-F / (f(x) x)),
+        from the log-linear guess.  Every evaluation narrows [a, b] by the
+        sign of F; a step is replaced by the log-midpoint of [a, b] when
+        f(x) = 0, when it is not finite or when it leaves (a, b), so flat
+        pieces resolve to the same end as bisection would.  A point stops
+        when its relative step is at most ``_NEWTON_RTOL``, or when the step
+        no longer halves while |F| is at the rounding floor of the target.
         """
         q = np.asarray(q, dtype=float)
         t = (q - self._const) / self._sign
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
+        shape = t.shape
+        t = t.ravel()
         lo, hi = self.domain
-        if self.direction > 0:
-            # leftmost x with cum(x) >= t
-            j = np.searchsorted(self.cumvals, t, side="left")
-        else:
-            # sup{x: cum(x) <= t}: rightmost crossing
-            j = np.searchsorted(self.cumvals, t, side="right")
-        j = np.clip(j, 1, len(self.nodes) - 1)
-        a = self.nodes[j - 1].copy()
-        b = self.nodes[j].copy()
-        base = self.cumvals[j - 1]
-        tau = t - base
         below = t <= self.cumvals[0]
         above = t >= self.cumvals[-1]
-        for _ in range(n_bisect):
-            mid = np.sqrt(a * b)
-            fm = gauss_panels(self.f, self.nodes[j - 1], mid)
-            if self.direction > 0:
-                take_left = fm >= tau
-            else:
-                take_left = fm > tau
-            b = np.where(take_left, mid, b)
-            a = np.where(take_left, a, mid)
-        out = b if self.direction > 0 else a
         # t below the table maps to the lower domain edge, above to the upper,
         # for either direction (t is the cumulative-integral target)
-        out = np.where(below, lo, out)
-        out = np.where(above, hi, out)
-        return float(out[0]) if scalar else out
+        out = np.where(above, hi, lo)
+        pos = np.flatnonzero(~(below | above))
+        t = t[pos]
+        # leftmost x with cum(x) >= t (increasing), rightmost with
+        # cum(x) <= t (non-increasing)
+        side = "left" if self.direction > 0 else "right"
+        j = np.clip(np.searchsorted(self.cumvals, t, side=side),
+                    1, len(self.nodes) - 1)
+        left = self.nodes[j - 1]
+        a, b = left, self.nodes[j]
+        tau = t - self.cumvals[j - 1]
+        f_tol = _STALL_ULPS * np.spacing(np.maximum(np.abs(t), tau))
+        x = a * (b / a) ** (tau / (self.cumvals[j] - self.cumvals[j - 1]))
+        prev = np.full(x.shape, np.inf)
+        for _ in range(_MAX_STEPS):
+            if not pos.size:
+                break
+            F = gauss_panels(self.f, left, x) - tau
+            fx = np.asarray(self.f(x), dtype=float)
+            take_left = F >= 0 if self.direction > 0 else F > 0
+            b = np.where(take_left, x, b)
+            a = np.where(take_left, a, x)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                s = -F / (fx * x)
+                newton = x * np.exp(s)
+            ok = (fx > 0) & np.isfinite(s)
+            step = np.abs(s)
+            final = ok & (step <= _NEWTON_RTOL)
+            done = final | (ok & (step > 0.5 * prev) & (np.abs(F) <= f_tol))
+            out[pos[done]] = np.where(final, np.clip(newton, a, b), x)[done]
+            nxt = np.where(ok & (newton > a) & (newton < b), newton,
+                           np.sqrt(a * b))
+            prev = np.abs(np.log(nxt / x))
+            keep = ~done
+            pos, left, tau, f_tol, a, b, prev = (
+                arr[keep] for arr in (pos, left, tau, f_tol, a, b, prev))
+            x = nxt[keep]
+        else:
+            out[pos] = b if self.direction > 0 else a
+        return float(out[0]) if not shape else out.reshape(shape)

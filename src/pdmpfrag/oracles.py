@@ -132,7 +132,9 @@ def sample_tau(params, rng, K_max=100_000, x0=1.0) -> float:
     scaled by x0^beta / beta.
 
     Truncates once the running product drops below 1e-16; raises NonConvergent
-    if the budget K_max is exhausted first.
+    if the budget K_max is exhausted first.  A growth series whose log product
+    has drift beta/a - beta/(nu+2) >= 0 diverges almost surely: +inf (no
+    explosion) is returned without drawing.
     """
     if isinstance(params, TauOracle):
         inv_pow = params.gamma / (params.nu + 2.0)
@@ -147,6 +149,8 @@ def sample_tau(params, rng, K_max=100_000, x0=1.0) -> float:
         raise NonConvergent("tau series did not truncate within K_max")
     if isinstance(params, GrowthTauParams):
         inv_pow = params.beta / (params.nu + 2.0)
+        if params.beta / params.a - inv_pow >= 0:
+            return math.inf  # log product drifts up: the series diverges a.s.
         total = 0.0
         prod = 1.0
         for _ in range(K_max):
@@ -156,8 +160,6 @@ def sample_tau(params, rng, K_max=100_000, x0=1.0) -> float:
             if prod < _PROD_FLOOR:
                 return total * x0 ** params.beta / params.beta
             prod *= grow * rng.random() ** inv_pow
-            if prod > 1e12 or total > 1e12:
-                return math.inf  # series diverging: no explosion on this path
         raise NonConvergent("tau series did not truncate within K_max")
     raise TypeError("params must be a TauOracle or GrowthTauParams")
 

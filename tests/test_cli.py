@@ -56,6 +56,19 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_trajectory_times_strictly_increase(tmp_path):
+    # floats are written as their shortest round-trip repr, so jump times
+    # that differ in the last bits still print as distinct, increasing values
+    out = tmp_path / "sim"
+    res = _run(["simulate", "-c", str(CONFIGS / "simulate.yaml"),
+                "-o", str(out)])
+    assert res.exit_code == 0, res.output
+    data = np.loadtxt(out / "trajectories.csv", delimiter=",", skiprows=1)
+    path_id, t_n = data[:, 0], data[:, 2]
+    same_path = path_id[1:] == path_id[:-1]
+    assert np.all(np.diff(t_n)[same_path] > 0)
+
+
 def test_evolve_mass_vs_t_telemetry(tmp_path):
     # the Dyson term count, tail and convergence flag travel with each mass
     # row, and the CSV bodies are byte-identical across reruns

@@ -124,7 +124,14 @@ def test_classification_csv(tmp_path, bounded_pure_jump):
     path = tmp_path / "verdict.csv"
     res.to_csv(path)
     data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (len(res.evidence), 5)
+    assert data.shape == (len(res.evidence), 6)
+    assert path.read_text().splitlines()[0].endswith(",n_iter,half_gap")
+    # the half_gap column is the convergence gap behind the verdict
+    probes = np.geomspace(1e-3, 1e3, 7)
+    gaps = [est.diagnostics["half_gap"] for lam in (1.0, 0.1, 0.01)
+            for est in f_lambda_dual(bounded_pure_jump, lam, probes, 64, 100,
+                                     seed=0)]
+    np.testing.assert_allclose(data[:, 5], gaps, rtol=1e-9, atol=1e-300)
 
 
 def test_decision_table():

@@ -94,6 +94,97 @@ def test_inverse_clamps_to_domain():
     assert lo == 0.5 and hi == 2.0
 
 
+def _bisect_inverse(m, q, n_steps=64):
+    """Reference generalized inverse: plain log bisection within the cell."""
+    t = (np.asarray(q, dtype=float) - m._const) / m._sign
+    side = "left" if m.direction > 0 else "right"
+    j = np.clip(np.searchsorted(m.cumvals, t, side=side), 1, len(m.nodes) - 1)
+    a, b = m.nodes[j - 1], m.nodes[j]
+    tau = t - m.cumvals[j - 1]
+    for _ in range(n_steps):
+        mid = np.sqrt(a * b)
+        fm = gauss_panels(m.f, m.nodes[j - 1], mid)
+        take_left = fm >= tau if m.direction > 0 else fm > tau
+        b = np.where(take_left, mid, b)
+        a = np.where(take_left, a, mid)
+    out = b if m.direction > 0 else a
+    out = np.where(t <= m.cumvals[0], m.domain[0], out)
+    return np.where(t >= m.cumvals[-1], m.domain[1], out)
+
+
+def _arr(x):
+    return np.asarray(x, dtype=float)
+
+
+_INTEGRANDS = {
+    "one": (lambda x: np.ones_like(_arr(x)), "from_below"),
+    "inv_x": (lambda x: 1.0 / _arr(x), "from_below"),
+    "x_sq": (lambda x: _arr(x) ** 2, "from_below"),
+    "wavy": (lambda x: 1.0 + 0.9 * np.sin(5.0 * np.log(_arr(x))),
+             "from_below"),
+    "two_x_minus_2": (lambda x: 2.0 * _arr(x) ** -2.0, "from_above"),
+}
+
+
+class _Counted:
+    """Integrand wrapper counting the points it is evaluated at."""
+
+    def __init__(self, f):
+        self.f, self.points = f, 0
+
+    def __call__(self, x):
+        self.points += np.size(x)
+        return self.f(x)
+
+
+@pytest.mark.parametrize("name", sorted(_INTEGRANDS))
+def test_inverse_matches_bisection(name):
+    f, orientation = _INTEGRANDS[name]
+    m = TabulatedIntegralMap(f, orientation=orientation, n_nodes=4096)
+    rng = np.random.default_rng(11)
+    lo, hi = m.domain
+    xs = np.exp(rng.uniform(np.log(lo), np.log(hi), 2000))
+    q = np.concatenate([m(xs), m(m.nodes)])
+    got = m.inverse(q)
+    want = _bisect_inverse(m, q)
+    assert np.all(np.abs(got - want) <= 4.0 * np.spacing(want))
+
+
+def test_inverse_at_double_zero_of_integrand():
+    # f = (log x)^2 vanishes to second order at 1, where Newton converges
+    # only linearly; the residual in q must still reach the rounding floor
+    m = TabulatedIntegralMap(lambda x: np.log(_arr(x)) ** 2,
+                             orientation="from_below", domain=(1e-2, 1e2),
+                             n_nodes=4096)
+    q = np.concatenate([m(np.geomspace(0.5, 2.0, 801)), m(np.array([1.0])),
+                        2.0 + np.linspace(-1e-12, 1e-12, 801)])
+    x = m.inverse(q)
+    assert np.all(np.abs(m(x) - q) <= 8.0 * np.spacing(q))
+
+
+@pytest.mark.parametrize("name", ["one", "inv_x"])
+def test_inverse_integrand_evaluations_per_point(name):
+    f, orientation = _INTEGRANDS[name]
+    counted = _Counted(f)
+    m = TabulatedIntegralMap(counted, orientation=orientation, n_nodes=4096)
+    xs = np.exp(np.random.default_rng(12).uniform(np.log(1e-8), np.log(1e8),
+                                                  1000))
+    q = m(xs)
+    counted.points = 0
+    m.inverse(q)
+    assert counted.points / q.size <= 96
+
+
+def test_inverse_keeps_shape():
+    m = TabulatedIntegralMap(lambda x: 1.0 / _arr(x), domain=(1e-3, 1e3),
+                             n_nodes=256)
+    xs = np.geomspace(0.01, 100.0, 6).reshape(2, 3)
+    back = m.inverse(m(xs))
+    assert back.shape == (2, 3)
+    assert np.max(np.abs(back - xs) / xs) < 1e-12
+    assert isinstance(m.inverse(float(m(np.array([2.0]))[0])), float)
+
+
 def test_export_csv(tmp_path):
     m = TabulatedIntegralMap(lambda x: 1.0 / x, orientation="from_below",
                              domain=(1e-3, 1e3), n_nodes=256)

@@ -106,7 +106,8 @@ def test_sample_tau_distribution():
     assert abs(t1 - 4.0 * t2) < 1e-12 * t1
 
 
-@pytest.mark.parametrize("beta,a", [(1.0, 1.0), (0.5, 1.0), (1.0, 2.0)])
+@pytest.mark.parametrize("beta,a", [(1.0, 1.0), (0.5, 1.0), (1.0, 2.0),
+                                    (2.0, 1.0)])
 def test_sample_tau_growth_matches_simulation(beta, a):
     # growth with g = x^{1-beta}, phi = a x^{-beta}, h(z) = 0.5 z^{-1.5}: the
     # series sampler and the jump-chain engine target the same law
