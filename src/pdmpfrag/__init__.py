@@ -48,7 +48,6 @@ from .simulate import (
     Trajectory,
     TrajectoryStatus,
     estimate_explosion_cdf,
-    estimate_laplace_explosion,
     estimate_survival_mass,
     path_rng,
     run_chains,
@@ -101,9 +100,8 @@ __all__ = [
     "CustomKernel", "GeneralFragmentationKernel", "HomogeneousKernel",
     "JumpKernel", "PowerLawKernel", "SeparableKernel",
     "CEMETERY", "Estimate", "Trajectory", "TrajectoryStatus",
-    "estimate_explosion_cdf", "estimate_laplace_explosion",
-    "estimate_survival_mass", "path_rng", "run_chains", "simulate_chain",
-    "state_at",
+    "estimate_explosion_cdf", "estimate_survival_mass", "path_rng",
+    "run_chains", "simulate_chain", "state_at",
     "GridDensity", "LogGrid", "OperatorTrace", "apply_B", "apply_S",
     "dyson_phillips", "resolvent_A", "resolvent_series",
     "GrowthTauParams", "TauOracle", "exact_mass", "explosion_cdf",

@@ -10,7 +10,6 @@ conventions baked into the monotone maps.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -274,15 +273,6 @@ def _available_rate(spec, qx):
     return lim - qx
 
 
-def post_flow_position_vec(spec, x, q):
-    """Pre-jump position pi_{phi_x^{<-}(q)} x = Q^{<-}(Q(x) + q), vectorized."""
-    x = np.asarray(x, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if spec.regime is Regime.PURE_JUMP:
-        return np.broadcast_to(x, np.broadcast(x, q).shape).copy()
-    return spec.Q.inverse(spec.Q(x) + q)
-
-
 def inverse_cumulative_rate(spec, x, q):
     """Holding-time quantile phi_x^{<-}(q) for scalar x > 0, q >= 0."""
     if q < 0:
@@ -303,7 +293,7 @@ def inverse_cumulative_rate(spec, x, q):
 
 
 def post_flow_position(spec, x, q):
-    """Scalar pre-jump position; see post_flow_position_vec."""
+    """Pre-jump position pi_{phi_x^{<-}(q)} x = Q^{<-}(Q(x) + q), scalar x, q."""
     if q < 0:
         raise ValueError("q must be nonnegative")
     if spec.regime is Regime.PURE_JUMP:

@@ -28,7 +28,7 @@ from .errors import ConfigError, ModelError, NumericalError, OutOfRegime
 from .kernels import HomogeneousKernel, PowerLawKernel, SeparableKernel
 from .monotone import gauss_panels
 from .oracles import TauOracle, exact_mass, explosion_cdf
-from .simulate import estimate_explosion_cdf, estimate_survival_mass, simulate_chain
+from .simulate import estimate_explosion_cdf, simulate_chain
 
 _REGIMES = {"pure_jump": Regime.PURE_JUMP, "growth": Regime.GROWTH,
             "decay": Regime.DECAY}

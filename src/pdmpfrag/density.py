@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .characteristics import Regime, cumulative_rate, flow_vec
+from .characteristics import Regime, cumulative_rate
 from .errors import NoDensity
 from .monotone import gauss_panels
 
@@ -389,7 +389,7 @@ def resolvent_series(spec, lam, u: GridDensity, N=60):
     if N < 0:
         raise ValueError("N must be >= 0")
     grid = u.grid
-    b_op = _BOperator(spec, grid) if spec.kernel is not None else None
+    b_op = _BOperator(spec, grid)
     u_norm = u.total_mass
 
     v = u.masses.copy()

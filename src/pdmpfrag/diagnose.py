@@ -52,6 +52,46 @@ class Classification:
                          "{n_iter},{half_gap:.10g}\n".format(**row))
 
 
+def _laplace_weights(spec, lams, x0s, n_iter, *, seed, workers):
+    """w[l, k, p] = e^{-lams[l] t_n} of path p at n = n_iter//2, n_iter - 1
+    and n_iter (k = 0, 1, 2), from one ``run_chains`` batch over ``x0s``.
+
+    Path p keeps path id p, so its stream does not depend on the lambdas.
+    Paths are parked past 745 / min(lams), where every weight underflows.
+    A path absorbed at 0 by its n-th step has t_n = inf and weighs 0 from
+    that checkpoint on.
+    """
+    lams = np.asarray(lams, dtype=float)
+    if np.min(lams) <= 0 or n_iter < 1:
+        raise ValueError("need lam > 0 and n_iter >= 1")
+    cps = (max(1, n_iter // 2), max(1, n_iter - 1), n_iter)
+    times, _, status, cp_list = run_chains(
+        spec, x0s, seed=seed, n_max=n_iter, checkpoints=cps,
+        t_stop=745.0 / np.min(lams), workers=workers)
+    times = times[[cp_list.index(c) for c in cps]]
+    w = np.exp(-lams[:, None, None] * times)
+    # absorbed at 0: the checkpoints from the absorbing step on repeat the
+    # absorption time; earlier ones lie below it
+    w[:, (status == 3) & (times == times[-1])] = 0.0
+    return w
+
+
+def _probe_estimates(w, lam, probes, n_iter, n_paths):
+    """One Estimate per probe from the weights ``w[k, p]`` of one lambda,
+    probe i owning paths i*n_paths .. (i+1)*n_paths - 1."""
+    out = []
+    for i, x0 in enumerate(probes):
+        w_half, w_prev, w_full = w[:, i * n_paths:(i + 1) * n_paths]
+        out.append(Estimate(
+            float(np.mean(w_full)),
+            float(np.std(w_full, ddof=1) / math.sqrt(n_paths)), n_paths, {
+                "x": float(x0), "lambda": float(lam), "n_iter": int(n_iter),
+                "decrement": float(np.mean(w_prev - w_full)),
+                "half_gap": float(np.mean(w_half - w_full)),
+            }))
+    return out
+
+
 def f_lambda_dual(spec, lam, probes, n_iter, n_paths=400, *, seed=0,
                   workers=1):
     """Per-probe dual iterates f_hat(x) = mean of e^{-lambda t_{n_iter}}.
@@ -62,33 +102,10 @@ def f_lambda_dual(spec, lam, probes, n_iter, n_paths=400, *, seed=0,
     diagnostics carry the last-step decrement and the half-budget
     convergence gap.
     """
-    if lam <= 0 or n_iter < 1:
-        raise ValueError("need lam > 0 and n_iter >= 1")
     probes = np.asarray(probes, dtype=float)
-    half = max(1, n_iter // 2)
-    cps = sorted({half, max(1, n_iter - 1), n_iter})
-    t_stop = 745.0 / lam
-    out = []
-    for k, x0 in enumerate(probes):
-        times, _, status, cp_list = run_chains(
-            spec, np.full(n_paths, float(x0)), seed=seed, n_max=n_iter,
-            checkpoints=cps, t_stop=t_stop, workers=workers,
-            path_offset=k * n_paths)
-        w = np.exp(-lam * times)
-        # absorbed at 0: t_n = inf from the absorbing step on, where the
-        # checkpoint repeats the absorption time; earlier ones lie below it
-        w[(status == 3) & (times == times[-1])] = 0.0
-        w_full = w[cp_list.index(n_iter)]
-        w_prev = w[cp_list.index(max(1, n_iter - 1))]
-        w_half = w[cp_list.index(half)]
-        val = float(np.mean(w_full))
-        se = float(np.std(w_full, ddof=1) / math.sqrt(n_paths))
-        out.append(Estimate(val, se, n_paths, {
-            "x": float(x0), "lambda": float(lam), "n_iter": int(n_iter),
-            "decrement": float(np.mean(w_prev - w_full)),
-            "half_gap": float(np.mean(w_half - w_full)),
-        }))
-    return out
+    w = _laplace_weights(spec, [lam], np.repeat(probes, n_paths), n_iter,
+                         seed=seed, workers=workers)
+    return _probe_estimates(w[0], lam, probes, n_iter, n_paths)
 
 
 def f_lambda_grid(spec, lam, grid, n_iter):
@@ -122,11 +139,8 @@ def dual_pairing(spec, lam, u, n_iter, n_paths, *, seed=0, workers=1):
         np.random.Philox(key=np.array([seed, 2 ** 62], dtype=np.uint64)))
     us = (np.arange(n_paths) + strat.random(n_paths)) / n_paths
     x0s = u.sample_inverse_cdf(us)
-    times, _, status, _ = run_chains(
-        spec, x0s, seed=seed, n_max=n_iter, checkpoints=(n_iter,),
-        t_stop=745.0 / lam, workers=workers)
-    w = np.exp(-lam * times[0])
-    w[status == 3] = 0.0
+    w = _laplace_weights(spec, [lam], x0s, n_iter, seed=seed,
+                         workers=workers)[0, -1]
     val = float(np.mean(w)) * u.grid_mass
     se = float(np.std(w, ddof=1) / math.sqrt(n_paths)) * u.grid_mass
     return Estimate(val, se, n_paths, {"lambda": float(lam),
@@ -143,7 +157,9 @@ def classify(spec, lam_grid=DEFAULT_LAMBDAS, probe_grid=None, budgets=None,
     AND the iterates have converged (half-budget gap below eps_conv), which
     guards against truncation masquerading as explosion.  Otherwise
     Inconclusive.  The smallest-lambda rule is a policy standing in for the
-    liminf over lambda -> 0; it is recorded in the notes.
+    liminf over lambda -> 0; it is recorded in the notes.  Every cell of
+    the table is read off one batch of paths, n_paths per probe, shared by
+    all lambdas.
     """
     lam_grid = sorted(set(float(l) for l in lam_grid), reverse=True)
     if lam_grid[-1] <= 0:
@@ -159,18 +175,14 @@ def classify(spec, lam_grid=DEFAULT_LAMBDAS, probe_grid=None, budgets=None,
     eps_ss = float(tol.get("eps_ss", EPS_SS))
     eps_conv = float(tol.get("eps_conv", EPS_CONV))
 
+    w = _laplace_weights(spec, lam_grid, np.repeat(probe_grid, n_paths),
+                         n_iter, seed=seed, workers=workers)
     evidence = []
-    last = None
-    for lam in lam_grid:
-        ests = f_lambda_dual(spec, lam, probe_grid, n_iter, n_paths,
-                             seed=seed, workers=workers)
-        for est in ests:
-            evidence.append({
-                "lam": est.diagnostics["lambda"], "x": est.diagnostics["x"],
-                "f_hat": est.value, "se": est.std_error, "n_iter": n_iter,
-                "half_gap": est.diagnostics["half_gap"],
-            })
-        last = ests
+    for lam, w_lam in zip(lam_grid, w):
+        last = _probe_estimates(w_lam, lam, probe_grid, n_iter, n_paths)
+        evidence += [{"lam": e.diagnostics["lambda"], "x": e.diagnostics["x"],
+                      "f_hat": e.value, "se": e.std_error, "n_iter": n_iter,
+                      "half_gap": e.diagnostics["half_gap"]} for e in last]
     upper = np.array([e.value + 3.0 * e.std_error for e in last])
     lower = np.array([e.value - 3.0 * e.std_error for e in last])
     gaps = np.array([e.diagnostics["half_gap"] for e in last])

@@ -26,8 +26,6 @@ def _clamp_q(q):
 class JumpKernel:
     """Base class; subclasses provide the per-parent fragment-fraction CDF."""
 
-    family = "abstract"
-
     def ratio_cdf(self, x, r):
         """H_x(r): probability that a daughter is below r*x, r in [0,1]."""
         raise NotImplementedError
@@ -62,8 +60,6 @@ class JumpKernel:
 class PowerLawKernel(JumpKernel):
     """Homogeneous kernel with h(z) = (nu + 2) z**nu, nu > -2 (closed forms)."""
 
-    family = "homogeneous_power"
-
     def __init__(self, nu=0.0):
         if nu <= -2:
             raise ValueError("need nu > -2 for a normalizable kernel")
@@ -88,8 +84,6 @@ class PowerLawKernel(JumpKernel):
 
 class HomogeneousKernel(JumpKernel):
     """Homogeneous kernel b(x,y) = h(x/y)/y for a general normalized h."""
-
-    family = "homogeneous"
 
     def __init__(self, h, n_nodes=4096):
         self.h_fn = h
@@ -123,8 +117,6 @@ class SeparableKernel(JumpKernel):
     kappa(q, x) = Lambda^{<-}(q Lambda(x)); the map x -> Lambda(x) conjugates
     this family to the homogeneous kernel with uniform fraction CDF H(r) = r.
     """
-
-    family = "separable"
 
     def __init__(self, beta, domain=(1e-9, 1e9), n_nodes=4096):
         self.beta_fn = beta
@@ -171,8 +163,6 @@ class GeneralFragmentationKernel(JumpKernel):
     exact parent value; between cached parents H_x is recomputed rather than
     interpolated.
     """
-
-    family = "general"
 
     def __init__(self, b, cache_size=256, n_nodes=1024):
         self.b_fn = b
@@ -226,8 +216,6 @@ class GeneralFragmentationKernel(JumpKernel):
 
 class CustomKernel(JumpKernel):
     """User-supplied sampling map kappa(q, x); optional transition density p."""
-
-    family = "custom"
 
     def __init__(self, kappa, p=None):
         self.kappa = kappa

@@ -80,7 +80,6 @@ class MonotoneMap:
     """
 
     direction = +1
-    construction = "closed_form"
     domain = (0.0, np.inf)
     limit_zero = None
     limit_inf = None
@@ -112,8 +111,6 @@ class MonotoneMap:
 class ClosedFormMap(MonotoneMap):
     """Monotone map given by explicit forward/inverse callables."""
 
-    construction = "closed_form"
-
     def __init__(self, forward, inverse, direction=+1, domain=(0.0, np.inf),
                  limit_zero=None, limit_inf=None):
         self._forward = forward
@@ -138,73 +135,82 @@ class TabulatedIntegralMap(MonotoneMap):
     ``anchor='auto'`` places x0 at the endpoint (0 resp. +inf) exactly when
     the integral converges there, and at 1 otherwise; a float pins it.
 
-    Between nodes the forward map is evaluated exactly (cached cumulative
-    value plus a Gauss panel over the remainder), so its accuracy is that of
-    the quadrature, not of an interpolant.  The generalized inverse is a
-    safeguarded Newton iteration in log x within one grid cell.
+    Between nodes the forward map is evaluated exactly (cached table value
+    plus a Gauss panel over the remainder), so its accuracy is that of the
+    quadrature, not of an interpolant.  The table ``cumvals`` accumulates
+    the cell integrals up from the lower domain edge, except for maps
+    anchored at +inf, where it accumulates them down from the upper edge:
+    there V is small, and a sum of small terms keeps the relative precision
+    that a difference of two numbers near the whole integral would lose.
+    The generalized inverse is a safeguarded Newton iteration in log x
+    within one grid cell.
     """
 
-    construction = "tabulated"
-
     def __init__(self, integrand, *, orientation="from_below", anchor="auto",
-                 domain=(1e-9, 1e9), n_nodes=4096, require_anchor=False):
+                 domain=(1e-9, 1e9), n_nodes=4096):
         if orientation not in ("from_below", "from_above"):
             raise ValueError(f"bad orientation {orientation!r}")
         lo, hi = float(domain[0]), float(domain[1])
         self.f = integrand
         self.domain = (lo, hi)
         self.orientation = orientation
+        self.direction = +1 if orientation == "from_below" else -1
         self.nodes = np.geomspace(lo, hi, int(n_nodes))
         cells = gauss_panels(integrand, self.nodes[:-1], self.nodes[1:])
         if np.any(cells < -1e-15 * max(1.0, float(np.max(np.abs(cells))))):
             raise ValueError("integrand must be nonnegative")
-        self.cumvals = np.concatenate([[0.0], np.cumsum(np.maximum(cells, 0.0))])
+        cells = np.maximum(cells, 0.0)
         self._head, self._head_ok = endpoint_integral(integrand, lo, "zero")
         self._tail, self._tail_ok = endpoint_integral(integrand, hi, "inf")
 
-        sign = +1.0 if orientation == "from_below" else -1.0
         if anchor == "auto":
             if orientation == "from_below":
                 anchor = 0.0 if self._head_ok else 1.0
             else:
                 anchor = np.inf if self._tail_ok else 1.0
+        # +1: cumvals[i] = int_{nodes[0]}^{nodes[i]} f;
+        # -1: cumvals[i] = int_{nodes[i]}^{nodes[-1]} f; V = sign * cum + const
+        self._table_dir = -1 if anchor == np.inf else +1
+        self._sign = float(self.direction * self._table_dir)
+        if self._table_dir > 0:
+            self.cumvals = np.concatenate([[0.0], np.cumsum(cells)])
+        else:
+            self.cumvals = np.concatenate([np.cumsum(cells[::-1])[::-1], [0.0]])
         if anchor == 0.0:
             if not self._head_ok:
                 raise NonIntegrableRate("integrand not integrable at 0")
-            const = sign * self._head if orientation == "from_below" else np.nan
             if orientation == "from_above":
                 raise ValueError("anchor 0 invalid for from_above maps")
+            const = self._head
         elif anchor == np.inf:
             if orientation == "from_below":
                 raise ValueError("anchor inf invalid for from_below maps")
             if not self._tail_ok:
                 raise NonIntegrableRate("integrand not integrable at infinity")
-            const = self.cumvals[-1] + self._tail
+            const = self._tail
         else:
-            a = float(anchor)
-            if require_anchor and not (lo <= a <= hi):
-                raise ValueError("interior anchor outside tabulation domain")
-            const = -sign * self._cum(np.array([a]))[0]
+            const = -self._sign * self._cum(np.array([float(anchor)]))[0]
         self.anchor = anchor
-        self._sign = sign
         self._const = float(const)
-        self.direction = +1 if orientation == "from_below" else -1
 
         # endpoint limits of V on (0, inf)
         head = self._head if self._head_ok else np.inf
         tail = self._tail if self._tail_ok else np.inf
-        self.limit_zero = self._sign * (-head) + self._const
-        self.limit_inf = self._sign * (self.cumvals[-1] + tail) + self._const
+        td = self._table_dir
+        self.limit_zero = self._sign * (self.cumvals[0] - td * head) + self._const
+        self.limit_inf = self._sign * (self.cumvals[-1] + td * tail) + self._const
 
     # -- forward ---------------------------------------------------------
     def _cum(self, x):
-        """int_{nodes[0]}^x f, exact per-point (cached node value + panel)."""
+        """Table value at x, exact per point (cached node value plus a panel
+        over the rest of the cell)."""
         x = np.asarray(x, dtype=float)
         idx = np.clip(np.searchsorted(self.nodes, x, side="right"),
                       1, len(self.nodes) - 1)
-        base = self.cumvals[idx - 1]
-        rem = gauss_panels(self.f, self.nodes[idx - 1], x)
-        return base + rem
+        if self._table_dir > 0:
+            return self.cumvals[idx - 1] + gauss_panels(
+                self.f, self.nodes[idx - 1], x)
+        return self.cumvals[idx] + gauss_panels(self.f, x, self.nodes[idx])
 
     def __call__(self, x):
         return self._sign * self._cum(x) + self._const
@@ -226,27 +232,27 @@ class TabulatedIntegralMap(MonotoneMap):
         no longer halves while |F| is at the rounding floor of the target.
         """
         q = np.asarray(q, dtype=float)
-        t = (q - self._const) / self._sign
+        t = (q - self._const) / self._sign  # target table value
         shape = t.shape
         t = t.ravel()
         lo, hi = self.domain
-        below = t <= self.cumvals[0]
-        above = t >= self.cumvals[-1]
-        # t below the table maps to the lower domain edge, above to the upper,
-        # for either direction (t is the cumulative-integral target)
-        out = np.where(above, hi, lo)
-        pos = np.flatnonzero(~(below | above))
+        # a target beyond the table's value at the lower domain edge maps to
+        # that edge, beyond its value at the upper edge to the upper edge
+        td = self._table_dir
+        to_lo = td * t <= td * self.cumvals[0]
+        to_hi = td * t >= td * self.cumvals[-1]
+        out = np.where(to_hi, hi, lo)
+        pos = np.flatnonzero(~(to_lo | to_hi))
         t = t[pos]
-        # leftmost x with cum(x) >= t (increasing), rightmost with
-        # cum(x) <= t (non-increasing)
+        # leftmost x with V(x) >= q (increasing), rightmost (non-increasing)
         side = "left" if self.direction > 0 else "right"
-        j = np.clip(np.searchsorted(self.cumvals, t, side=side),
+        j = np.clip(np.searchsorted(td * self.cumvals, td * t, side=side),
                     1, len(self.nodes) - 1)
         left = self.nodes[j - 1]
         a, b = left, self.nodes[j]
-        tau = t - self.cumvals[j - 1]
+        tau = td * (t - self.cumvals[j - 1])  # target of int_left^x f
         f_tol = _STALL_ULPS * np.spacing(np.maximum(np.abs(t), tau))
-        x = a * (b / a) ** (tau / (self.cumvals[j] - self.cumvals[j - 1]))
+        x = a * (b / a) ** (tau / (td * (self.cumvals[j] - self.cumvals[j - 1])))
         prev = np.full(x.shape, np.inf)
         for _ in range(_MAX_STEPS):
             if not pos.size:

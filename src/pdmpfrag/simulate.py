@@ -280,7 +280,9 @@ def estimate_explosion_cdf(spec, x0, t, n_paths, n_max=DEFAULT_N_MAX, *,
     """P_x(t_infty <= t) approximated from above in law by P(t_{n_max} <= t).
 
     The truncation is monotone: t_{n_max} <= t_infty, so the estimate can
-    only overshoot; the value at n_max/2 is reported as sensitivity.
+    only overshoot; the value at n_max/2 is reported as sensitivity.  A path
+    absorbed at 0 counts at its hit time, so with absorption this is the
+    CDF of the lifetime, not of the explosion time alone.
     """
     if n_paths < 100:
         raise ValueError("need n_paths >= 100")
@@ -298,33 +300,14 @@ def estimate_explosion_cdf(spec, x0, t, n_paths, n_max=DEFAULT_N_MAX, *,
     })
 
 
-def estimate_laplace_explosion(spec, x0, lam, n_paths, n_max=DEFAULT_N_MAX, *,
-                               seed, workers=1):
-    """E_x e^{-lam * t_infty} bounded from above by the mean of e^{-lam t_{n_max}}."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    half = max(1, n_max // 2)
-    t_stop = 745.0 / lam  # e^{-lam t} underflows beyond this
-    times, _, status, cps = run_chains(
-        spec, np.full(n_paths, float(x0)), seed=seed, n_max=n_max,
-        checkpoints=(half, n_max), t_stop=t_stop, workers=workers)
-    w_full = np.exp(-lam * times[cps.index(n_max)])
-    w_half = np.exp(-lam * times[cps.index(half)])
-    val = float(np.mean(w_full))
-    se = float(np.std(w_full, ddof=1) / math.sqrt(n_paths))
-    return Estimate(val, se, n_paths, {
-        "n_max": n_max, "truncation_gap": float(np.mean(w_half - w_full)),
-        "frac_budget_exhausted": float(np.mean(status == 0)),
-    })
-
-
 def estimate_survival_mass(spec, u0, t, n_paths, n_max=DEFAULT_N_MAX, *,
                            seed, workers=1, tol_mass=1e-6):
     """||P(t) u0|| estimated as the u0-average of 1{t_{n_max} > t}.
 
     Initial states are drawn by stratified inverse-CDF sampling from the grid
     density (one stratum per path); the truncation bias is upward and bounded
-    by the half-budget sensitivity.
+    by the half-budget sensitivity.  As in ``estimate_explosion_cdf``, a path
+    absorbed at 0 counts at its hit time.
     """
     total = u0.total_mass
     if abs(total - 1.0) > tol_mass:

@@ -6,7 +6,6 @@ import time
 
 import numpy as np
 from scipy import stats
-from scipy.integrate import quad
 
 import conftest
 from conftest import aligned_grid, power_model

@@ -173,3 +173,19 @@ def test_evolve_budget_exhausted_exit_4(tmp_path):
     assert "numerical error" in res.output
     row = (tmp_path / "o" / "mass_vs_t.csv").read_text().splitlines()[1]
     assert row.split(",")[-3::2] == ["2", "0"]  # n_terms, converged
+
+
+def test_audit_tabulated_decay_rate(tmp_path):
+    # decay g(x) = x^2 with phi = 1 given as a table: Q(x) = 1/x is a
+    # tabulated map anchored at +inf whose roundtrip must hold out to 1e7
+    (tmp_path / "phi.csv").write_text("x,phi\n1e-9,1.0\n1e9,1.0\n")
+    cfg = tmp_path / "audit.yaml"
+    cfg.write_text("action: audit\nmodel:\n  regime: decay\n"
+                   "  g: {beta: -1.0}\n"
+                   f"  phi: {{table: {tmp_path / 'phi.csv'}}}\n"
+                   "  kernel: {family: power, nu: 0.0}\n"
+                   "numeric: {seed: 0}\n")
+    res = _run(["audit", "-c", str(cfg), "-o", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
+    rows = (tmp_path / "o" / "map_roundtrip.csv").read_text().splitlines()
+    assert [r.split(",")[-1] for r in rows[1:]] == ["pass", "pass"]

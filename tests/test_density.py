@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from pdmpfrag import (
     GridDensity,
     LogGrid,
+    NoDensity,
     PowerLawKernel,
     RateSpec,
     Regime,
@@ -305,6 +306,16 @@ def test_resolvent_series_identity_and_flags(pure_frag, bounded_pure_jump):
     # too-small budget: flagged unconverged, result still returned
     _, trs = resolvent_series(pure_frag, 1.0, u, N=3)
     assert not trs.converged
+
+
+def test_series_need_a_jump_kernel():
+    spec = build_characteristics(SemiflowSpec(regime=Regime.PURE_JUMP),
+                                 RateSpec(power=(1.0, 0.0)))
+    u = GridDensity.uniform_in_m(aligned_grid(), 1.0, 2.0)
+    with pytest.raises(NoDensity):
+        resolvent_series(spec, 1.0, u, N=2)
+    with pytest.raises(NoDensity):
+        dyson_phillips(spec, 1.0, u, N=2, n_s=4)
 
 
 def test_dyson_honest_conservation(bounded_pure_jump):

@@ -20,6 +20,7 @@ from pdmpfrag import (
     run_chains,
     simulate_chain,
 )
+from pdmpfrag import diagnose
 from pdmpfrag.density import GridDensity, LogGrid
 from conftest import aligned_grid, power_model, unit_decay_model
 
@@ -53,6 +54,10 @@ def test_f_lambda_dual_monotone_in_lambda(pure_frag):
     vals = [f_lambda_dual(pure_frag, lam, [1.0], 200, n_paths=1000,
                           seed=3)[0].value for lam in (0.1, 1.0, 10.0)]
     assert vals[0] > vals[1] > vals[2]
+    # lambda = 1e6: paths are parked at t_stop = 745e-6, where every
+    # weight has underflowed
+    (est,) = f_lambda_dual(pure_frag, 1e6, [1.0], 100, n_paths=1000, seed=0)
+    assert est.value < 1e-6
 
 
 def test_f_lambda_dual_guards(pure_frag):
@@ -118,6 +123,21 @@ def test_classify_stochastic(bounded_pure_jump):
     assert res.verdict is Verdict.STOCHASTIC
 
 
+def test_classify_runs_one_batch(monkeypatch, bounded_pure_jump):
+    # every (lambda, probe) cell comes from one run_chains call
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return run_chains(*args, **kwargs)
+
+    monkeypatch.setattr(diagnose, "run_chains", counted)
+    res = classify(bounded_pure_jump, budgets={"n_iter": 16, "n_paths": 50},
+                   seed=0)
+    assert len(res.evidence) == 21
+    assert calls == [7 * 50]
+
+
 def test_classification_csv(tmp_path, bounded_pure_jump):
     res = classify(bounded_pure_jump, budgets={"n_iter": 64, "n_paths": 100},
                    seed=0)
@@ -126,12 +146,18 @@ def test_classification_csv(tmp_path, bounded_pure_jump):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (len(res.evidence), 6)
     assert path.read_text().splitlines()[0].endswith(",n_iter,half_gap")
-    # the half_gap column is the convergence gap behind the verdict
+    # each row is the per-lambda f_lambda_dual estimate; the CSV carries it
+    # to its 10 digits
     probes = np.geomspace(1e-3, 1e3, 7)
-    gaps = [est.diagnostics["half_gap"] for lam in (1.0, 0.1, 0.01)
-            for est in f_lambda_dual(bounded_pure_jump, lam, probes, 64, 100,
-                                     seed=0)]
-    np.testing.assert_allclose(data[:, 5], gaps, rtol=1e-9, atol=1e-300)
+    want = np.array([[e.value, e.std_error, e.diagnostics["half_gap"]]
+                     for lam in (1.0, 0.1, 0.01)
+                     for e in f_lambda_dual(bounded_pure_jump, lam, probes,
+                                            64, 100, seed=0)])
+    got = np.array([[r["f_hat"], r["se"], r["half_gap"]]
+                    for r in res.evidence])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+    np.testing.assert_allclose(data[:, [2, 3, 5]], want, rtol=1e-9,
+                               atol=1e-300)
 
 
 def test_decision_table():

@@ -59,10 +59,20 @@ def test_tabulated_from_above_power():
                              n_nodes=2048)
     assert m.anchor == np.inf
     xs = np.array([0.1, 1.0, 4.0, 50.0])
-    # accuracy limited by accumulated rounding over the domain (V spans 2e6)
     assert np.max(np.abs(m(xs) - 2.0 / xs)) < 1e-8
     assert m.direction == -1
     assert m.roundtrip_error(xs) < 1e-8
+
+
+def test_from_above_keeps_relative_precision_where_small():
+    # V(x) = 2/x on the default domain: V spans 2e9 at the lower edge, yet
+    # each value keeps its relative precision, and so does the inverse
+    m = TabulatedIntegralMap(lambda x: 2.0 * _arr(x) ** -2.0,
+                             orientation="from_above")
+    xs = np.array([1.0, 1e2, 1e4, 1e6])
+    v = m(xs)
+    assert np.all(np.abs(v - 2.0 / xs) <= 1e-12 * (2.0 / xs))
+    assert np.all(np.abs(m.inverse(v) - xs) <= 1e-12 * xs)
 
 
 def test_anchor_zero_requires_integrability():
@@ -97,10 +107,12 @@ def test_inverse_clamps_to_domain():
 def _bisect_inverse(m, q, n_steps=64):
     """Reference generalized inverse: plain log bisection within the cell."""
     t = (np.asarray(q, dtype=float) - m._const) / m._sign
+    td = m._table_dir
     side = "left" if m.direction > 0 else "right"
-    j = np.clip(np.searchsorted(m.cumvals, t, side=side), 1, len(m.nodes) - 1)
+    j = np.clip(np.searchsorted(td * m.cumvals, td * t, side=side), 1,
+                len(m.nodes) - 1)
     a, b = m.nodes[j - 1], m.nodes[j]
-    tau = t - m.cumvals[j - 1]
+    tau = td * (t - m.cumvals[j - 1])
     for _ in range(n_steps):
         mid = np.sqrt(a * b)
         fm = gauss_panels(m.f, m.nodes[j - 1], mid)
@@ -108,8 +120,8 @@ def _bisect_inverse(m, q, n_steps=64):
         b = np.where(take_left, mid, b)
         a = np.where(take_left, a, mid)
     out = b if m.direction > 0 else a
-    out = np.where(t <= m.cumvals[0], m.domain[0], out)
-    return np.where(t >= m.cumvals[-1], m.domain[1], out)
+    out = np.where(td * t <= td * m.cumvals[0], m.domain[0], out)
+    return np.where(td * t >= td * m.cumvals[-1], m.domain[1], out)
 
 
 def _arr(x):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pdmpfrag import NonConvergent, OutOfRegime
+from pdmpfrag import OutOfRegime
 from pdmpfrag.density import GridDensity
 from pdmpfrag.oracles import (
     GrowthTauParams,

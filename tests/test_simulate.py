@@ -18,7 +18,6 @@ from pdmpfrag import (
     TrajectoryStatus,
     build_characteristics,
     estimate_explosion_cdf,
-    estimate_laplace_explosion,
     estimate_survival_mass,
     path_rng,
     run_chains,
@@ -209,17 +208,6 @@ def test_explosion_cdf_monotone_in_budget(pure_frag):
     e1 = estimate_explosion_cdf(pure_frag, 1.0, 2.0, 5000, 200, seed=4)
     e2 = estimate_explosion_cdf(pure_frag, 1.0, 2.0, 5000, 400, seed=4)
     assert e2.value <= e1.value + 2.0 * (e1.std_error + e2.std_error)
-
-
-def test_laplace_estimator(pure_frag, bounded_pure_jump):
-    est = estimate_laplace_explosion(bounded_pure_jump, 1.0, 1.0, 2000, 256,
-                                     seed=0)
-    assert est.value < 0.02
-    # gamma law: E e^{-tau} = (1 + lambda)^{-3} = 0.125 at lambda = 1, x0 = 1
-    est = estimate_laplace_explosion(pure_frag, 1.0, 1.0, 20_000, 2000, seed=2)
-    assert abs(est.value - 0.125) <= 3.0 * est.std_error
-    est = estimate_laplace_explosion(pure_frag, 1.0, 1e6, 1000, 100, seed=0)
-    assert est.value < 1e-6
 
 
 def test_survival_mass_estimator(pure_frag, bounded_pure_jump):
