@@ -19,6 +19,7 @@ from pdmpfrag import (
     build_characteristics,
     estimate_explosion_cdf,
     estimate_survival_mass,
+    f_lambda_dual,
     path_rng,
     run_chains,
     simulate_chain,
@@ -208,6 +209,22 @@ def test_explosion_cdf_monotone_in_budget(pure_frag):
     e1 = estimate_explosion_cdf(pure_frag, 1.0, 2.0, 5000, 200, seed=4)
     e2 = estimate_explosion_cdf(pure_frag, 1.0, 2.0, 5000, 400, seed=4)
     assert e2.value <= e1.value + 2.0 * (e1.std_error + e2.std_error)
+
+
+def test_laplace_estimator(pure_frag, bounded_pure_jump):
+    # the Laplace transform of the explosion time is read off the jump chain
+    # by f_lambda_dual: E e^{-lambda t_n} at the probe x0 = 1
+    (est,) = f_lambda_dual(bounded_pure_jump, 1.0, [1.0], 256, n_paths=2000,
+                           seed=0)
+    assert est.value < 0.02
+    # gamma law: E e^{-tau} = (1 + lambda)^{-3} = 0.125 at lambda = 1, x0 = 1
+    (est,) = f_lambda_dual(pure_frag, 1.0, [1.0], 2000, n_paths=20_000,
+                           seed=2)
+    assert abs(est.value - 0.125) <= 3.0 * est.std_error
+    # lambda = 1e6: paths are parked at t_stop = 745e-6, where every
+    # weight has underflowed
+    (est,) = f_lambda_dual(pure_frag, 1e6, [1.0], 100, n_paths=1000, seed=0)
+    assert est.value < 1e-6
 
 
 def test_survival_mass_estimator(pure_frag, bounded_pure_jump):
