@@ -36,7 +36,6 @@ from .characteristics import (
 )
 from .kernels import (
     CustomKernel,
-    GeneralFragmentationKernel,
     HomogeneousKernel,
     JumpKernel,
     PowerLawKernel,
@@ -97,8 +96,8 @@ __all__ = [
     "CharacteristicsSpec", "RateSpec", "Regime", "SemiflowSpec",
     "build_characteristics", "build_gq", "cumulative_rate", "flow",
     "inverse_cumulative_rate", "post_flow_position",
-    "CustomKernel", "GeneralFragmentationKernel", "HomogeneousKernel",
-    "JumpKernel", "PowerLawKernel", "SeparableKernel",
+    "CustomKernel", "HomogeneousKernel", "JumpKernel", "PowerLawKernel",
+    "SeparableKernel",
     "CEMETERY", "Estimate", "Trajectory", "TrajectoryStatus",
     "estimate_explosion_cdf", "estimate_survival_mass", "path_rng",
     "run_chains", "simulate_chain", "state_at",

@@ -183,9 +183,12 @@ def _action_simulate(cfg, spec, power, k_cfg, out, seed, workers):
         est = estimate_explosion_cdf(spec, x0, t, n_paths, n_max,
                                      seed=seed, workers=workers)
         oracle_val = explosion_cdf(orc, t, x0) if orc is not None else float("nan")
-        rows.append((float(t), est.value, est.std_error, oracle_val))
-    files.append(_write_csv(out, "explosion_cdf.csv",
-                            "t,estimate,se,oracle", rows))
+        rows.append((float(t), est.value, est.std_error, oracle_val,
+                     est.diagnostics["value_at_half_budget"],
+                     est.diagnostics["frac_budget_exhausted"]))
+    files.append(_write_csv(
+        out, "explosion_cdf.csv", "t,estimate,se,oracle,value_at_half_budget,"
+        "frac_budget_exhausted", rows))
     return files
 
 

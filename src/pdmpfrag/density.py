@@ -95,10 +95,6 @@ class GridDensity:
         b = self.grid.edges[idx + 1]
         return np.sqrt(a ** 2 + np.clip(frac, 0.0, 1.0) * (b ** 2 - a ** 2))
 
-    def save_csv(self, path):
-        np.savetxt(path, np.column_stack([self.grid.nodes, self.masses]),
-                   delimiter=",", header="node,cell_mass", comments="")
-
 
 @dataclass
 class OperatorTrace:

@@ -21,7 +21,7 @@ from .characteristics import Regime
 from .errors import NonConvergent, OutOfRegime
 from .monotone import endpoint_integral, gauss_panels
 from .oracles import mu0
-from .simulate import Estimate, run_chains
+from .simulate import Estimate, _uniforms, run_chains
 
 EPS_S = 0.02       # stochastic: all upper CIs below this at the smallest lambda
 EPS_SS = 0.05      # strongly stable: all lower CIs above 1 - this
@@ -135,9 +135,8 @@ def dual_pairing(spec, lam, u, n_iter, n_paths, *, seed=0, workers=1):
     estimate is the u-average of e^{-lambda t_{n_iter}} (an upper bound,
     decreasing to the pairing as n_iter grows).
     """
-    strat = np.random.Generator(
-        np.random.Philox(key=np.array([seed, 2 ** 62], dtype=np.uint64)))
-    us = (np.arange(n_paths) + strat.random(n_paths)) / n_paths
+    strat = _uniforms(seed, [2 ** 62], 0, n_paths)[0]
+    us = (np.arange(n_paths) + strat) / n_paths
     x0s = u.sample_inverse_cdf(us)
     w = _laplace_weights(spec, [lam], x0s, n_iter, seed=seed,
                          workers=workers)[0, -1]

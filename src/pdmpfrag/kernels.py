@@ -8,9 +8,6 @@ per-parent CDF H_x and its generalized inverse: kappa(q, x) = H_x^{<-}(q) x.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-
 import numpy as np
 
 from .errors import KernelDomain, NoDensity
@@ -154,64 +151,6 @@ class SeparableKernel(JumpKernel):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         return np.where(x < y, self.beta(x) / self.Lam(y), 0.0)
-
-
-class GeneralFragmentationKernel(JumpKernel):
-    """General mass-normalized b(x, y); H_x tabulated per parent on demand.
-
-    Per-parent CDFs are cached in a bounded thread-safe memo keyed by the
-    exact parent value; between cached parents H_x is recomputed rather than
-    interpolated.
-    """
-
-    def __init__(self, b, cache_size=256, n_nodes=1024):
-        self.b_fn = b
-        self.n_nodes = n_nodes
-        self._cache = OrderedDict()
-        self._cache_size = cache_size
-        self._lock = threading.Lock()
-
-    def b(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.where(x < y, self.b_fn(x, y), 0.0)
-
-    def _ratio_map(self, x):
-        x = float(x)
-        with self._lock:
-            if x in self._cache:
-                self._cache.move_to_end(x)
-                return self._cache[x]
-        m = TabulatedIntegralMap(lambda z: self.b_fn(z * x, x) * x * z,
-                                 orientation="from_below", anchor=0.0,
-                                 domain=(1e-12, 1.0), n_nodes=self.n_nodes)
-        with self._lock:
-            self._cache[x] = m
-            if len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
-        return m
-
-    def ratio_cdf(self, x, r):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        r_arr = np.broadcast_to(np.asarray(r, dtype=float), x_arr.shape) \
-            if np.ndim(r) == 0 else np.atleast_1d(np.asarray(r, dtype=float))
-        if x_arr.size == 1:
-            out = self._ratio_map(x_arr[0])(np.atleast_1d(r_arr))
-        else:
-            out = np.array([float(self._ratio_map(xi)(np.array([ri]))[0])
-                            for xi, ri in np.broadcast(x_arr, r_arr)])
-        return out if np.ndim(x) or np.ndim(r) else float(out[0])
-
-    def ratio_inverse(self, x, q):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        q_arr = np.broadcast_to(np.asarray(q, dtype=float), x_arr.shape) \
-            if np.ndim(q) == 0 else np.atleast_1d(np.asarray(q, dtype=float))
-        if x_arr.size == 1:
-            out = self._ratio_map(x_arr[0]).inverse(np.atleast_1d(q_arr))
-        else:
-            out = np.array([float(self._ratio_map(xi).inverse(np.array([qi]))[0])
-                            for xi, qi in np.broadcast(x_arr, q_arr)])
-        return out if np.ndim(x) or np.ndim(q) else float(out[0])
 
 
 class CustomKernel(JumpKernel):

@@ -102,11 +102,6 @@ class MonotoneMap:
         d = np.diff(v)
         return bool(np.all(d >= 0) if self.direction > 0 else np.all(d <= 0))
 
-    def export_csv(self, path, xs):
-        xs = np.asarray(xs, dtype=float)
-        data = np.column_stack([xs, self(xs)])
-        np.savetxt(path, data, delimiter=",", header="x,value", comments="")
-
 
 class ClosedFormMap(MonotoneMap):
     """Monotone map given by explicit forward/inverse callables."""

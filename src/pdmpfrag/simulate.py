@@ -5,10 +5,17 @@ of the cumulative rate, pre-jump positions directly through Q (never by
 composing the flow with the holding time), daughter sizes through the
 kernel's inverse CDF.  One vectorized step, ``_jump``, does this for a batch
 of paths: ``run_chains`` drives it over many paths and records checkpoints,
-``simulate_chain`` runs it on one path and records every jump.  Randomness
-is counter-based (Philox keyed by master seed and path index) so paths are
-independent and reproducible for any worker count.  Explosion is never
-detected, only bracketed: estimators expose their truncation sensitivity.
+``simulate_chain`` runs it on one path and records every jump.  Explosion
+is never detected, only bracketed: estimators expose their truncation
+sensitivity.
+
+Randomness is counter-based (Philox4x64-10, Salmon et al., SC'11), computed
+statelessly by ``_uniforms``: draw k of path p is word k mod 4 of the block
+at counter (k // 4 + 1, 0, 0, 0) under key (seed, p), as the double
+(w >> 11) * 2**-53.  This is the stream of ``path_rng(seed, p).random()``.
+Step n of a path uses its draws 2n (holding time) and 2n + 1 (daughter
+size), so a path's chain depends only on (seed, path id, start state): not
+on the batch it runs in, how that batch is split or the worker count.
 """
 
 from __future__ import annotations
@@ -51,11 +58,6 @@ class Trajectory:
     def holding_times(self):
         return np.diff(self.jump_times)
 
-    def to_csv(self, path):
-        data = np.column_stack([np.arange(len(self.jump_times)),
-                                self.jump_times, self.positions])
-        np.savetxt(path, data, delimiter=",", header="n,t_n,xi_n", comments="")
-
 
 @dataclass
 class Estimate:
@@ -71,8 +73,77 @@ def path_rng(seed, path_id):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# Philox4x64 round multipliers and Weyl key increments
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_U32, _U11 = np.uint64(32), np.uint64(11)
+
+
+def _mulhilo(m, x, lo, hi, a, b, c):
+    """lo, hi = low and high words of m * x (m a 64-bit constant), in place.
+
+    The high word is summed from 32-bit limbs; a, b and c are work arrays.
+    """
+    ml, mh = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    np.bitwise_and(x, _LO32, out=a)
+    np.right_shift(x, _U32, out=b)
+    np.multiply(b, mh, out=hi)
+    b *= ml
+    np.multiply(a, mh, out=c)
+    a *= ml
+    a >>= _U32
+    b += a  # ml*xh + carry of ml*xl: below 2**64
+    np.bitwise_and(b, _LO32, out=a)
+    c += a
+    b >>= _U32
+    c >>= _U32
+    hi += b
+    hi += c
+    np.multiply(x, np.uint64(m), out=lo)
+
+
+def _uniforms(seed, ids, start, n):
+    """Draws start .. start+n-1 of each path's stream, shape (len(ids), n).
+
+    Equal bitwise to ``path_rng(seed, p).random(start + n)[start:]`` for
+    every p in ``ids``, without building a generator per path.
+    """
+    k0 = int(np.array([seed, 0], dtype=np.uint64)[0])  # path_rng's checks
+    k1 = np.asarray(ids, dtype=np.uint64)[:, None].copy()
+    b0, b1 = start // 4, (start + n + 3) // 4
+    shape = (len(k1), b1 - b0)
+    c0 = np.broadcast_to(np.arange(b0 + 1, b1 + 1, dtype=np.uint64), shape)
+    c0 = c0.copy()
+    c1, c2, c3 = (np.zeros(shape, dtype=np.uint64) for _ in range(3))
+    f0, f1, f2, f3, a, b, c = (np.empty(shape, dtype=np.uint64)
+                               for _ in range(7))
+    for r in range(10):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFFFFFFFFFF
+            k1 += np.uint64(_PHILOX_W[1])
+        _mulhilo(_PHILOX_M[0], c0, f3, f2, a, b, c)
+        _mulhilo(_PHILOX_M[1], c2, f1, f0, a, b, c)
+        f0 ^= c1
+        f0 ^= np.uint64(k0)
+        f2 ^= c3
+        f2 ^= k1
+        c0, c1, c2, c3, f0, f1, f2, f3 = f0, f1, f2, f3, c0, c1, c2, c3
+    out = np.empty(shape + (4,))
+    for j, w in enumerate((c0, c1, c2, c3)):
+        w >>= _U11
+        np.multiply(w, 2.0 ** -53, out=out[:, :, j])
+    skip = start - 4 * b0
+    return out.reshape(len(k1), -1)[:, skip:skip + n]
+
+
 # run_chains status codes
 _RUNNING, _SETTLED, _PARKED, _ABSORBED = 0, 1, 2, 3
+
+# draw refills: about this many Philox blocks (two steps each) over the
+# running paths, at least one and at most _MAX_REFILL_BLOCKS per path
+_REFILL_BLOCKS = 16384
+_MAX_REFILL_BLOCKS = 32
 
 
 def _jump(spec, x, t, u_eps, u_theta, t_stop):
@@ -152,14 +223,16 @@ def simulate_chain(spec, x0, *, seed, path_id=0, n_max=DEFAULT_N_MAX,
         raise ValueError("x0 must be positive")
     if n_max < 1 or t_max <= 0:
         raise ValueError("need n_max >= 1 and t_max > 0")
-    gen = path_rng(seed, path_id)
     times = [0.0]
     positions = [float(x0)]
     code = _RUNNING
-    for _ in range(n_max):
-        u = gen.random(2)
+    for n in range(n_max):
+        s = n % (2 * _MAX_REFILL_BLOCKS)
+        if s == 0:
+            u = _uniforms(seed, [path_id], 2 * n, 4 * _MAX_REFILL_BLOCKS)[0]
         t_new, x_new, st = _jump(spec, np.array(positions[-1:]),
-                                 np.array(times[-1:]), u[:1], u[1:], t_max)
+                                 np.array(times[-1:]), u[2 * s:2 * s + 1],
+                                 u[2 * s + 1:2 * s + 2], t_max)
         code = int(st[0])
         if code == _SETTLED and t_new[0] == times[-1]:
             break  # settled in place: nothing to record
@@ -199,28 +272,32 @@ def state_at(traj, spec, t):
 
 def _run_block(spec, x0s, seed, path_offset, n_max, checkpoints, t_stop,
                out_times, out_final_x, out_status, sl):
-    """Advance a contiguous block of paths; writes results into slices."""
+    """Advance a contiguous block of paths; writes results into slices.
+
+    Draws are made only for the paths still running, a refill at a time:
+    about ``_REFILL_BLOCKS`` Philox blocks, 1 to ``_MAX_REFILL_BLOCKS`` per
+    path, never for steps past ``n_max``.
+    """
     P = len(x0s)
     x = np.asarray(x0s, dtype=float).copy()
     t = np.zeros(P)
     status = np.full(P, _RUNNING, dtype=np.int8)
-    gens = [path_rng(seed, path_offset + i) for i in range(P)]
+    ids = np.arange(P, dtype=np.uint64) + np.uint64(path_offset)
     cp_rows = {c: k for k, c in enumerate(checkpoints)}
-    chunk = 64
-    draws = np.empty((P, 2 * chunk))
-    n_done = 0
-    while n_done < n_max:
-        run = np.nonzero(status == _RUNNING)[0]
-        if len(run) == 0:
-            break
-        s = n_done % chunk
-        if s == 0:
-            width = 2 * min(chunk, n_max - n_done)
-            for i in run:
-                gens[i].random(out=draws[i, :width])
-        t[run], x[run], status[run] = _jump(
-            spec, x[run], t[run], draws[run, 2 * s], draws[run, 2 * s + 1],
-            t_stop)
+    run = np.arange(P)  # the running paths
+    n_done = s = width = 0
+    while n_done < n_max and len(run):
+        if s == width:  # buffer spent: refill the running paths
+            blocks = min(max(_REFILL_BLOCKS // len(run), 1), _MAX_REFILL_BLOCKS)
+            width = min(2 * blocks, n_max - n_done)
+            draws = _uniforms(seed, ids[run], 2 * n_done, 2 * width)
+            rows, s = np.arange(len(run)), 0  # run's rows in draws
+        t_new, x_new, st = _jump(spec, x[run], t[run], draws[rows, 2 * s],
+                                 draws[rows, 2 * s + 1], t_stop)
+        t[run], x[run], status[run] = t_new, x_new, st
+        keep = st == _RUNNING
+        run, rows = run[keep], rows[keep]
+        s += 1
         n_done += 1
         if n_done in cp_rows:
             out_times[cp_rows[n_done], sl] = t
@@ -240,8 +317,10 @@ def run_chains(spec, x0s, *, seed, n_max=DEFAULT_N_MAX, checkpoints=None,
     increments underflow (numerically converged explosion candidates) are
     frozen; their later checkpoints repeat the settled time, which is exact.
     With ``t_stop`` set, paths are parked once t exceeds it (their recorded
-    time is then only a witness > t_stop).  Results are independent of the
-    worker count.
+    time is then only a witness > t_stop).  Path p runs on the stream of
+    path id ``path_offset + p``; its draws are computed for the steps it
+    runs and nothing is buffered per path, so results are independent of
+    the worker count and of how a batch is split over calls.
     """
     x0s = np.asarray(x0s, dtype=float)
     P = len(x0s)
@@ -314,9 +393,8 @@ def estimate_survival_mass(spec, u0, t, n_paths, n_max=DEFAULT_N_MAX, *,
         raise NotADensity(f"u0 has mass {total}, expected 1")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    strat_gen = np.random.Generator(
-        np.random.Philox(key=np.array([seed, 2 ** 63], dtype=np.uint64)))
-    us = (np.arange(n_paths) + strat_gen.random(n_paths)) / n_paths
+    strat = _uniforms(seed, [2 ** 63], 0, n_paths)[0]
+    us = (np.arange(n_paths) + strat) / n_paths
     x0s = u0.sample_inverse_cdf(us)
     half = max(1, n_max // 2)
     times, _, status, cps = run_chains(

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from pdmpfrag.cli import main
+from pdmpfrag import estimate_explosion_cdf
+from pdmpfrag.cli import build_model, load_config, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -97,6 +98,28 @@ def test_simulate_oracle_column_agrees(tmp_path):
     data = np.loadtxt(out / "explosion_cdf.csv", delimiter=",", skiprows=1)
     est, se, oracle = data[:, 1], data[:, 2], data[:, 3]
     assert np.all(np.abs(est - oracle) <= 3.0 * se + 1e-3)
+
+
+def test_simulate_cdf_truncation_columns(tmp_path):
+    # the half-budget value and the exhausted fraction behind each estimate
+    # are the estimator's own diagnostics
+    out = tmp_path / "sim"
+    res = _run(["simulate", "-c", str(CONFIGS / "simulate.yaml"),
+                "-o", str(out)])
+    assert res.exit_code == 0, res.output
+    lines = (out / "explosion_cdf.csv").read_text().strip().splitlines()
+    assert lines[0] == ("t,estimate,se,oracle,value_at_half_budget,"
+                        "frac_budget_exhausted")
+    cfg = load_config(CONFIGS / "simulate.yaml")
+    spec = build_model(cfg)[0]
+    num = cfg["numeric"]
+    for line in lines[1:]:
+        t, value, _se, _oracle, half, exhausted = map(float, line.split(","))
+        est = estimate_explosion_cdf(spec, num["x0"], t, num["n_paths"],
+                                     num["n_max"], seed=num["seed"])
+        assert value == est.value
+        assert half == est.diagnostics["value_at_half_budget"]
+        assert exhausted == est.diagnostics["frac_budget_exhausted"]
 
 
 def test_classify_verdicts_agree(tmp_path):

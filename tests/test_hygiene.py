@@ -1,4 +1,5 @@
-"""Source hygiene: every import in the library modules is used."""
+"""Source hygiene: every import in the library modules is used, and every
+random draw goes through one stream."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,20 @@ def _unused_imports(path):
                                           if p.name != "__init__.py"))
 def test_every_import_is_used(module):
     assert _unused_imports(SRC / module) == []
+
+
+def test_one_draw_path():
+    # Philox streams are built by path_rng alone; everything else draws from
+    # the stateless simulate._uniforms
+    tree = ast.parse((SRC / "simulate.py").read_text())
+    ref = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name == "path_rng")
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for n, line in enumerate(path.read_text().splitlines(), 1):
+            if "Philox(" in line or "Generator(" in line:
+                inside = (path.name == "simulate.py"
+                          and ref.lineno <= n <= ref.end_lineno)
+                if not inside:
+                    found.append(f"{path.name}:{n}")
+    assert found == []

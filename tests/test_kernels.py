@@ -5,7 +5,6 @@ import pytest
 
 from pdmpfrag import (
     CustomKernel,
-    GeneralFragmentationKernel,
     HomogeneousKernel,
     KernelDomain,
     NoDensity,
@@ -67,18 +66,6 @@ def test_homogeneous_tabulated_matches_power():
     qs = np.array([0.1, 0.25, 0.5, 0.9])
     got = k.ratio_inverse(1.0, qs)
     assert np.max(np.abs(got - np.sqrt(qs))) < 1e-9
-
-
-def test_general_fragmentation_matches_power():
-    # b(x, y) = 2/y is the nu = 0 homogeneous kernel
-    k = GeneralFragmentationKernel(lambda x, y: 2.0 / np.asarray(y, float))
-    ref = PowerLawKernel(0.0)
-    for q, x in ((0.25, 4.0), (0.81, 2.0), (0.01, 0.5)):
-        assert abs(k.sample(q, x) - ref.sample(q, x)) < 1e-8 * x
-    # cache: the per-parent map is reused on repeat calls
-    m1 = k._ratio_map(4.0)
-    m2 = k._ratio_map(4.0)
-    assert m1 is m2
 
 
 def test_sampling_cdf_consistency():

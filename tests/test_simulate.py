@@ -27,6 +27,7 @@ from pdmpfrag import (
 )
 from pdmpfrag.density import GridDensity
 from pdmpfrag.oracles import explosion_cdf
+from pdmpfrag.simulate import _uniforms
 from conftest import aligned_grid, power_model, unit_decay_model
 
 # Golden jump chain, frozen from a straight-line reference implementation of
@@ -145,6 +146,50 @@ def test_run_chains_matches_scalar_and_workers(model):
                              TrajectoryStatus.DOMAIN_EXIT_AT_ZERO)[s1[pid]]
 
 
+def test_uniforms_match_path_rng():
+    # the stateless stream is numpy's Philox stream of path_rng, bitwise
+    rng = np.random.default_rng(2024)
+    pairs = [(int(s), int(p)) for s, p in zip(
+        rng.integers(0, 2 ** 64, 500, dtype=np.uint64, endpoint=False),
+        rng.integers(0, 2 ** 64, 500, dtype=np.uint64, endpoint=False))]
+    pairs += [(7, pid) for pid in (0, 2 ** 62, 2 ** 63, 2 ** 64 - 1)]
+    for seed, pid in pairs:
+        assert np.array_equal(_uniforms(seed, [pid], 0, 64)[0],
+                              path_rng(seed, pid).random(64))
+    # many paths in one call, a window past 10^6 that starts mid-block
+    seed, pids = pairs[0][0], [p for _, p in pairs[-8:]]
+    start = 10 ** 6 + 3
+    got = _uniforms(seed, pids, start, 6)
+    for row, pid in zip(got, pids):
+        assert np.array_equal(row, path_rng(seed, pid).random(start + 6)[start:])
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, -2 ** 70])
+def test_uniforms_reject_seeds_like_path_rng(seed):
+    with pytest.raises(Exception) as want:
+        path_rng(seed, 0)
+    with pytest.raises(want.type) as got:
+        _uniforms(seed, [0], 0, 4)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("model", ["pure_frag", "decay_exit"])
+def test_run_chains_independent_of_batch_split(model):
+    # a path's draws depend on (seed, path id) only, not on the batch size,
+    # which sets the refill size: 1 and 7 paths refill 32 blocks at a time,
+    # 2,000 paths 8 at first
+    build, x0 = ENGINE_MODELS[model]
+    spec = build()
+    x0s = x0 * np.exp(np.random.default_rng(8).uniform(-0.5, 0.5, 2000))
+    kw = dict(seed=13, n_max=150, checkpoints=(1, 5, 64, 65, 150), t_stop=3.0)
+    whole = run_chains(spec, x0s, **kw)
+    for k in (1, 7, len(x0s) - 3):
+        head = run_chains(spec, x0s[:k], **kw)
+        tail = run_chains(spec, x0s[k:], path_offset=k, **kw)
+        for a, b, c in zip(whole[:3], head[:3], tail[:3]):
+            assert np.array_equal(a, np.concatenate([b, c], axis=-1))
+
+
 def test_domain_exit_at_zero():
     spec = unit_decay_model()
     tr = simulate_chain(spec, 0.5, seed=2, path_id=0, n_max=10_000)
@@ -179,15 +224,6 @@ def test_state_at_horizon_guard(pure_frag):
     assert tr.status is TrajectoryStatus.ALIVE_AT_HORIZON
     with pytest.raises(HorizonExceeded):
         state_at(tr, pure_frag, 2.0)
-
-
-def test_trajectory_csv(tmp_path, pure_frag):
-    tr = simulate_chain(pure_frag, 1.0, seed=42, path_id=0, n_max=5)
-    path = tmp_path / "traj.csv"
-    tr.to_csv(path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (6, 3)
-    np.testing.assert_allclose(data[:, 1], tr.jump_times)
 
 
 def test_explosion_cdf_estimator(pure_frag):
