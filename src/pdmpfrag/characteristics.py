@@ -18,7 +18,6 @@ from .errors import DomainError, DomainExit, InfiniteHolding, NonIntegrableRate
 from .monotone import ClosedFormMap, MonotoneMap, TabulatedIntegralMap
 
 DEFAULT_DOMAIN = (1e-9, 1e9)
-DEFAULT_NODES = 4096
 
 
 class Regime(enum.Enum):
@@ -128,16 +127,6 @@ class CharacteristicsSpec:
     def g(self, x):
         return self.semiflow.g_eval(x)
 
-    def consistency_residual(self, xs, h=1e-6):
-        """max residual of the finite-difference checks G'*g = +-1, Q'*g = +-phi."""
-        xs = np.asarray(xs, dtype=float)
-        s = 1.0 if self.regime is Regime.GROWTH else -1.0
-        gp = (self.G(xs * (1 + h)) - self.G(xs * (1 - h))) / (2 * h * xs)
-        qp = (self.Q(xs * (1 + h)) - self.Q(xs * (1 - h))) / (2 * h * xs)
-        r1 = np.abs(gp * self.g(xs) - s)
-        r2 = np.abs(qp * self.g(xs) - s * self.phi(xs)) / (1.0 + self.phi(xs))
-        return float(max(np.max(r1), np.max(r2)))
-
 
 def _divergence_flag(tab_map, regime):
     """asGQ/asGQd heuristic: the defining integral must diverge at the far end."""
@@ -147,8 +136,7 @@ def _divergence_flag(tab_map, regime):
     return "verified" if ok else "failed"
 
 
-def build_gq(semiflow: SemiflowSpec, rate: RateSpec, *, domain=DEFAULT_DOMAIN,
-             n_nodes=DEFAULT_NODES):
+def build_gq(semiflow: SemiflowSpec, rate: RateSpec, *, domain=DEFAULT_DOMAIN):
     """Construct the monotone maps G (of 1/g) and Q (of phi/g).
 
     Anchors follow the orbit's direction: the endpoint (0 for growth,
@@ -178,8 +166,7 @@ def build_gq(semiflow: SemiflowSpec, rate: RateSpec, *, domain=DEFAULT_DOMAIN,
         divergence["G"] = "verified" if ok else "failed"
     else:
         G = TabulatedIntegralMap(lambda x: 1.0 / semiflow.g_eval(x),
-                                 orientation=orientation, domain=domain,
-                                 n_nodes=n_nodes)
+                                 orientation=orientation, domain=domain)
         divergence["G"] = _divergence_flag(G, regime)
 
     if rate.power is not None and semiflow.power_beta is not None:
@@ -194,14 +181,13 @@ def build_gq(semiflow: SemiflowSpec, rate: RateSpec, *, domain=DEFAULT_DOMAIN,
         def phi_over_g(x):
             return rate.phi_eval(x) / semiflow.g_eval(x)
         Q = TabulatedIntegralMap(phi_over_g, orientation=orientation,
-                                 domain=domain, n_nodes=n_nodes)
+                                 domain=domain)
         divergence["Q"] = _divergence_flag(Q, regime)
 
     return G, Q, divergence
 
 
-def build_characteristics(semiflow, rate, kernel=None, *, domain=DEFAULT_DOMAIN,
-                          n_nodes=DEFAULT_NODES):
+def build_characteristics(semiflow, rate, kernel=None, *, domain=DEFAULT_DOMAIN):
     """Assemble a CharacteristicsSpec, tabulating G and Q when needed."""
     if semiflow.regime is Regime.PURE_JUMP:
         xs = np.geomspace(domain[0], domain[1], 64)
@@ -211,7 +197,7 @@ def build_characteristics(semiflow, rate, kernel=None, *, domain=DEFAULT_DOMAIN,
         flag = "verified" if np.all(phis > 0) else "failed"
         return CharacteristicsSpec(semiflow, rate, kernel, None, None,
                                    domain, {"phi_positive": flag})
-    G, Q, divergence = build_gq(semiflow, rate, domain=domain, n_nodes=n_nodes)
+    G, Q, divergence = build_gq(semiflow, rate, domain=domain)
     return CharacteristicsSpec(semiflow, rate, kernel, G, Q, domain, divergence)
 
 
@@ -265,41 +251,72 @@ def cumulative_rate(spec, x, t):
     return out
 
 
-def _available_rate(spec, qx):
-    """Total cumulative rate along the forward orbit starting from Q(x)=qx."""
-    lim = spec.Q.limit_inf if spec.regime is Regime.GROWTH else spec.Q.limit_zero
-    if lim is None:
-        return np.inf
-    return lim - qx
+def _holding(spec, x, eps):
+    """(dt, x_pre, absorbed) of states ``x`` for rate quantiles ``eps``.
+
+    The one holding-time rule, behind the jump step of ``simulate`` and the
+    scalar views below: x_pre = Q^{<-}(Q(x) + eps) directly through Q (never
+    by composing the flow with dt) and dt = phi_x^{<-}(eps) = G(x_pre) -
+    G(x).  Raises InfiniteHolding for a zero pure-jump rate and for eps
+    beyond a bounded cumulative rate, unless the decay orbit reaches 0
+    first (G(0+) finite): that path is ``absorbed`` after G(0+) - G(x).
+    """
+    regime = spec.regime
+    if regime is Regime.PURE_JUMP:
+        rate = np.asarray(spec.phi(x), dtype=float)
+        if np.any(rate <= 0):
+            raise InfiniteHolding("zero jump rate in pure-jump regime")
+        return eps / rate, x, np.zeros(len(x), dtype=bool)
+    lim = spec.Q.limit_inf if regime is Regime.GROWTH else spec.Q.limit_zero
+    lim = np.inf if lim is None else lim
+    qx = spec.Q(x)
+    with np.errstate(invalid="ignore"):
+        absorbed = eps > (lim - qx)
+    g0 = spec.G.limit_zero
+    if np.any(absorbed) and (regime is Regime.GROWTH or g0 is None
+                             or not np.isfinite(g0)):
+        raise InfiniteHolding(
+            "cumulative rate along the orbit is bounded; check asGQ/asGQd")
+    x_pre = spec.Q.inverse(qx + np.where(absorbed, 0.0, eps))
+    gx = spec.G(x)
+    # a state outside float range cannot be advanced: dt = nan freezes it
+    dead = ~(x_pre > 0.0) | ~np.isfinite(x_pre)
+    x_pre = np.where(dead, x, x_pre)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dt = spec.G(x_pre) - gx
+        lossy = dt <= 1e-8 * np.abs(gx)
+        if np.any(lossy):
+            # G-difference lost to rounding: short orbit segment,
+            # eps/phi(geometric midpoint) is the exact limit
+            mid = np.sqrt(x * x_pre)
+            rate = np.asarray(spec.phi(mid), dtype=float)
+            dt = np.where(lossy, eps / rate, dt)
+    dt = np.where(dead, np.nan, dt)
+    if np.any(absorbed):
+        dt = np.where(absorbed, g0 - gx, dt)
+    return dt, x_pre, absorbed
+
+
+def _holding_at(spec, x, q):
+    """Scalar (holding time, pre-jump state) for x > 0, q >= 0; q = 0 is
+    (0, x) whatever the rate."""
+    if q < 0:
+        raise ValueError("q must be nonnegative")
+    if q == 0:
+        return 0.0, float(x)
+    dt, x_pre, absorbed = _holding(spec, np.array([x], dtype=float),
+                                   np.array([q], dtype=float))
+    if absorbed[0]:
+        raise InfiniteHolding(
+            "quantile exceeds the total cumulative rate along the orbit")
+    return float(dt[0]), float(x_pre[0])
 
 
 def inverse_cumulative_rate(spec, x, q):
     """Holding-time quantile phi_x^{<-}(q) for scalar x > 0, q >= 0."""
-    if q < 0:
-        raise ValueError("q must be nonnegative")
-    if q == 0:
-        return 0.0
-    if spec.regime is Regime.PURE_JUMP:
-        rate = float(spec.phi(x))
-        if rate <= 0:
-            raise InfiniteHolding("zero jump rate in pure-jump regime")
-        return q / rate
-    qx = float(spec.Q(np.array([x]))[0])
-    if q > _available_rate(spec, qx):
-        raise InfiniteHolding(
-            "quantile exceeds the total cumulative rate along the orbit")
-    y = float(spec.Q.inverse(np.array([qx + q]))[0])
-    return float(spec.G(np.array([y]))[0] - spec.G(np.array([x]))[0])
+    return _holding_at(spec, x, q)[0]
 
 
 def post_flow_position(spec, x, q):
     """Pre-jump position pi_{phi_x^{<-}(q)} x = Q^{<-}(Q(x) + q), scalar x, q."""
-    if q < 0:
-        raise ValueError("q must be nonnegative")
-    if spec.regime is Regime.PURE_JUMP:
-        return float(x)
-    qx = float(spec.Q(np.array([x]))[0])
-    if q > _available_rate(spec, qx):
-        raise InfiniteHolding(
-            "quantile exceeds the total cumulative rate along the orbit")
-    return float(spec.Q.inverse(np.array([qx + q]))[0])
+    return _holding_at(spec, x, q)[1]

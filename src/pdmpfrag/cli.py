@@ -36,6 +36,16 @@ _REGIMES = {"pure_jump": Regime.PURE_JUMP, "growth": Regime.GROWTH,
 
 # -- config ------------------------------------------------------------------
 
+def _mapping(parent, key, where):
+    """parent[key] as a mapping, {} when absent or empty."""
+    val = parent.get(key)
+    if val is None:
+        return {}
+    if not isinstance(val, dict):
+        raise ConfigError(f"{where} must be a mapping, got {type(val).__name__}")
+    return val
+
+
 def load_config(path):
     p = Path(path)
     if not p.is_file():
@@ -47,6 +57,8 @@ def load_config(path):
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if not isinstance(cfg, dict) or "model" not in cfg:
         raise ConfigError("config must be a mapping with a 'model' section")
+    for key in ("model", "numeric", "output"):
+        _mapping(cfg, key, key)
     return cfg
 
 
@@ -54,7 +66,12 @@ def _table_callable(path, what):
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"{what} table file not found: {path}")
-    data = np.loadtxt(p, delimiter=",", skiprows=1)
+    try:
+        data = np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"{what} table is not numeric: {exc}") from exc
+    if data.shape[0] < 2 or data.shape[1] < 2:
+        raise ConfigError(f"{what} table needs two columns and two data rows")
     xs, ys = data[:, 0], data[:, 1]
     if np.any(np.diff(xs) <= 0) or np.any(ys < 0):
         raise ConfigError(f"{what} table must have increasing x and values >= 0")
@@ -67,59 +84,60 @@ def _table_callable(path, what):
 
 
 def build_model(cfg):
-    model = cfg.get("model", {})
+    """The CharacteristicsSpec of the config's model section."""
+    model = _mapping(cfg, "model", "model")
     regime_name = model.get("regime")
     if regime_name not in _REGIMES:
         raise ConfigError(f"model.regime must be one of {sorted(_REGIMES)}, "
                           f"got {regime_name!r}")
     regime = _REGIMES[regime_name]
 
-    g_cfg = model.get("g", {}) or {}
-    beta = g_cfg.get("beta")
+    beta = _mapping(model, "g", "model.g").get("beta")
     if regime is not Regime.PURE_JUMP and beta is None:
         raise ConfigError("model.g.beta is required outside the pure-jump regime")
     semiflow = SemiflowSpec(regime=regime,
                             power_beta=None if beta is None else float(beta))
 
-    phi_cfg = model.get("phi", {}) or {}
+    phi_cfg = _mapping(model, "phi", "model.phi")
     if "table" in phi_cfg:
         rate = RateSpec(phi=_table_callable(phi_cfg["table"], "model.phi"))
-        power = None
     else:
         if "a" not in phi_cfg or "alpha" not in phi_cfg:
             raise ConfigError("model.phi needs 'a' and 'alpha' (or 'table')")
-        power = (float(phi_cfg["a"]), float(phi_cfg["alpha"]))
-        rate = RateSpec(power=power)
+        rate = RateSpec(power=(float(phi_cfg["a"]), float(phi_cfg["alpha"])))
 
-    k_cfg = model.get("kernel", {}) or {}
+    k_cfg = _mapping(model, "kernel", "model.kernel")
     family = k_cfg.get("family", "power")
     if family == "power":
         kernel = PowerLawKernel(float(k_cfg.get("nu", 0.0)))
-    elif family == "homogeneous":
-        kernel = HomogeneousKernel(_table_callable(k_cfg["table"],
-                                                   "model.kernel"))
-    elif family == "separable":
-        kernel = SeparableKernel(_table_callable(k_cfg["table"],
-                                                 "model.kernel"))
+    elif family in ("homogeneous", "separable"):
+        if "table" not in k_cfg:
+            raise ConfigError(f"model.kernel family {family!r} needs a 'table'")
+        h = _table_callable(k_cfg["table"], "model.kernel")
+        kernel = (HomogeneousKernel(h) if family == "homogeneous"
+                  else SeparableKernel(h))
     else:
         raise ConfigError(f"unknown kernel family {family!r}")
 
-    spec = build_characteristics(semiflow=semiflow, rate=rate, kernel=kernel)
-    return spec, power, k_cfg
+    return build_characteristics(semiflow=semiflow, rate=rate, kernel=kernel)
 
 
 def _numeric(cfg, key, default):
     return (cfg.get("numeric") or {}).get(key, default)
 
 
+def _numeric_mapping(cfg, key):
+    return _mapping(cfg.get("numeric") or {}, key, f"numeric.{key}")
+
+
 def _grid_from(cfg):
-    g = _numeric(cfg, "grid", {}) or {}
+    g = _numeric_mapping(cfg, "grid")
     return LogGrid(float(g.get("x_min", 1e-6)), float(g.get("x_max", 1e2)),
                    int(g.get("n_cells", 384)))
 
 
 def _u0_from(cfg, grid):
-    u0 = _numeric(cfg, "u0", {}) or {}
+    u0 = _numeric_mapping(cfg, "u0")
     return GridDensity.uniform_in_m(grid, float(u0.get("lo", 1.0)),
                                     float(u0.get("hi", 2.0)))
 
@@ -153,19 +171,18 @@ def _finish(out_dir, cfg_path, files):
         fh.write("\n")
 
 
-def _tau_oracle(power, k_cfg):
+def _tau_oracle(spec):
     """The gamma oracle for phi(x) = a x^alpha with alpha < 0 and a power kernel."""
-    if power is None or power[1] >= 0:
+    power = spec.rate.power
+    if power is None or power[1] >= 0 or \
+            not isinstance(spec.kernel, PowerLawKernel):
         return None
-    if k_cfg.get("family", "power") != "power":
-        return None
-    return TauOracle(nu=float(k_cfg.get("nu", 0.0)), gamma=-power[1],
-                     a=power[0])
+    return TauOracle(nu=spec.kernel.nu, gamma=-power[1], a=power[0])
 
 
 # -- actions -------------------------------------------------------------------
 
-def _action_simulate(cfg, spec, power, k_cfg, out, seed, workers):
+def _action_simulate(cfg, spec, out, seed, workers):
     n_paths = int(_numeric(cfg, "n_paths", 10_000))
     n_max = int(_numeric(cfg, "n_max", 2_000))
     x0 = float(_numeric(cfg, "x0", 1.0))
@@ -177,7 +194,7 @@ def _action_simulate(cfg, spec, power, k_cfg, out, seed, workers):
         rows += [(k, n, float(t), float(x)) for n, (t, x) in
                  enumerate(zip(tr.jump_times, tr.positions))]
     files.append(_write_csv(out, "trajectories.csv", "path_id,n,t_n,xi_n", rows))
-    orc = _tau_oracle(power, k_cfg)
+    orc = _tau_oracle(spec)
     rows = []
     for t in ts:
         est = estimate_explosion_cdf(spec, x0, t, n_paths, n_max,
@@ -192,16 +209,16 @@ def _action_simulate(cfg, spec, power, k_cfg, out, seed, workers):
     return files
 
 
-def _action_evolve(cfg, spec, power, k_cfg, out, seed, workers):
+def _action_evolve(cfg, spec, out, seed, workers):
     grid = _grid_from(cfg)
     u0 = _u0_from(cfg, grid)
     ts = [float(t) for t in _numeric(cfg, "t_values", [0.25, 0.5, 1.0, 2.0])]
-    dy = _numeric(cfg, "dyson", {}) or {}
+    dy = _numeric_mapping(cfg, "dyson")
     N = int(dy.get("N", 60))
     tol = float(_numeric(cfg, "tolerance", 0.01))
     files = []
     rows = []
-    orc = _tau_oracle(power, k_cfg)
+    orc = _tau_oracle(spec)
     budget_hit = False
     for t in ts:
         n_s = int(dy.get("n_s", max(64, int(32 * max(1.0, t)))))
@@ -231,9 +248,9 @@ def _action_evolve(cfg, spec, power, k_cfg, out, seed, workers):
     return files
 
 
-def _action_classify(cfg, spec, power, k_cfg, out, seed, workers):
+def _action_classify(cfg, spec, out, seed, workers):
     lams = [float(l) for l in _numeric(cfg, "lambdas", [1.0, 0.1, 0.01])]
-    pr = _numeric(cfg, "probes", {}) or {}
+    pr = _numeric_mapping(cfg, "probes")
     probes = np.geomspace(float(pr.get("lo", 1e-3)), float(pr.get("hi", 1e3)),
                           int(pr.get("n", 7)))
     budgets = {"n_paths": int(_numeric(cfg, "n_paths", 400)),
@@ -244,16 +261,13 @@ def _action_classify(cfg, spec, power, k_cfg, out, seed, workers):
     mc.to_csv(ev_path)
     files.append(ev_path)
     rows = [("MonteCarloLaplace", mc.verdict.value, mc.notes)]
-    beta = (cfg.get("model", {}).get("g", {}) or {}).get("beta")
+    power, beta, kernel = spec.rate.power, spec.semiflow.power_beta, spec.kernel
     if power is not None and beta is not None and \
-            k_cfg.get("family", "power") == "power":
-        nu = float(k_cfg.get("nu", 0.0))
-        h = (lambda z: (nu + 2.0) * np.asarray(z, dtype=float) ** nu)
-        regime = cfg["model"]["regime"]
+            isinstance(kernel, PowerLawKernel):
+        regime = None if spec.regime is Regime.PURE_JUMP else spec.regime.value
         try:
-            cf = classify_power_family(power[1], float(beta), power[0], h,
-                                       regime=regime if regime != "pure_jump"
-                                       else None)
+            cf = classify_power_family(power[1], beta, power[0], kernel.h,
+                                       regime=regime)
             rows.append(("ClosedFormTable", cf.verdict.value, cf.notes))
         except OutOfRegime as exc:
             rows.append(("ClosedFormTable", "OutOfRegime", str(exc)))
@@ -262,7 +276,7 @@ def _action_classify(cfg, spec, power, k_cfg, out, seed, workers):
     return files
 
 
-def _action_audit(cfg, spec, power, k_cfg, out, seed, workers):
+def _action_audit(cfg, spec, out, seed, workers):
     ys = [float(y) for y in _numeric(cfg, "y_values", [0.5, 1.0, 2.0, 5.0, 10.0])]
     kernel = spec.kernel
     rows = []
@@ -289,8 +303,8 @@ def _action_audit(cfg, spec, power, k_cfg, out, seed, workers):
     return files
 
 
-def _action_oracle(cfg, spec, power, k_cfg, out, seed, workers):
-    orc = _tau_oracle(power, k_cfg)
+def _action_oracle(cfg, spec, out, seed, workers):
+    orc = _tau_oracle(spec)
     if orc is None:
         raise ModelError("the oracle action needs the pure-fragmentation power "
                          "family: phi(x) = a x^alpha with alpha < 0 and a "
@@ -321,7 +335,12 @@ _ACTIONS = {
 
 
 def run(action, config_path, out_dir=None, seed=None, workers=None):
-    """Execute one configured action; returns the artifact paths."""
+    """Execute one configured action; returns the artifact paths.
+
+    An argument error (ValueError, TypeError, OverflowError) raised while
+    building the model or running the action is a bad config value and is
+    raised as ConfigError.
+    """
     cfg = load_config(config_path)
     declared = cfg.get("action")
     if declared is not None and declared != action:
@@ -331,15 +350,19 @@ def run(action, config_path, out_dir=None, seed=None, workers=None):
         seed = _numeric(cfg, "seed", None)
         if seed is None:
             raise ConfigError("numeric.seed is required (or pass --seed)")
-    seed = int(seed)
-    if workers is None:
-        workers = int(_numeric(cfg, "workers", 1))
-    workers = int(workers)
     out = Path(out_dir if out_dir is not None
-               else (cfg.get("output", {}) or {}).get("dir", "."))
+               else _mapping(cfg, "output", "output").get("dir", "."))
     out.mkdir(parents=True, exist_ok=True)
-    spec, power, k_cfg = build_model(cfg)
-    files = _ACTIONS[action](cfg, spec, power, k_cfg, out, seed, workers)
+    try:
+        seed = int(seed)
+        if not 0 <= seed < 2 ** 64:
+            raise ConfigError(f"the seed must lie in [0, 2**64), got {seed}")
+        workers = int(_numeric(cfg, "workers", 1) if workers is None
+                      else workers)
+        spec = build_model(cfg)
+        files = _ACTIONS[action](cfg, spec, out, seed, workers)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"bad value for {action}: {exc}") from exc
     _finish(out, config_path, files)
     return files
 

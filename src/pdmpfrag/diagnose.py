@@ -147,13 +147,13 @@ def dual_pairing(spec, lam, u, n_iter, n_paths, *, seed=0, workers=1):
 
 
 def classify(spec, lam_grid=DEFAULT_LAMBDAS, probe_grid=None, budgets=None,
-             tolerances=None, *, seed=0, workers=1):
+             *, seed=0, workers=1):
     """Threshold classification from the f_lambda evidence table.
 
-    Stochastic: every upper CI at the smallest lambda is below eps_s (the
+    Stochastic: every upper CI at the smallest lambda is below EPS_S (the
     iterate bounds f_lambda from above, so truncation cannot fake this).
-    StronglyStable: every lower CI at the smallest lambda exceeds 1 - eps_ss
-    AND the iterates have converged (half-budget gap below eps_conv), which
+    StronglyStable: every lower CI at the smallest lambda exceeds 1 - EPS_SS
+    AND the iterates have converged (half-budget gap below EPS_CONV), which
     guards against truncation masquerading as explosion.  Otherwise
     Inconclusive.  The smallest-lambda rule is a policy standing in for the
     liminf over lambda -> 0; it is recorded in the notes.  Every cell of
@@ -169,10 +169,6 @@ def classify(spec, lam_grid=DEFAULT_LAMBDAS, probe_grid=None, budgets=None,
     budgets = dict(budgets or {})
     n_paths = int(budgets.get("n_paths", 400))
     n_iter = int(budgets.get("n_iter", 400))
-    tol = dict(tolerances or {})
-    eps_s = float(tol.get("eps_s", EPS_S))
-    eps_ss = float(tol.get("eps_ss", EPS_SS))
-    eps_conv = float(tol.get("eps_conv", EPS_CONV))
 
     w = _laplace_weights(spec, lam_grid, np.repeat(probe_grid, n_paths),
                          n_iter, seed=seed, workers=workers)
@@ -185,14 +181,14 @@ def classify(spec, lam_grid=DEFAULT_LAMBDAS, probe_grid=None, budgets=None,
     upper = np.array([e.value + 3.0 * e.std_error for e in last])
     lower = np.array([e.value - 3.0 * e.std_error for e in last])
     gaps = np.array([e.diagnostics["half_gap"] for e in last])
-    if float(np.max(upper)) < eps_s:
+    if float(np.max(upper)) < EPS_S:
         verdict = Verdict.STOCHASTIC
-    elif float(np.min(lower)) > 1.0 - eps_ss and float(np.max(gaps)) < eps_conv:
+    elif float(np.min(lower)) > 1.0 - EPS_SS and float(np.max(gaps)) < EPS_CONV:
         verdict = Verdict.STRONGLY_STABLE
     else:
         verdict = Verdict.INCONCLUSIVE
     note = (f"smallest-lambda policy: verdict from lambda={lam_grid[-1]:g}; "
-            f"eps_s={eps_s:g}, eps_ss={eps_ss:g}, eps_conv={eps_conv:g}")
+            f"eps_s={EPS_S:g}, eps_ss={EPS_SS:g}, eps_conv={EPS_CONV:g}")
     return Classification(verdict, evidence, "MonteCarloLaplace", note)
 
 
@@ -253,13 +249,14 @@ class EmbeddedKernel:
             raise NonConvergent("z-quadrature for the chain CDF failed")
         return val + tail
 
-    def integrate_against(self, F, y, rel_span=1e-12):
-        """int F(x) k(x, y) x dx, F >= 0, by the swapped double quadrature."""
+    def integrate_against(self, F, y):
+        """int F(x) k(x, y) x dx, F >= 0, by the swapped double quadrature
+        (the inner x-integral over [1e-12 z, z])."""
         qy = float(self.spec.Q(np.array([float(y)]))[0])
         kern = self.spec.kernel
 
         def inner(z_scalar):
-            edges = np.geomspace(z_scalar * rel_span, z_scalar, 49)
+            edges = np.geomspace(z_scalar * 1e-12, z_scalar, 49)
             vals = gauss_panels(
                 lambda x: kern.b(x, z_scalar) * np.asarray(F(x), float) * x,
                 edges[:-1], edges[1:])

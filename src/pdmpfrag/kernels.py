@@ -82,14 +82,10 @@ class PowerLawKernel(JumpKernel):
 class HomogeneousKernel(JumpKernel):
     """Homogeneous kernel b(x,y) = h(x/y)/y for a general normalized h."""
 
-    def __init__(self, h, n_nodes=4096):
+    def __init__(self, h):
         self.h_fn = h
         self.H = TabulatedIntegralMap(lambda z: h(z) * z, orientation="from_below",
-                                      anchor=0.0, domain=(1e-12, 1.0),
-                                      n_nodes=n_nodes)
-
-    def normalization_residual(self):
-        return abs(float(self.H(np.array([1.0]))[0]) - 1.0)
+                                      anchor=0.0, domain=(1e-12, 1.0))
 
     def h(self, z):
         return self.h_fn(np.asarray(z, dtype=float))
@@ -115,11 +111,10 @@ class SeparableKernel(JumpKernel):
     this family to the homogeneous kernel with uniform fraction CDF H(r) = r.
     """
 
-    def __init__(self, beta, domain=(1e-9, 1e9), n_nodes=4096):
+    def __init__(self, beta):
         self.beta_fn = beta
         self.Lam = TabulatedIntegralMap(lambda z: beta(z) * z,
-                                        orientation="from_below", anchor=0.0,
-                                        domain=domain, n_nodes=n_nodes)
+                                        orientation="from_below", anchor=0.0)
 
     def beta(self, x):
         return self.beta_fn(np.asarray(x, dtype=float))

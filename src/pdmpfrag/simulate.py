@@ -1,13 +1,14 @@
 """Monte Carlo engine for the minimal PDMP.
 
-Jump chains are sampled exactly: holding times via the generalized inverse
-of the cumulative rate, pre-jump positions directly through Q (never by
-composing the flow with the holding time), daughter sizes through the
-kernel's inverse CDF.  One vectorized step, ``_jump``, does this for a batch
-of paths: ``run_chains`` drives it over many paths and records checkpoints,
-``simulate_chain`` runs it on one path and records every jump.  Explosion
-is never detected, only bracketed: estimators expose their truncation
-sensitivity.
+Jump chains are sampled exactly: each step reads its holding times (the
+generalized inverse of the cumulative rate) and pre-jump positions (directly
+through Q) from ``characteristics._holding``, the rule behind
+``inverse_cumulative_rate`` and ``post_flow_position`` too, and draws the
+daughter sizes through the kernel's inverse CDF.  One vectorized step,
+``_jump``, does this for a batch of paths: ``run_chains`` drives it over
+many paths and records checkpoints, ``simulate_chain`` runs it on one path
+and records every jump.  Explosion is never detected, only bracketed:
+estimators expose their truncation sensitivity.
 
 Randomness is counter-based (Philox4x64-10, Salmon et al., SC'11), computed
 statelessly by ``_uniforms``: draw k of path p is word k mod 4 of the block
@@ -27,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristics import Regime
-from .errors import HorizonExceeded, InfiniteHolding, NotADensity
+from .characteristics import _holding
+from .errors import HorizonExceeded, NotADensity
 from .kernels import _clamp_q
 
 DEFAULT_N_MAX = 10_000
@@ -149,61 +150,27 @@ _MAX_REFILL_BLOCKS = 32
 def _jump(spec, x, t, u_eps, u_theta, t_stop):
     """One jump of a batch of running paths: (t_new, x_new, status).
 
-    A path settles in place when its time no longer advances (numerically
+    The holding times and pre-jump states come from
+    ``characteristics._holding``, the daughters from the kernel.  A path
+    settles in place when its time no longer advances (numerically
     converged jump times) or its state leaves float range, and also settles
     after jumping out of (0, inf); a decay orbit that reaches 0 before its
     next jump is absorbed there; past ``t_stop`` a path is parked.
     """
-    regime = spec.regime
-    eps = -np.log1p(-u_eps)
-    theta = _clamp_q(u_theta)
-    exceeded = np.zeros(len(x), dtype=bool)
-    if regime is Regime.PURE_JUMP:
-        rate = np.asarray(spec.phi(x), dtype=float)
-        if np.any(rate <= 0):
-            raise InfiniteHolding("zero jump rate in pure-jump regime")
-        dt = eps / rate
-        x_pre = x
-    else:
-        lim = spec.Q.limit_inf if regime is Regime.GROWTH else spec.Q.limit_zero
-        lim = np.inf if lim is None else lim
-        qx = spec.Q(x)
-        with np.errstate(invalid="ignore"):
-            exceeded = eps > (lim - qx)
-        g0 = spec.G.limit_zero
-        if np.any(exceeded) and (regime is Regime.GROWTH or g0 is None
-                                 or not np.isfinite(g0)):
-            raise InfiniteHolding(
-                "cumulative rate along the orbit is bounded; check asGQ/asGQd")
-        x_pre = spec.Q.inverse(qx + np.where(exceeded, 0.0, eps))
-        gx = spec.G(x)
-        # a state below float range cannot be advanced: freeze via the guard
-        dead = ~(x_pre > 0.0) | ~np.isfinite(x_pre)
-        x_pre = np.where(dead, x, x_pre)
-        with np.errstate(over="ignore", invalid="ignore"):
-            dt = spec.G(x_pre) - gx
-            lossy = dt <= 1e-8 * np.abs(gx)
-            if np.any(lossy):
-                # G-difference lost to rounding: short orbit segment,
-                # eps/phi(geometric midpoint) is the exact limit
-                mid = np.sqrt(x * x_pre)
-                rate = np.asarray(spec.phi(mid), dtype=float)
-                dt = np.where(lossy, eps / rate, dt)
-        dt = np.where(dead, np.nan, dt)
-    x_new = np.asarray(spec.kernel.sample(theta, x_pre), dtype=float)
+    dt, x_pre, absorbed = _holding(spec, x, -np.log1p(-u_eps))
+    x_new = np.asarray(spec.kernel.sample(_clamp_q(u_theta), x_pre),
+                       dtype=float)
     t_new = t + dt
-    if np.any(exceeded):
-        # no jump before the rate budget runs out: the orbit hits 0 first
-        t_new = np.where(exceeded, t + (g0 - gx), t_new)
-        x_new = np.where(exceeded, 0.0, x_new)
+    # no jump before the rate budget runs out: the orbit hits 0 first
+    x_new = np.where(absorbed, 0.0, x_new)
     # non-increasing or non-finite time: the increment is lost to rounding;
     # settle at the previous time without a bogus jump
-    degenerate = ~(np.isfinite(t_new) & (t_new > t)) & ~exceeded
+    degenerate = ~(np.isfinite(t_new) & (t_new > t)) & ~absorbed
     t_new = np.where(degenerate, t, t_new)
     x_new = np.where(degenerate, x, x_new)
     status = np.full(len(x), _RUNNING, dtype=np.int8)
     status[degenerate | (x_new <= 0) | ~np.isfinite(x_new)] = _SETTLED
-    status[exceeded] = _ABSORBED
+    status[absorbed] = _ABSORBED
     if t_stop is not None:
         status[(t_new > t_stop) & (status == _RUNNING)] = _PARKED
     return t_new, x_new, status
@@ -380,16 +347,16 @@ def estimate_explosion_cdf(spec, x0, t, n_paths, n_max=DEFAULT_N_MAX, *,
 
 
 def estimate_survival_mass(spec, u0, t, n_paths, n_max=DEFAULT_N_MAX, *,
-                           seed, workers=1, tol_mass=1e-6):
+                           seed, workers=1):
     """||P(t) u0|| estimated as the u0-average of 1{t_{n_max} > t}.
 
     Initial states are drawn by stratified inverse-CDF sampling from the grid
-    density (one stratum per path); the truncation bias is upward and bounded
-    by the half-budget sensitivity.  As in ``estimate_explosion_cdf``, a path
+    density (one stratum per path), whose mass must be 1 to within 1e-6; the
+    truncation bias is upward and bounded by the half-budget sensitivity.  As in ``estimate_explosion_cdf``, a path
     absorbed at 0 counts at its hit time.
     """
     total = u0.total_mass
-    if abs(total - 1.0) > tol_mass:
+    if abs(total - 1.0) > 1e-6:
         raise NotADensity(f"u0 has mass {total}, expected 1")
     if t < 0:
         raise ValueError("t must be nonnegative")

@@ -191,6 +191,27 @@ def test_infinite_holding_for_bounded_q():
 
 
 def test_consistency_residual():
-    for spec in (power_model("growth", alpha=0.5, beta=0.5, a=2.0),
-                 power_model("decay", alpha=-1.0, beta=0.0, a=1.0)):
-        assert spec.consistency_residual(np.array([0.5, 1.0, 3.0])) < 1e-4
+    # finite-difference checks of G'g = +-1 and Q'g = +-phi
+    xs, h = np.array([0.5, 1.0, 3.0]), 1e-6
+    for spec, s in ((power_model("growth", alpha=0.5, beta=0.5, a=2.0), 1.0),
+                    (power_model("decay", alpha=-1.0, beta=0.0, a=1.0), -1.0)):
+        gp = (spec.G(xs * (1 + h)) - spec.G(xs * (1 - h))) / (2 * h * xs)
+        qp = (spec.Q(xs * (1 + h)) - spec.Q(xs * (1 - h))) / (2 * h * xs)
+        phi = spec.phi(xs)
+        assert np.max(np.abs(gp * spec.g(xs) - s)) < 1e-4
+        assert np.max(np.abs(qp * spec.g(xs) - s * phi) / (1.0 + phi)) < 1e-4
+
+
+@pytest.mark.parametrize("tabulated", [False, True],
+                         ids=["closed_form", "tabulated"])
+def test_holding_time_short_segment(tabulated):
+    # g = x, phi = 1: the holding time is exactly q, also where the
+    # difference G(x_pre) - G(x) of two numbers near log x loses it
+    rate = (RateSpec(phi=lambda x: np.ones_like(np.asarray(x, float)))
+            if tabulated else RateSpec(power=(1.0, 0.0)))
+    spec = build_characteristics(
+        SemiflowSpec(regime=Regime.GROWTH, power_beta=0.0), rate,
+        PowerLawKernel(0.0))
+    for x in (1e4, 1e8):
+        for q in (1e-12, 1e-9):
+            assert abs(inverse_cumulative_rate(spec, x, q) - q) <= 1e-12 * q

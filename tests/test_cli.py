@@ -111,7 +111,7 @@ def test_simulate_cdf_truncation_columns(tmp_path):
     assert lines[0] == ("t,estimate,se,oracle,value_at_half_budget,"
                         "frac_budget_exhausted")
     cfg = load_config(CONFIGS / "simulate.yaml")
-    spec = build_model(cfg)[0]
+    spec = build_model(cfg)
     num = cfg["numeric"]
     for line in lines[1:]:
         t, value, _se, _oracle, half, exhausted = map(float, line.split(","))
@@ -157,6 +157,35 @@ def test_bad_schema_exit_2(tmp_path):
                     "numeric: {seed: 0}\n")
     res = _run(["simulate", "-c", str(cfg2), "-o", str(tmp_path / "o2")])
     assert res.exit_code == 2
+    # malformed tables, sections and values exit 2 too, without a traceback
+    (tmp_path / "one_row.csv").write_text("x,phi\n1.0,1.0\n")
+    (tmp_path / "text.csv").write_text("x,phi\n1e-9,1.0\n1e9,high\n")
+    model = ("model:\n  regime: pure_jump\n  phi: {a: 1.0, alpha: -1.0}\n"
+             "  kernel: {family: power, nu: 0.0}\n")
+    bad = {
+        "one_row": (model.replace("{a: 1.0, alpha: -1.0}",
+                                  f"{{table: {tmp_path / 'one_row.csv'}}}")
+                    + "numeric: {seed: 0}\n", []),
+        "text_cell": (model.replace("{a: 1.0, alpha: -1.0}",
+                                    f"{{table: {tmp_path / 'text.csv'}}}")
+                      + "numeric: {seed: 0}\n", []),
+        "no_kernel_table": (model.replace("{family: power, nu: 0.0}",
+                                          "{family: homogeneous}")
+                            + "numeric: {seed: 0}\n", []),
+        "model_list": ("model: [pure_jump]\nnumeric: {seed: 0}\n", []),
+        "numeric_list": (model + "numeric: [0]\n", ["--seed", "0"]),
+        "few_paths": (model + "numeric: {seed: 0, n_paths: 50}\n", []),
+        "negative_seed": (model + "numeric: {seed: 0}\n", ["--seed", "-1"]),
+        "negative_t": (model + "numeric: {seed: 0, n_paths: 100, "
+                       "t_values: [1.0, -1.0]}\n", []),
+    }
+    for name, (text, extra) in bad.items():
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(text)
+        res = _run(["simulate", "-c", str(path), "-o", str(tmp_path / name)]
+                   + extra)
+        assert res.exit_code == 2, (name, res.output, res.exception)
+        assert "config error" in res.output, name
 
 
 def test_missing_seed_exit_2(tmp_path):

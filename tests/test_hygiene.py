@@ -1,5 +1,6 @@
-"""Source hygiene: every import in the library modules is used, and every
-random draw goes through one stream."""
+"""Source hygiene: every import in the library modules is used, every
+random draw goes through one stream, and every holding time through one
+rule."""
 
 import ast
 from pathlib import Path
@@ -45,4 +46,17 @@ def test_one_draw_path():
                           and ref.lineno <= n <= ref.end_lineno)
                 if not inside:
                     found.append(f"{path.name}:{n}")
+    assert found == []
+
+
+def test_one_holding_rule():
+    # the jump step reads holding times and pre-jump states from
+    # characteristics._holding; simulate.py touches no G/Q map or regime
+    tree = ast.parse((SRC / "simulate.py").read_text())
+    banned = {"Q", "G", "limit_zero", "limit_inf", "Regime"}
+    found = sorted(f"{name} (line {node.lineno})" for node in ast.walk(tree)
+                   for name in (getattr(node, "attr", None),
+                                getattr(node, "id", None),
+                                getattr(node, "name", None))
+                   if name in banned)
     assert found == []

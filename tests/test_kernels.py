@@ -62,7 +62,7 @@ def test_mass_condition_closed_form_families(y):
 
 def test_homogeneous_tabulated_matches_power():
     k = HomogeneousKernel(lambda z: 2.0 * np.ones_like(np.asarray(z, float)))
-    assert k.normalization_residual() < 1e-10
+    assert abs(float(k.H(np.array([1.0]))[0]) - 1.0) < 1e-10
     qs = np.array([0.1, 0.25, 0.5, 0.9])
     got = k.ratio_inverse(1.0, qs)
     assert np.max(np.abs(got - np.sqrt(qs))) < 1e-9

@@ -49,7 +49,7 @@ def test_tabulated_from_below_log():
     assert m.direction == +1
     assert m.limit_zero == -np.inf and m.limit_inf == np.inf
     assert m.roundtrip_error(xs) < 1e-10
-    assert m.is_monotone_on(np.geomspace(1e-5, 1e5, 64))
+    assert np.all(np.diff(m(np.geomspace(1e-5, 1e5, 64))) >= 0)
     # a coarse table on a narrower domain keeps the values to 1e-10
     m = TabulatedIntegralMap(lambda x: 1.0 / x, orientation="from_below",
                              domain=(1e-3, 1e3), n_nodes=256)
