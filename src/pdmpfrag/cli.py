@@ -1,9 +1,10 @@
 """Batch experiment runner.
 
 Loads a structured YAML config describing a model and an action, dispatches
-to the library, and writes CSV artifacts plus a manifest (config hash, tool
-version, output checksums).  All randomness flows from the single config
-seed, so re-running a config reproduces byte-identical CSV bodies.
+to the library, and writes CSV artifacts plus a manifest (config hash, tool,
+Python, numpy and scipy versions, stage wall times, output checksums).  All
+randomness flows from the single config seed, so re-running a config
+reproduces byte-identical CSV bodies.
 
 Exit codes: 0 ok, 2 config error, 3 model error, 4 numerical non-convergence.
 """
@@ -12,12 +13,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import platform
 import sys
 import time
 from pathlib import Path
 
 import click
 import numpy as np
+import scipy
 import yaml
 
 from . import __version__
@@ -156,12 +159,18 @@ def _write_csv(out_dir, name, header, rows):
     return path
 
 
-def _finish(out_dir, cfg_path, files):
+def _finish(out_dir, cfg_path, files, wall_s):
+    """Write manifest.json: config and output digests, library versions and
+    the wall time of each stage (timings live here only, so the CSV bodies
+    stay byte-identical across reruns)."""
     digest = hashlib.sha256(Path(cfg_path).read_bytes()).hexdigest()
     manifest = {
         "config": str(cfg_path),
         "config_sha256": digest,
         "tool_version": __version__,
+        "versions": {"python": platform.python_version(),
+                     "numpy": np.__version__, "scipy": scipy.__version__},
+        "wall_s": wall_s,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "outputs": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                     for p in files},
@@ -172,10 +181,11 @@ def _finish(out_dir, cfg_path, files):
 
 
 def _tau_oracle(spec):
-    """The gamma oracle for phi(x) = a x^alpha with alpha < 0 and a power kernel."""
+    """The gamma oracle of pure fragmentation (no drift) with phi(x) = a x^alpha,
+    alpha < 0, and a power kernel; None for any other model."""
     power = spec.rate.power
-    if power is None or power[1] >= 0 or \
-            not isinstance(spec.kernel, PowerLawKernel):
+    if spec.regime is not Regime.PURE_JUMP or power is None or power[1] >= 0 \
+            or not isinstance(spec.kernel, PowerLawKernel):
         return None
     return TauOracle(nu=spec.kernel.nu, gamma=-power[1], a=power[0])
 
@@ -307,8 +317,8 @@ def _action_oracle(cfg, spec, out, seed, workers):
     orc = _tau_oracle(spec)
     if orc is None:
         raise ModelError("the oracle action needs the pure-fragmentation power "
-                         "family: phi(x) = a x^alpha with alpha < 0 and a "
-                         "power-law kernel")
+                         "family: regime pure_jump, phi(x) = a x^alpha with "
+                         "alpha < 0 and a power-law kernel")
     x0 = float(_numeric(cfg, "x0", 1.0))
     ts = [float(t) for t in _numeric(cfg, "t_values", [0.25, 0.5, 1.0, 2.0, 4.0])]
     grid = _grid_from(cfg)
@@ -359,11 +369,14 @@ def run(action, config_path, out_dir=None, seed=None, workers=None):
             raise ConfigError(f"the seed must lie in [0, 2**64), got {seed}")
         workers = int(_numeric(cfg, "workers", 1) if workers is None
                       else workers)
+        t0 = time.perf_counter()
         spec = build_model(cfg)
+        t1 = time.perf_counter()
         files = _ACTIONS[action](cfg, spec, out, seed, workers)
+        wall_s = {"build_model": t1 - t0, "action": time.perf_counter() - t1}
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad value for {action}: {exc}") from exc
-    _finish(out, config_path, files)
+    _finish(out, config_path, files, wall_s)
     return files
 
 

@@ -108,81 +108,97 @@ class OperatorTrace:
 
 # -- semigroup S(t) ----------------------------------------------------------
 
-class _SOperator:
-    """S(t) on cell masses along the trailing axis, with out-of-grid accounting.
-
-    A pure-jump S(t) (and S(0) in any regime) is the diagonal ``factor``;
-    transport is the sparse ``mat``.  ``sub_row`` / ``sup_row`` give the
-    surviving mass each cell sends below x_min / above x_max."""
-
-    def __init__(self, spec, grid, t):
-        n = grid.n_cells
-        self.mat = None
-        if t == 0.0:
-            self.factor = np.ones(n)
-            return
-        if spec.regime is Regime.PURE_JUMP:
-            # cell-averaged survival: exact for cellwise-constant densities
-            avg = gauss_panels(
-                lambda x: np.exp(-np.asarray(spec.phi(x), float) * t) * x,
-                grid.edges[:-1], grid.edges[1:])
-            self.factor = avg / grid.m_weights
-            return
-        # transport: shift in the flow coordinate w = direction * G
-        d = spec.G.direction
-        w_edges = d * np.asarray(spec.G(grid.edges), dtype=float)
-        # flow_vec moves G(x) -> G(x) + t, so w = d G moves by d t: up for
-        # growth (d = +1) and down for decay (d = -1)
-        w_dest = w_edges + d * t  # source cell i -> [w_dest[i], w_dest[i+1]]
-        survival = np.exp(-np.asarray(
-            cumulative_rate(spec, grid.nodes, t), dtype=float))
-        a, b = w_dest[:-1], w_dest[1:]
-        with np.errstate(invalid="ignore"):
-            width = b - a
-            regular = np.isfinite(width) & (width > 0)
-            mid = np.where(np.isfinite(a), 0.5 * (a + b), b)
+def _transport(spec, grid, ts):
+    """Transport S(t) at the times ``ts``: T sparse matrices and the (T, n)
+    masses each cell sends below x_min / above x_max, from one searchsorted /
+    repeat / overlap pass over the (T, n) destination intervals.  Entries
+    come by source cell, so each matrix is a CSC straight from its arrays:
+    its products add every output cell up in ascending source order, as the
+    CSR of a COO conversion did, so results keep every bit."""
+    T, n = len(ts), grid.n_cells
+    # shift in the flow coordinate w = direction * G: flow_vec moves G(x) ->
+    # G(x) + t, so w = d G moves by d t, up for growth (d = +1) and down for
+    # decay (d = -1)
+    d = spec.G.direction
+    w_edges = d * np.asarray(spec.G(grid.edges), dtype=float)
+    w_dest = w_edges + d * ts[:, None]
+    survival = np.exp(-np.asarray(
+        cumulative_rate(spec, grid.nodes, ts[:, None]), dtype=float)).ravel()
+    # source cell i at time ts[r], flat index r * n + i, goes to [a, b]
+    a, b = w_dest[:, :-1].ravel(), w_dest[:, 1:].ravel()
+    with np.errstate(invalid="ignore", divide="ignore"):
+        width = b - a
+        regular = np.isfinite(width) & (width > 0)
         # a regular cell spreads over the destination cells [k0, k1] it
-        # overlaps; what falls outside [w_edges[0], w_edges[-1]] is a bucket
-        src = np.flatnonzero(regular)
-        a, b, width, surv = a[src], b[src], width[src], survival[src]
-        self.sub_row = np.zeros(n)
-        self.sup_row = np.zeros(n)
-        self.sub_row[src] = surv * np.clip((w_edges[0] - a) / width, 0.0, 1.0)
-        self.sup_row[src] = surv * np.clip((b - w_edges[-1]) / width, 0.0, 1.0)
-        k0 = np.maximum(np.searchsorted(w_edges, a, side="right") - 1, 0)
-        k1 = np.minimum(np.searchsorted(w_edges, b, side="left") - 1, n - 1)
+        # overlaps, a degenerate one deposits whole at its midpoint's
+        # destination k0 = k1; what falls outside the grid is a bucket
+        mid = np.where(np.isfinite(a), 0.5 * (a + b), b)
+        k0 = np.searchsorted(w_edges, np.where(regular, a, mid), side="right") - 1
+        k1 = np.where(regular, np.searchsorted(w_edges, b, side="left") - 1, k0)
+        sub = survival * np.where(
+            regular, np.clip((w_edges[0] - a) / width, 0.0, 1.0), k0 < 0)
+        sup = survival * np.where(
+            regular, np.clip((b - w_edges[-1]) / width, 0.0, 1.0), k1 >= n)
+        k0, k1 = np.maximum(k0, 0), np.minimum(k1, n - 1)
         counts = np.maximum(k1 - k0 + 1, 0)
-        pos = np.repeat(np.arange(len(src)), counts)
+        pos = np.repeat(np.arange(T * n), counts)
         rows = k0[pos] + np.arange(len(pos)) - (np.cumsum(counts) - counts)[pos]
         ov = np.minimum(b[pos], w_edges[rows + 1]) - np.maximum(a[pos], w_edges[rows])
-        keep = ov > 0
-        pos, rows = pos[keep], rows[keep]
-        vals = surv[pos] * ov[keep] / width[pos]
-        # a degenerate cell deposits whole at its midpoint's destination
-        deg = np.flatnonzero(~regular)
-        k_d = np.searchsorted(w_edges, mid[deg], side="right") - 1
-        self.sub_row[deg[k_d < 0]] = survival[deg[k_d < 0]]
-        self.sup_row[deg[k_d >= n]] = survival[deg[k_d >= n]]
-        on = (k_d >= 0) & (k_d < n)
-        self.mat = sp.csr_matrix(
-            (np.concatenate([vals, survival[deg[on]]]),
-             (np.concatenate([rows, k_d[on]]),
-              np.concatenate([src[pos], deg[on]]))), shape=(n, n))
+        keep = (ov > 0) | ~regular[pos]
+        pos, rows, ov = pos[keep], rows[keep].astype(np.int32), ov[keep]
+        vals = np.where(regular[pos], survival[pos] * ov / width[pos], survival[pos])
+    # entries come by source cell, then destination row: CSC storage order;
+    # int32 indices, as scipy would pick, spare it a scan of each array
+    ptr = np.searchsorted(pos, np.arange(T * n + 1))
+    mats = [sp.csc_matrix((vals[p[0]:p[-1]], rows[p[0]:p[-1]],
+                           (p - p[0]).astype(np.int32)), shape=(n, n))
+            for p in (ptr[r * n:r * n + n + 1] for r in range(T))]
+    return mats, sub.reshape(T, n), sup.reshape(T, n)
 
-    def apply(self, masses):
-        """S(t) on one density (n,) or a stack (..., n): returns the moved
+
+class _SOperator:
+    """S(t) at each time of the 1-D array ``ts`` on cell masses along the
+    trailing axis, with out-of-grid accounting; row r of every array below
+    belongs to ts[r].
+
+    A pure-jump S(t) is the diagonal ``factor`` (T, n), its quadrature done
+    one time at a time so that no (T, n, 15) array is held.  Transport is
+    ``mats``, one sparse matrix per time, with bucket rows ``sub_row`` /
+    ``sup_row`` (T, n), built in blocks of ~8192 (time, cell) pairs."""
+
+    def __init__(self, spec, grid, ts):
+        ts = np.asarray(ts, dtype=float)
+        self.mats = None
+        if spec.regime is Regime.PURE_JUMP:
+            # cell-averaged survival: exact for cellwise-constant densities
+            self.factor = np.stack([gauss_panels(
+                lambda x: np.exp(-np.asarray(spec.phi(x), float) * t) * x,
+                grid.edges[:-1], grid.edges[1:]) for t in ts]) / grid.m_weights
+            return
+        step = max(1, 8192 // grid.n_cells)
+        blocks = [_transport(spec, grid, ts[r:r + step])
+                  for r in range(0, len(ts), step)]
+        self.mats = [m for block in blocks for m in block[0]]
+        self.sub_row = np.concatenate([block[1] for block in blocks])
+        self.sup_row = np.concatenate([block[2] for block in blocks])
+
+    def apply(self, r, masses):
+        """S(ts[r]) on one density (n,) or a stack (..., n): returns the moved
         masses and the sub- and super-grid deposits, one per density."""
-        if self.mat is None:
+        if self.mats is None:
             none = np.zeros(masses.shape[:-1])
-            return masses * self.factor, none, none
-        return (self.mat @ masses.T).T, masses @ self.sub_row, masses @ self.sup_row
+            return masses * self.factor[r], none, none
+        return ((self.mats[r] @ masses.T).T, masses @ self.sub_row[r],
+                masses @ self.sup_row[r])
 
 
 def apply_S(spec, t, u: GridDensity) -> GridDensity:
     """Explicit substochastic semigroup S(t): survival-weighted transport."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    m, sub, sup = _SOperator(spec, u.grid, float(t)).apply(u.masses)
+    if t == 0:
+        return u.copy()
+    m, sub, sup = _SOperator(spec, u.grid, [t]).apply(0, u.masses)
     return GridDensity(u.grid, m, u.sub_grid_mass + float(sub),
                        u.super_grid_mass + float(sup))
 
@@ -309,7 +325,10 @@ def dyson_phillips(spec, t, u: GridDensity, N=60, n_s=64):
     (phi * h >> 1); a trapezoid rule would apply the unbounded B at s = t
     without any survival damping and diverge.  The operator depends only on
     the lag d = k-j-1, so a level costs one B product on the whole stack and
-    one application of each S((d+1/2) h) to the block Wbar[:n_s-d].
+    one application of each S((d+1/2) h) to the block Wbar[:n_s-d]: O(n n_s^2)
+    multiply-adds for a diagonal S, O(nnz n_s^2) for transport.  All the S
+    factors, at the 2 n_s half steps j h/2, are built once per call, in one
+    ``_SOperator``, before the first level.
 
     The buckets are fluxes: level n+1 deposits, integrated once over time,
     the part of B S_n u that lands below the grid and the mass S carries out
@@ -329,21 +348,25 @@ def dyson_phillips(spec, t, u: GridDensity, N=60, n_s=64):
         return res, OperatorTrace(term_norms=[res.total_mass])
 
     h = t / n_s
-    s_half = [_SOperator(spec, grid, (d + 0.5) * h) for d in range(n_s)]
+    # S at the half steps j h/2, j = 1..2 n_s: row 2d is (d + 1/2) h and row
+    # 2k - 1 is k h, bitwise, since halving h is exact
+    s_op = _SOperator(spec, grid, np.arange(1, 2 * n_s + 1) * (0.5 * h))
     b_op = _BOperator(spec, grid)
     eps_tail = EPS_TAIL_FACTOR * u.total_mass
 
     # term 0 on the time grid: row k is S(k h) u, its buckets include u's own
     V = np.empty((n_s + 1, grid.n_cells))
-    sub = np.empty(n_s + 1)
-    sup = np.empty(n_s + 1)
-    for k in range(n_s + 1):
-        V[k], sub[k], sup[k] = _SOperator(spec, grid, k * h).apply(u.masses)
+    sub = np.zeros(n_s + 1)
+    sup = np.zeros(n_s + 1)
+    V[0] = u.masses
+    for k in range(1, n_s + 1):
+        V[k], sub[k], sup[k] = s_op.apply(2 * k - 1, u.masses)
     sub += u.sub_grid_mass
     sup += u.super_grid_mass
 
     acc, acc_sub, acc_sup = V[-1].copy(), sub[-1], sup[-1]
     trace = OperatorTrace(term_norms=[float(V[-1].sum() + sub[-1] + sup[-1])])
+    buf = np.empty((n_s, grid.n_cells))
     for _level in range(1, N + 1):
         bm, bsub = b_op.apply(V)
         # h times the midpoint values of B S_n(s) u on each subinterval
@@ -352,12 +375,17 @@ def dyson_phillips(spec, t, u: GridDensity, N=60, n_s=64):
         sub = np.zeros(n_s + 1)
         sup = np.zeros(n_s + 1)
         sub[1:] = np.cumsum((0.5 * h) * (bsub[:-1] + bsub[1:]))
-        # lags in decreasing order add each row's sources j = 0, 1, ... in turn
+        # lags in decreasing order add each row's sources j = 0, 1, ... in
+        # turn; a diagonal S sends nothing to the buckets
         for d in range(n_s - 1, -1, -1):
-            sm, ssub, ssup = s_half[d].apply(wm[:n_s - d])
-            V[d + 1:] += sm
-            sub[d + 1:] += ssub
-            sup[d + 1:] += ssup
+            if s_op.mats is None:
+                V[d + 1:] += np.multiply(wm[:n_s - d], s_op.factor[2 * d],
+                                         out=buf[:n_s - d])
+            else:
+                sm, ssub, ssup = s_op.apply(2 * d, wm[:n_s - d])
+                V[d + 1:] += sm
+                sub[d + 1:] += ssub
+                sup[d + 1:] += ssup
         tn = float(V[-1].sum() + sub[-1] + sup[-1])
         trace.term_norms.append(tn)
         acc += V[-1]

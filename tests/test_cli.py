@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import platform
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from click.testing import CliRunner
 
 from pdmpfrag import estimate_explosion_cdf
@@ -21,6 +23,11 @@ def _run(args):
 def _check_manifest(out_dir):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["tool_version"]
+    assert manifest["versions"] == {"python": platform.python_version(),
+                                    "numpy": np.__version__,
+                                    "scipy": scipy.__version__}
+    assert set(manifest["wall_s"]) == {"build_model", "action"}
+    assert all(v >= 0.0 for v in manifest["wall_s"].values())
     assert len(manifest["config_sha256"]) == 64
     for name, digest in manifest["outputs"].items():
         body = (out_dir / name).read_bytes()
@@ -203,14 +210,17 @@ def test_missing_seed_exit_2(tmp_path):
 
 
 def test_oracle_out_of_family_exit_3(tmp_path):
-    cfg = tmp_path / "growthmodel.yaml"
-    cfg.write_text("model:\n  regime: growth\n  g: {beta: 1.0}\n"
-                   "  phi: {a: 1.0, alpha: 0.0}\n"
-                   "  kernel: {family: power, nu: 0.0}\n"
-                   "numeric: {seed: 0}\n")
-    res = _run(["oracle", "-c", str(cfg), "-o", str(tmp_path / "o")])
-    assert res.exit_code == 3
-    assert "model error" in res.output
+    # alpha = 0 is outside the gamma family; alpha = -1/2 is inside it, but
+    # the growth drift makes the model honest, so the gamma law is not its law
+    for alpha in ("0.0", "-0.5"):
+        cfg = tmp_path / "growthmodel.yaml"
+        cfg.write_text("model:\n  regime: growth\n  g: {beta: 1.0}\n"
+                       f"  phi: {{a: 1.0, alpha: {alpha}}}\n"
+                       "  kernel: {family: power, nu: 0.0}\n"
+                       "numeric: {seed: 0}\n")
+        res = _run(["oracle", "-c", str(cfg), "-o", str(tmp_path / "o")])
+        assert res.exit_code == 3, alpha
+        assert "model error" in res.output
 
 
 def test_evolve_budget_exhausted_exit_4(tmp_path):

@@ -27,7 +27,7 @@ from pdmpfrag import (
 )
 from pdmpfrag.density import _SOperator
 from pdmpfrag.oracles import TauOracle, exact_mass
-from conftest import aligned_grid, power_model
+from conftest import aligned_grid, power_model, unit_decay_model
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -324,14 +324,40 @@ def test_dyson_honest_conservation(bounded_pure_jump):
     assert abs(tot[64] - 1.0) <= abs(tot[64] - tot[32])
 
 
+def test_dyson_builds_each_operator_once(monkeypatch, pure_frag):
+    # one S for all 2 n_s half-step times and one B per call, in both the
+    # diagonal and the transport regime
+    import pdmpfrag.density as density
+    built = []
+    for name in ("_SOperator", "_BOperator"):
+        cls = getattr(density, name)
+        monkeypatch.setattr(density, name,
+                            lambda *a, cls=cls: built.append(cls(*a)) or built[-1])
+    u = GridDensity.uniform_in_m(LogGrid(1e-4, 1e2, 64), 1.0, 2.0)
+    for spec in (pure_frag, power_model("growth", alpha=0.0, beta=0.0)):
+        built.clear()
+        dyson_phillips(spec, 1.0, u, N=3, n_s=16)
+        assert [type(op).__name__ for op in built] == ["_SOperator", "_BOperator"]
+        s_op = built[0]
+        assert len(s_op.factor if s_op.mats is None else s_op.mats) == 32
+
+
 @pytest.mark.parametrize("name,spec", [
     ("pure_frag", power_model("pure_jump", alpha=-1.0)),
     ("growth", power_model("growth", alpha=0.0, beta=0.0)),
     ("decay", power_model("decay", alpha=0.0, beta=-1.0)),
+    ("growth_sqrt", power_model("growth", alpha=-0.5, beta=1.0)),
+    ("growth_tabulated", build_characteristics(
+        SemiflowSpec(regime=Regime.GROWTH, power_beta=0.0),
+        RateSpec(phi=lambda x: np.asarray(x, float)), PowerLawKernel(0.0))),
+    ("decay_to_zero", unit_decay_model()),
 ])
 def test_dyson_golden_grid_masses(name, spec):
     # grid masses of the element-by-element convolution this engine replaced
-    # (commit 8c82c92); N = 3 stops both on the budget, not on the tail rule
+    # (commit 8c82c92) for the first three models; the last three, where w =
+    # G(x) is not uniform on the grid, Q is tabulated or the orbit reaches 0,
+    # were recorded when S(t) was still built once per time (commit 512798c).
+    # N = 3 stops every case on the budget, not on the tail rule
     want = json.loads((DATA / "dyson_golden.json").read_text())[name]
     u = GridDensity.uniform_in_m(LogGrid(1e-4, 1e2, 64), 1.0, 2.0)
     res, tr = dyson_phillips(spec, 1.0, u, N=3, n_s=16)
@@ -345,12 +371,17 @@ def test_dyson_golden_grid_masses(name, spec):
     power_model("decay", alpha=0.0, beta=-1.0),
 ])
 def test_transport_S_columns_carry_survival(spec, t):
-    # each source cell's mass goes on-grid or to a bucket, scaled by survival
+    # each source cell's mass goes on-grid or to a bucket, scaled by survival,
+    # at every time of one operator built for several times at once
     grid = LogGrid(1e-4, 1e2, 64)
-    op = _SOperator(spec, grid, t)
-    cols = np.asarray(op.mat.sum(axis=0)).ravel() + op.sub_row + op.sup_row
-    want = np.exp(-np.asarray(cumulative_rate(spec, grid.nodes, t)))
-    np.testing.assert_allclose(cols, want, rtol=0.0, atol=1e-14)
+    ts = (t / 8, t / 2, t)
+    op = _SOperator(spec, grid, ts)
+    assert len(op.mats) == op.sub_row.shape[0] == op.sup_row.shape[0] == 3
+    for r, s in enumerate(ts):
+        cols = np.asarray(op.mats[r].sum(axis=0)).ravel() + op.sub_row[r] \
+            + op.sup_row[r]
+        want = np.exp(-np.asarray(cumulative_rate(spec, grid.nodes, s)))
+        np.testing.assert_allclose(cols, want, rtol=0.0, atol=1e-14)
 
 
 def test_transport_S_degenerate_cells(monkeypatch):
@@ -358,7 +389,7 @@ def test_transport_S_degenerate_cells(monkeypatch):
     # surviving cell mass at its midpoint's destination cell, or in a bucket
     import pdmpfrag.density as density
     monkeypatch.setattr(density, "cumulative_rate",
-                        lambda spec, x, t: np.full(np.shape(x), 0.25))
+                        lambda spec, x, t: np.full(np.broadcast(x, t).shape, 0.25))
 
     class StepG:  # G on the 7 grid edges: a flat piece and infinite ends
         direction = 1
@@ -367,11 +398,21 @@ def test_transport_S_degenerate_cells(monkeypatch):
             return np.array([-np.inf, 0.0, 1.0, 1.0, 2.0, 3.0, np.inf])
 
     spec = SimpleNamespace(regime=Regime.GROWTH, G=StepG())
-    op = _SOperator(spec, LogGrid(1.0, 64.0, 6), 0.5)
+    op = _SOperator(spec, LogGrid(1.0, 64.0, 6), [0.5])
     surv = math.exp(-0.25)
-    mat = op.mat.toarray()
-    np.testing.assert_allclose(mat.sum(axis=0) + op.sub_row + op.sup_row,
+    mat = op.mats[0].toarray()
+    np.testing.assert_allclose(mat.sum(axis=0) + op.sub_row[0] + op.sup_row[0],
                                surv, rtol=0.0, atol=1e-15)
     assert mat[1, 0] == surv  # (-inf, 0.5]: deposited at 0.5
     assert mat[3, 2] == surv  # [1.5, 1.5]: deposited at 1.5
-    assert op.sup_row[5] == surv  # [3.5, inf): above the grid
+    assert op.sup_row[0, 5] == surv  # [3.5, inf): above the grid
+    # each output cell adds its sources in ascending order, as the CSR of a
+    # COO conversion does: cell 3 takes regular column 1, degenerate column
+    # 2 and regular column 3, and on this stack adding column 3 before
+    # column 2 ends one ulp higher
+    x = np.array([[0.0, 1.0, 2.0 ** 53, 1.0, 0.0, 0.0]])
+    want = np.zeros_like(x)
+    for j in range(6):
+        want += mat[:, j] * x[:, j:j + 1]
+    assert np.array_equal(op.apply(0, x)[0], want)
+    assert np.array_equal(op.apply(0, x[0])[0], want[0])
