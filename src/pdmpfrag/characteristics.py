@@ -284,10 +284,11 @@ def _holding(spec, x, eps):
     x_pre = np.where(dead, x, x_pre)
     with np.errstate(over="ignore", invalid="ignore"):
         dt = spec.G(x_pre) - gx
-        lossy = dt <= 1e-8 * np.abs(gx)
+        # short orbit segment, where the G-difference is lost to rounding:
+        # small against G(x), or (near G(x) = 0) lost with x_pre's own digits;
+        # eps/phi(geometric midpoint) is the exact limit
+        lossy = (dt <= 1e-8 * np.abs(gx)) | (np.abs(x_pre - x) <= 1e-8 * x)
         if np.any(lossy):
-            # G-difference lost to rounding: short orbit segment,
-            # eps/phi(geometric midpoint) is the exact limit
             mid = np.sqrt(x * x_pre)
             rate = np.asarray(spec.phi(mid), dtype=float)
             dt = np.where(lossy, eps / rate, dt)

@@ -8,12 +8,13 @@ honest/dishonest distinction this engine must keep visible.
 
 Operators: the explicit substochastic semigroup S(t), the perturbation
 B u = P(phi u), the resolvent R(lambda, A), the truncated Dyson-Phillips
-expansion, and the truncated resolvent series for R(lambda, C).
+expansion, and the truncated resolvent series for R(lambda, C).  Only
+``_SOperator`` knows how S(t) is stored; R(lambda, A) for growth/decay is a
+log-space prefix sum over the cells upstream of each node.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,11 +38,6 @@ class LogGrid:
     @property
     def n_cells(self):
         return len(self.nodes)
-
-    def __eq__(self, other):
-        return isinstance(other, LogGrid) and \
-            self.edges.shape == other.edges.shape and \
-            bool(np.all(self.edges == other.edges))
 
 
 @dataclass
@@ -159,7 +155,7 @@ def _transport(spec, grid, ts):
 class _SOperator:
     """S(t) at each time of the 1-D array ``ts`` on cell masses along the
     trailing axis, with out-of-grid accounting; row r of every array below
-    belongs to ts[r].
+    belongs to ts[r].  Callers go through ``add``.
 
     A pure-jump S(t) is the diagonal ``factor`` (T, n), its quadrature done
     one time at a time so that no (T, n, 15) array is held.  Transport is
@@ -174,6 +170,9 @@ class _SOperator:
             self.factor = np.stack([gauss_panels(
                 lambda x: np.exp(-np.asarray(spec.phi(x), float) * t) * x,
                 grid.edges[:-1], grid.edges[1:]) for t in ts]) / grid.m_weights
+            # add's product scratch: a fresh temporary per call made
+            # dyson_evolve's median op ~9% slower (2-core Xeon VM)
+            self._prod = np.empty(self.factor.size)
             return
         step = max(1, 8192 // grid.n_cells)
         blocks = [_transport(spec, grid, ts[r:r + step])
@@ -182,14 +181,19 @@ class _SOperator:
         self.sub_row = np.concatenate([block[1] for block in blocks])
         self.sup_row = np.concatenate([block[2] for block in blocks])
 
-    def apply(self, r, masses):
-        """S(ts[r]) on one density (n,) or a stack (..., n): returns the moved
-        masses and the sub- and super-grid deposits, one per density."""
+    def add(self, r, masses, out, sub, sup):
+        """Add S(ts[r]) of one density (n,) or a stack (..., n) into ``out``
+        and its sub- and super-grid deposits, one per density, into ``sub``
+        and ``sup``; a diagonal S deposits nothing."""
         if self.mats is None:
-            none = np.zeros(masses.shape[:-1])
-            return masses * self.factor[r], none, none
-        return ((self.mats[r] @ masses.T).T, masses @ self.sub_row[r],
-                masses @ self.sup_row[r])
+            if self._prod.size < masses.size:
+                self._prod = np.empty(masses.size)
+            prod = self._prod[:masses.size].reshape(masses.shape)
+            out += np.multiply(masses, self.factor[r], out=prod)
+            return
+        out += (self.mats[r] @ masses.T).T
+        sub += masses @ self.sub_row[r]
+        sup += masses @ self.sup_row[r]
 
 
 def apply_S(spec, t, u: GridDensity) -> GridDensity:
@@ -198,9 +202,10 @@ def apply_S(spec, t, u: GridDensity) -> GridDensity:
         raise ValueError("t must be nonnegative")
     if t == 0:
         return u.copy()
-    m, sub, sup = _SOperator(spec, u.grid, [t]).apply(0, u.masses)
-    return GridDensity(u.grid, m, u.sub_grid_mass + float(sub),
-                       u.super_grid_mass + float(sup))
+    m = np.zeros(u.grid.n_cells)
+    sub, sup = np.array([u.sub_grid_mass]), np.array([u.super_grid_mass])
+    _SOperator(spec, u.grid, [t]).add(0, u.masses, m, sub, sup)
+    return GridDensity(u.grid, m, float(sub[0]), float(sup[0]))
 
 
 # -- perturbation B = P(phi .) ------------------------------------------------
@@ -228,84 +233,62 @@ class _BOperator:
         return (self.frac @ inflow.T).T, inflow @ self.sub_row
 
 
-def apply_B(spec, u: GridDensity, _op=None) -> GridDensity:
+def apply_B(spec, u: GridDensity) -> GridDensity:
     """B u = P(phi u).  Output mass equals int phi u dm exactly (P is stochastic);
     the part landing below x_min goes to the sub-grid bucket."""
-    op = _op if _op is not None else _BOperator(spec, u.grid)
-    m, sub = op.apply(u.masses)
+    m, sub = _BOperator(spec, u.grid).apply(u.masses)
     return GridDensity(u.grid, m, u.sub_grid_mass + float(sub), u.super_grid_mass)
 
 
 # -- resolvent of A -----------------------------------------------------------
 
 def _resolvent_transport(spec, grid, lam, masses):
-    """R(lam, A) on cell masses for growth/decay via the explicit kernel
-    e^{lam(G(y)-G(x)) + Q(y)-Q(x)} / (x g(x)) integrated over the backward
-    orbit; evaluated with a stable scaled scan (all exponents <= 0)."""
-    n = grid.n_cells
+    """R(lam, A) on cell masses >= 0 for growth/decay via the explicit kernel
+    e^{E(y) - E(x)} / (x g(x)), E = lam G + Q, integrated over the backward
+    orbit of x.  Each cell's integral of e^{E(y)} y dy is taken against its
+    own largest exponent ``ref``; the cells upstream of a node add up as a
+    prefix sum, in downstream order, of log(cell integral * u / ||u||) + ref.
+    That sum is at most ||u|| e^{E(node)}: every exponent evaluated is <= 0."""
     nodes, edges = grid.nodes, grid.edges
     u_vals = masses / grid.m_weights
 
     def expo(y):
         return lam * np.asarray(spec.G(y), float) + np.asarray(spec.Q(y), float)
 
+    def integral(a, b, top):
+        # int_a^b e^{E(y) - top} y dy per cell, top >= E on the cell
+        def f(y):
+            ex = expo(y).reshape(len(top), -1) - top[:, None]
+            return np.exp(np.minimum(ex, 0.0)).ravel() * y
+        return gauss_panels(f, a, b)
+
     growth = spec.regime is Regime.GROWTH
-    m_edge = expo(edges)          # n+1, monotone (inc. for growth, dec. decay)
-    m_node = expo(nodes)
-
-    # full-cell integrals of e^{expo(y)} y dy, scaled by the cell's max exponent
-    ref = m_edge[1:] if growth else m_edge[:-1]
-
-    # integrate each cell with its own reference exponent (vectorized Gauss)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    from .monotone import _GL_X, _GL_W
-    pts = mid[:, None] + half[:, None] * _GL_X
-    ex = expo(pts.reshape(-1)).reshape(pts.shape) - ref[:, None]
-    cell_int = ((np.exp(np.minimum(ex, 50.0)) * pts) @ _GL_W) * half
-
-    # partial cell from the node-side edge up to the node, scaled by m_node
-    if growth:
-        pa, pb = edges[:-1], nodes
-    else:
-        pa, pb = nodes, edges[1:]
-    midp = 0.5 * (pa + pb)
-    halfp = 0.5 * (pb - pa)
-    ptsp = midp[:, None] + halfp[:, None] * _GL_X
-    exp_p = expo(ptsp.reshape(-1)).reshape(ptsp.shape) - m_node[:, None]
-    part_int = ((np.exp(np.minimum(exp_p, 50.0)) * ptsp) @ _GL_W) * halfp
-
-    out = np.empty(n)
+    e_edge, e_node = expo(edges), expo(nodes)
+    # E rises along the flow: downstream is up the grid for growth
+    down = slice(None) if growth else slice(None, None, -1)
+    ref = e_edge[1:] if growth else e_edge[:-1]
+    part_lo, part_hi = (edges[:-1], nodes) if growth else (nodes, edges[1:])
+    norm = float(np.sum(masses)) or 1.0  # u = 0: no 0/0
+    with np.errstate(divide="ignore"):
+        logs = np.log(integral(edges[:-1], edges[1:], ref) * u_vals / norm) + ref
+    cum = np.logaddexp.accumulate(logs[down])
+    upstream = np.concatenate([[-np.inf], cum[:-1]])[down]
+    full = norm * np.exp(np.minimum(upstream - e_node, 0.0))
+    own = integral(part_lo, part_hi, e_node) * u_vals
     g_nodes = np.asarray(spec.g(nodes), dtype=float)
-    # scan along the backward orbit: D carries the sum over fully-traversed
-    # cells at the most recent reference exponent; the node exponent always
-    # dominates that reference, so every rescaling factor is <= 1
-    order = range(n) if growth else range(n - 1, -1, -1)
-    D = 0.0
-    last_ref = None
-    for i in order:
-        if last_ref is None:
-            full = 0.0
-        else:
-            full = D * math.exp(min(last_ref - m_node[i], 0.0))
-        own = part_int[i] * u_vals[i]
-        out[i] = (full + own) / (nodes[i] * g_nodes[i])
-        if last_ref is None:
-            D = cell_int[i] * u_vals[i]
-        else:
-            D = D * math.exp(min(last_ref - ref[i], 0.0)) + cell_int[i] * u_vals[i]
-        last_ref = ref[i]
-    return out * grid.m_weights
+    return (full + own) / (nodes * g_nodes) * grid.m_weights
 
 
 def resolvent_A(spec, lam, u: GridDensity) -> GridDensity:
     """R(lam, A) u.  Diagonal u/(lam+phi) in the pure-jump regime; explicit
-    backward-orbit integral for growth/decay."""
+    backward-orbit integral for growth/decay, which needs masses >= 0."""
     if lam <= 0:
         raise ValueError("lam must be positive")
     if spec.regime is Regime.PURE_JUMP:
         phi = np.asarray(spec.phi(u.grid.nodes), dtype=float)
         return GridDensity(u.grid, u.masses / (lam + phi), 0.0, 0.0)
+    if np.any(u.masses < 0):
+        raise ValueError("R(lam, A) of growth/decay needs cell masses >= 0")
     out = _resolvent_transport(spec, u.grid, lam, u.masses)
     return GridDensity(u.grid, out, 0.0, 0.0)
 
@@ -355,18 +338,15 @@ def dyson_phillips(spec, t, u: GridDensity, N=60, n_s=64):
     eps_tail = EPS_TAIL_FACTOR * u.total_mass
 
     # term 0 on the time grid: row k is S(k h) u, its buckets include u's own
-    V = np.empty((n_s + 1, grid.n_cells))
-    sub = np.zeros(n_s + 1)
-    sup = np.zeros(n_s + 1)
+    V = np.zeros((n_s + 1, grid.n_cells))
+    sub = np.full(n_s + 1, u.sub_grid_mass)
+    sup = np.full(n_s + 1, u.super_grid_mass)
     V[0] = u.masses
     for k in range(1, n_s + 1):
-        V[k], sub[k], sup[k] = s_op.apply(2 * k - 1, u.masses)
-    sub += u.sub_grid_mass
-    sup += u.super_grid_mass
+        s_op.add(2 * k - 1, u.masses, V[k], sub[k:k + 1], sup[k:k + 1])
 
     acc, acc_sub, acc_sup = V[-1].copy(), sub[-1], sup[-1]
     trace = OperatorTrace(term_norms=[float(V[-1].sum() + sub[-1] + sup[-1])])
-    buf = np.empty((n_s, grid.n_cells))
     for _level in range(1, N + 1):
         bm, bsub = b_op.apply(V)
         # h times the midpoint values of B S_n(s) u on each subinterval
@@ -376,16 +356,9 @@ def dyson_phillips(spec, t, u: GridDensity, N=60, n_s=64):
         sup = np.zeros(n_s + 1)
         sub[1:] = np.cumsum((0.5 * h) * (bsub[:-1] + bsub[1:]))
         # lags in decreasing order add each row's sources j = 0, 1, ... in
-        # turn; a diagonal S sends nothing to the buckets
+        # turn
         for d in range(n_s - 1, -1, -1):
-            if s_op.mats is None:
-                V[d + 1:] += np.multiply(wm[:n_s - d], s_op.factor[2 * d],
-                                         out=buf[:n_s - d])
-            else:
-                sm, ssub, ssup = s_op.apply(2 * d, wm[:n_s - d])
-                V[d + 1:] += sm
-                sub[d + 1:] += ssub
-                sup[d + 1:] += ssup
+            s_op.add(2 * d, wm[:n_s - d], V[d + 1:], sub[d + 1:], sup[d + 1:])
         tn = float(V[-1].sum() + sub[-1] + sup[-1])
         trace.term_norms.append(tn)
         acc += V[-1]

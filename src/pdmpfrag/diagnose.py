@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characteristics import Regime
+from .density import _BOperator
 from .errors import NonConvergent, OutOfRegime
 from .monotone import endpoint_integral, gauss_panels
 from .oracles import mu0
-from .simulate import Estimate, _uniforms, run_chains
+from .simulate import _ABSORBED, Estimate, _uniforms, run_chains
 
 EPS_S = 0.02       # stochastic: all upper CIs below this at the smallest lambda
 EPS_SS = 0.05      # strongly stable: all lower CIs above 1 - this
@@ -72,7 +73,7 @@ def _laplace_weights(spec, lams, x0s, n_iter, *, seed, workers):
     w = np.exp(-lams[:, None, None] * times)
     # absorbed at 0: the checkpoints from the absorbing step on repeat the
     # absorption time; earlier ones lie below it
-    w[:, (status == 3) & (times == times[-1])] = 0.0
+    w[:, (status == _ABSORBED) & (times == times[-1])] = 0.0
     return w
 
 
@@ -117,8 +118,6 @@ def f_lambda_grid(spec, lam, grid, n_iter):
     """
     if spec.regime is not Regime.PURE_JUMP:
         raise OutOfRegime("grid dual iteration is a pure-jump cross-check only")
-    from .density import _BOperator
-
     b_op = _BOperator(spec, grid)
     phi = np.asarray(spec.phi(grid.nodes), dtype=float)
     damp = phi / (lam + phi)

@@ -80,7 +80,6 @@ class MonotoneMap:
     """
 
     direction = +1
-    domain = (0.0, np.inf)
     limit_zero = None
     limit_inf = None
 
@@ -100,12 +99,11 @@ class MonotoneMap:
 class ClosedFormMap(MonotoneMap):
     """Monotone map given by explicit forward/inverse callables."""
 
-    def __init__(self, forward, inverse, direction=+1, domain=(0.0, np.inf),
-                 limit_zero=None, limit_inf=None):
+    def __init__(self, forward, inverse, direction=+1, limit_zero=None,
+                 limit_inf=None):
         self._forward = forward
         self._inverse = inverse
         self.direction = int(direction)
-        self.domain = domain
         self.limit_zero = limit_zero
         self.limit_inf = limit_inf
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristics import _holding
+from .characteristics import _holding, flow
 from .errors import HorizonExceeded, NotADensity
 from .kernels import _clamp_q
 
@@ -218,8 +218,6 @@ def simulate_chain(spec, x0, *, seed, path_id=0, n_max=DEFAULT_N_MAX,
 
 def state_at(traj, spec, t):
     """X(t) along a recorded trajectory; CEMETERY past a possible explosion."""
-    from .characteristics import flow
-
     if t < 0:
         raise ValueError("t must be nonnegative")
     times = traj.jump_times
@@ -342,7 +340,7 @@ def estimate_explosion_cdf(spec, x0, t, n_paths, n_max=DEFAULT_N_MAX, *,
     val_half = float(np.mean(times[cps.index(half)] <= t))
     return Estimate(val, _binomial_se(val, n_paths), n_paths, {
         "n_max": n_max, "value_at_half_budget": val_half,
-        "frac_budget_exhausted": float(np.mean(status == 0)),
+        "frac_budget_exhausted": float(np.mean(status == _RUNNING)),
     })
 
 
@@ -372,5 +370,5 @@ def estimate_survival_mass(spec, u0, t, n_paths, n_max=DEFAULT_N_MAX, *,
     val = float(np.mean(surv))
     return Estimate(val, _binomial_se(val, n_paths), n_paths, {
         "n_max": n_max, "value_at_half_budget": float(np.mean(surv_half)),
-        "frac_budget_exhausted": float(np.mean(status == 0)),
+        "frac_budget_exhausted": float(np.mean(status == _RUNNING)),
     })

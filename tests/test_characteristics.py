@@ -206,12 +206,13 @@ def test_consistency_residual():
                          ids=["closed_form", "tabulated"])
 def test_holding_time_short_segment(tabulated):
     # g = x, phi = 1: the holding time is exactly q, also where the
-    # difference G(x_pre) - G(x) of two numbers near log x loses it
+    # difference G(x_pre) - G(x) of two numbers near log x loses it, and
+    # near G(x) = log x = 0, where x_pre itself is rounded
     rate = (RateSpec(phi=lambda x: np.ones_like(np.asarray(x, float)))
             if tabulated else RateSpec(power=(1.0, 0.0)))
     spec = build_characteristics(
         SemiflowSpec(regime=Regime.GROWTH, power_beta=0.0), rate,
         PowerLawKernel(0.0))
-    for x in (1e4, 1e8):
+    for x in (1.0, 1.0 + 1e-9, 1e4, 1e8):
         for q in (1e-12, 1e-9):
             assert abs(inverse_cumulative_rate(spec, x, q) - q) <= 1e-12 * q

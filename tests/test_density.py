@@ -205,6 +205,28 @@ def test_resolvent_A_growth_pointwise_closed_form():
         assert abs(vals[j] - want) < 5e-3 * closed(2.0)
 
 
+@pytest.mark.parametrize("lam", [0.01, 1.0, 100.0])
+@pytest.mark.parametrize("name,spec", [
+    ("growth", power_model("growth", alpha=0.0, beta=0.0)),
+    ("growth_sqrt", power_model("growth", alpha=-0.5, beta=1.0)),
+    ("decay", power_model("decay", alpha=0.0, beta=-1.0)),
+    ("decay_to_zero", unit_decay_model()),
+])
+def test_resolvent_A_golden_cell_masses(name, spec, lam):
+    # cell masses of the per-cell rescaled scan that the prefix sum replaced
+    # (commit b5fab3f), down to 1e-304, with the same exact zeros
+    want = json.loads((DATA / "resolvent_golden.json").read_text())[f"{name}@{lam:g}"]
+    u = GridDensity.uniform_in_m(LogGrid(1e-4, 1e2, 64), 1.0, 2.0)
+    np.testing.assert_allclose(resolvent_A(spec, lam, u).masses, want,
+                               rtol=1e-11, atol=0.0)
+
+
+def test_resolvent_A_transport_rejects_negative_masses():
+    u = GridDensity(LogGrid(1e-2, 1e2, 16), np.full(16, -1.0))
+    with pytest.raises(ValueError):
+        resolvent_A(power_model("growth", alpha=0.0, beta=0.0), 1.0, u)
+
+
 def test_dyson_phillips_n0_and_bounded_honesty(pure_frag, bounded_pure_jump):
     grid = LogGrid(1e-6, 1e2, 256)
     u = GridDensity.uniform_in_m(grid, 1.0, 2.0)
@@ -384,6 +406,17 @@ def test_transport_S_columns_carry_survival(spec, t):
         np.testing.assert_allclose(cols, want, rtol=0.0, atol=1e-14)
 
 
+def test_diagonal_S_adds_any_stack(pure_frag):
+    # the product scratch grows past the len(ts) rows it starts with
+    grid = LogGrid(1e-4, 1e2, 64)
+    op = _SOperator(pure_frag, grid, [0.5])
+    x = np.random.default_rng(5).random((3, 64))
+    out, none = np.ones_like(x), np.zeros(3)
+    op.add(0, x, out, none, none)
+    assert np.array_equal(out, 1.0 + x * op.factor[0])
+    assert np.array_equal(none, np.zeros(3))
+
+
 def test_transport_S_degenerate_cells(monkeypatch):
     # a zero-width or unbounded destination interval deposits the whole
     # surviving cell mass at its midpoint's destination cell, or in a bucket
@@ -414,5 +447,8 @@ def test_transport_S_degenerate_cells(monkeypatch):
     want = np.zeros_like(x)
     for j in range(6):
         want += mat[:, j] * x[:, j:j + 1]
-    assert np.array_equal(op.apply(0, x)[0], want)
-    assert np.array_equal(op.apply(0, x[0])[0], want[0])
+    for masses, expect in ((x, want), (x[0], want[0])):
+        out = np.zeros_like(masses)
+        op.add(0, masses, out, np.zeros(masses.shape[:-1]),
+               np.zeros(masses.shape[:-1]))
+        assert np.array_equal(out, expect)

@@ -1,6 +1,6 @@
-"""Source hygiene: every import in the library modules is used, every
-random draw goes through one stream, and every holding time through one
-rule."""
+"""Source hygiene: every import in the library modules is used and sits at
+module level, every random draw goes through one stream, every holding time
+through one rule, and only the S operator knows how S is stored."""
 
 import ast
 from pathlib import Path
@@ -32,6 +32,17 @@ def test_every_import_is_used(module):
     assert _unused_imports(SRC / module) == []
 
 
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_imports_at_module_level(module):
+    # no import hides in a function body: none is needed to break a cycle
+    tree = ast.parse((SRC / module).read_text())
+    found = sorted(f"line {inner.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for inner in ast.walk(node)
+                   if isinstance(inner, (ast.Import, ast.ImportFrom)))
+    assert found == []
+
+
 def test_one_draw_path():
     # Philox streams are built by path_rng alone; everything else draws from
     # the stateless simulate._uniforms
@@ -59,4 +70,16 @@ def test_one_holding_rule():
                                 getattr(node, "id", None),
                                 getattr(node, "name", None))
                    if name in banned)
+    assert found == []
+
+
+def test_dyson_phillips_reads_no_S_storage():
+    # dyson_phillips goes through _SOperator.add: it neither reads S's
+    # arrays nor branches on how S is stored
+    tree = ast.parse((SRC / "density.py").read_text())
+    fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == "dyson_phillips")
+    found = sorted(f"{node.attr} (line {node.lineno})" for node in ast.walk(fn)
+                   if isinstance(node, ast.Attribute)
+                   and node.attr in {"factor", "mats", "sub_row", "sup_row"})
     assert found == []
