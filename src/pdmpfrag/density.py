@@ -9,8 +9,12 @@ honest/dishonest distinction this engine must keep visible.
 Operators: the explicit substochastic semigroup S(t), the perturbation
 B u = P(phi u), the resolvent R(lambda, A), the truncated Dyson-Phillips
 expansion, and the truncated resolvent series for R(lambda, C).  Only
-``_SOperator`` knows how S(t) is stored; R(lambda, A) for growth/decay is a
-log-space prefix sum over the cells upstream of each node.
+``_SOperator`` knows how S(t) is stored.  A pure-jump S(t) decays each cell
+by its nodal survival e^{-phi(node) t}, at the same nodal phi at which B
+redistributes mass, so S and B together create none; it also turns each
+Dyson-Phillips level's time convolution into a one-pass recurrence.
+R(lambda, A) for growth/decay is a log-space prefix sum over the cells
+upstream of each node.
 """
 
 from __future__ import annotations
@@ -155,10 +159,12 @@ def _transport(spec, grid, ts):
 class _SOperator:
     """S(t) at each time of the 1-D array ``ts`` on cell masses along the
     trailing axis, with out-of-grid accounting; row r of every array below
-    belongs to ts[r].  Callers go through ``add``.
+    belongs to ts[r].  Callers go through ``add`` and ``convolve``.
 
-    A pure-jump S(t) is the diagonal ``factor`` (T, n), its quadrature done
-    one time at a time so that no (T, n, 15) array is held.  Transport is
+    A pure-jump S(t) is the diagonal ``factor`` (T, n) = e^{-phi(node) t},
+    the nodal survival, so that S takes out of each cell the phi(node)
+    share that B redistributes; a cell-averaged survival took less, and the
+    Dyson-Phillips sum created mass (3.5e-4 for phi = 1/x).  Transport is
     ``mats``, one sparse matrix per time, with bucket rows ``sub_row`` /
     ``sup_row`` (T, n), built in blocks of ~8192 (time, cell) pairs."""
 
@@ -166,13 +172,8 @@ class _SOperator:
         ts = np.asarray(ts, dtype=float)
         self.mats = None
         if spec.regime is Regime.PURE_JUMP:
-            # cell-averaged survival: exact for cellwise-constant densities
-            self.factor = np.stack([gauss_panels(
-                lambda x: np.exp(-np.asarray(spec.phi(x), float) * t) * x,
-                grid.edges[:-1], grid.edges[1:]) for t in ts]) / grid.m_weights
-            # add's product scratch: a fresh temporary per call made
-            # dyson_evolve's median op ~9% slower (2-core Xeon VM)
-            self._prod = np.empty(self.factor.size)
+            self.factor = np.exp(
+                -ts[:, None] * np.asarray(spec.phi(grid.nodes), dtype=float))
             return
         step = max(1, 8192 // grid.n_cells)
         blocks = [_transport(spec, grid, ts[r:r + step])
@@ -186,14 +187,29 @@ class _SOperator:
         and its sub- and super-grid deposits, one per density, into ``sub``
         and ``sup``; a diagonal S deposits nothing."""
         if self.mats is None:
-            if self._prod.size < masses.size:
-                self._prod = np.empty(masses.size)
-            prod = self._prod[:masses.size].reshape(masses.shape)
-            out += np.multiply(masses, self.factor[r], out=prod)
+            out += masses * self.factor[r]
             return
         out += (self.mats[r] @ masses.T).T
         sub += masses @ self.sub_row[r]
         sup += masses @ self.sup_row[r]
+
+    def convolve(self, wm, out, sub, sup):
+        """Add sum_{j<k} S((k-j-1/2) h) wm[j] into out[k-1], k = 1..len(wm),
+        with its deposits into sub[k-1] / sup[k-1], for ts the half steps
+        j h/2, j = 1, 2, ...  A diagonal S is e^{-phi t} per cell, so the sum
+        is the recurrence v[k] = e^{-phi h} v[k-1] + e^{-phi h/2} wm[k]:
+        O(n) per k.  Transport adds each lag d = k-j-1 to a block of rows."""
+        n_s = len(wm)
+        if self.mats is None:
+            v = wm * self.factor[0]
+            for k in range(1, n_s):
+                v[k] += v[k - 1] * self.factor[1]
+            out += v
+            return
+        # lags in decreasing order add each row's sources j = 0, 1, ... in
+        # turn
+        for d in range(n_s - 1, -1, -1):
+            self.add(2 * d, wm[:n_s - d], out[d:], sub[d:], sup[d:])
 
 
 def apply_S(spec, t, u: GridDensity) -> GridDensity:
@@ -218,14 +234,17 @@ class _BOperator:
             raise NoDensity("spec has no jump kernel")
         n = grid.n_cells
         self.phi = np.asarray(spec.phi(grid.nodes), dtype=float)
-        cols = np.empty((n, n))
-        sub = np.empty(n)
-        for j, y in enumerate(grid.nodes):
-            cdf = np.asarray(spec.kernel.fragment_cdf(y, grid.edges), dtype=float)
-            cols[:, j] = np.diff(cdf)
-            sub[j] = cdf[0]
-        self.frac = cols
-        self.sub_row = sub
+        self.frac = np.empty((n, n))
+        self.sub_row = np.empty(n)
+        # column j is parent node j's CDF at every edge, differenced; blocks
+        # of ~2^14 (edge, node) pairs bound a tabulated kernel's Gauss points
+        # (15 per pair); 2^16 made HomogeneousKernel slower at n = 1024
+        step = max(1, 2 ** 14 // (n + 1))
+        for j in range(0, n, step):
+            cdf = np.asarray(spec.kernel.fragment_cdf(
+                grid.nodes[j:j + step], grid.edges[:, None]), dtype=float)
+            self.frac[:, j:j + step] = np.diff(cdf, axis=0)
+            self.sub_row[j:j + step] = cdf[0]
 
     def apply(self, masses):
         """B on one density (n,) or a stack (..., n): (masses, sub deposits)."""
@@ -306,10 +325,11 @@ def dyson_phillips(spec, t, u: GridDensity, N=60, n_s=64):
     average of B S_n u over [s_j, s_{j+1}].  Every S factor acts over a time
     >= h/2, which keeps the recursion stable where the jump rate is stiff
     (phi * h >> 1); a trapezoid rule would apply the unbounded B at s = t
-    without any survival damping and diverge.  The operator depends only on
-    the lag d = k-j-1, so a level costs one B product on the whole stack and
-    one application of each S((d+1/2) h) to the block Wbar[:n_s-d]: O(n n_s^2)
-    multiply-adds for a diagonal S, O(nnz n_s^2) for transport.  All the S
+    without any survival damping and diverge.  A level costs one B product
+    on the whole stack and one ``_SOperator.convolve``: for a diagonal S a
+    recurrence over k, O(n n_s) multiply-adds; for transport, whose operator
+    depends only on the lag d = k-j-1, one application of each
+    S((d+1/2) h) to the block Wbar[:n_s-d], O(nnz n_s^2).  All the S
     factors, at the 2 n_s half steps j h/2, are built once per call, in one
     ``_SOperator``, before the first level.
 
@@ -355,10 +375,7 @@ def dyson_phillips(spec, t, u: GridDensity, N=60, n_s=64):
         sub = np.zeros(n_s + 1)
         sup = np.zeros(n_s + 1)
         sub[1:] = np.cumsum((0.5 * h) * (bsub[:-1] + bsub[1:]))
-        # lags in decreasing order add each row's sources j = 0, 1, ... in
-        # turn
-        for d in range(n_s - 1, -1, -1):
-            s_op.add(2 * d, wm[:n_s - d], V[d + 1:], sub[d + 1:], sup[d + 1:])
+        s_op.convolve(wm, V[1:], sub[1:], sup[1:])
         tn = float(V[-1].sum() + sub[-1] + sup[-1])
         trace.term_norms.append(tn)
         acc += V[-1]

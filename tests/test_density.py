@@ -11,6 +11,7 @@ from scipy.integrate import quad
 
 from pdmpfrag import (
     GridDensity,
+    HomogeneousKernel,
     LogGrid,
     NoDensity,
     PowerLawKernel,
@@ -25,7 +26,7 @@ from pdmpfrag import (
     resolvent_A,
     resolvent_series,
 )
-from pdmpfrag.density import _SOperator
+from pdmpfrag.density import _BOperator, _SOperator
 from pdmpfrag.oracles import TauOracle, exact_mass
 from conftest import aligned_grid, power_model, unit_decay_model
 
@@ -76,13 +77,21 @@ def test_apply_S_identity_and_diag(pure_frag):
 
 def test_apply_S_mass_vs_quadrature(pure_frag):
     # mass after S(1) on the uniform [1,2] density: int (2/3) e^{-1/x} x dx,
-    # independent adaptive quadrature, to 1e-8 (cells aligned with [1,2])
-    grid = aligned_grid()
-    u = GridDensity.uniform_in_m(grid, 1.0, 2.0)
-    ut = apply_S(pure_frag, 1.0, u)
+    # independent adaptive quadrature, to 1e-8 (cells aligned with [1,2]).
+    # S decays each cell by its nodal survival e^{-phi(node) t}: a midpoint
+    # rule, second order in the cell width, whose error is negative (S loses
+    # at least the true mass); Richardson on 16 and 32 cells per octave
     want, _ = quad(lambda x: (2.0 / 3.0) * math.exp(-1.0 / x) * x, 1.0, 2.0,
                    epsabs=1e-13, epsrel=1e-13)
-    assert abs(ut.grid_mass - want) < 1e-8
+    err = {}
+    for per_octave in (8, 16, 32, 64):
+        grid = LogGrid(2.0 ** -20, 2.0 ** 7, 27 * per_octave)
+        u = GridDensity.uniform_in_m(grid, 1.0, 2.0)
+        err[per_octave] = apply_S(pure_frag, 1.0, u).grid_mass - want
+    assert all(e < 0 for e in err.values())
+    for coarse in (8, 16, 32):
+        assert abs(err[coarse] / err[2 * coarse] - 4.0) < 0.05
+    assert abs((4.0 * err[32] - err[16]) / 3.0) < 1e-8
 
 
 def test_apply_S_growth_pushforward():
@@ -376,10 +385,12 @@ def test_dyson_builds_each_operator_once(monkeypatch, pure_frag):
 ])
 def test_dyson_golden_grid_masses(name, spec):
     # grid masses of the element-by-element convolution this engine replaced
-    # (commit 8c82c92) for the first three models; the last three, where w =
-    # G(x) is not uniform on the grid, Q is tabulated or the orbit reaches 0,
-    # were recorded when S(t) was still built once per time (commit 512798c).
-    # N = 3 stops every case on the budget, not on the tail rule
+    # (commit 8c82c92) for growth and decay; the three models where w = G(x)
+    # is not uniform on the grid, Q is tabulated or the orbit reaches 0 were
+    # recorded when S(t) was still built once per time (commit 512798c);
+    # pure_frag, with the nodal survival, from the direct lag sum of
+    # _SOperator.add that the pure-jump recurrence replaced.  N = 3 stops
+    # every case on the budget, not on the tail rule
     want = json.loads((DATA / "dyson_golden.json").read_text())[name]
     u = GridDensity.uniform_in_m(LogGrid(1e-4, 1e2, 64), 1.0, 2.0)
     res, tr = dyson_phillips(spec, 1.0, u, N=3, n_s=16)
@@ -407,7 +418,7 @@ def test_transport_S_columns_carry_survival(spec, t):
 
 
 def test_diagonal_S_adds_any_stack(pure_frag):
-    # the product scratch grows past the len(ts) rows it starts with
+    # a stack taller than the len(ts) rows of the operator, no deposits
     grid = LogGrid(1e-4, 1e2, 64)
     op = _SOperator(pure_frag, grid, [0.5])
     x = np.random.default_rng(5).random((3, 64))
@@ -415,6 +426,74 @@ def test_diagonal_S_adds_any_stack(pure_frag):
     op.add(0, x, out, none, none)
     assert np.array_equal(out, 1.0 + x * op.factor[0])
     assert np.array_equal(none, np.zeros(3))
+
+
+def _lag_sum(op, wm):
+    # the direct convolution: sum_{j<k} S((k-j-1/2) h) wm[j] into row k-1,
+    # one add per lag d = k-j-1, on ts the half steps j h/2
+    n_s = len(wm)
+    out, sub, sup = np.zeros_like(wm), np.zeros(n_s), np.zeros(n_s)
+    for d in range(n_s - 1, -1, -1):
+        op.add(2 * d, wm[:n_s - d], out[d:], sub[d:], sup[d:])
+    return out, sub, sup
+
+
+def _convolved(op, wm):
+    out, sub, sup = np.zeros_like(wm), np.zeros(len(wm)), np.zeros(len(wm))
+    op.convolve(wm, out, sub, sup)
+    return out, sub, sup
+
+
+def test_diagonal_S_convolve_matches_lag_sum(pure_frag):
+    # the pure-jump recurrence against the direct sum, where phi h reaches
+    # 1.6e4 (x = 1e-6) and e^{-phi h} underflows; some cells get no source
+    grid = LogGrid(1e-6, 1e2, 256)
+    n_s, h = 64, 1.0 / 64
+    op = _SOperator(pure_frag, grid, np.arange(1, 2 * n_s + 1) * (0.5 * h))
+    rng = np.random.default_rng(11)
+    wm = rng.random((n_s, grid.n_cells))
+    wm[:, rng.random(grid.n_cells) < 0.2] = 0.0
+    want, _, _ = _lag_sum(op, wm)
+    got, sub, sup = _convolved(op, wm)
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert np.all(got >= 0.0)
+    nz = want != 0.0
+    assert np.max(np.abs(got[nz] - want[nz]) / want[nz]) <= 1e-12
+    assert not sub.any() and not sup.any()
+
+
+def test_transport_S_convolve_is_lag_sum():
+    spec = power_model("growth", alpha=0.0, beta=0.0)
+    grid = LogGrid(1e-4, 1e2, 64)
+    n_s, h = 16, 1.0 / 16
+    op = _SOperator(spec, grid, np.arange(1, 2 * n_s + 1) * (0.5 * h))
+    wm = np.random.default_rng(12).random((n_s, grid.n_cells))
+    for got, want in zip(_convolved(op, wm), _lag_sum(op, wm)):
+        assert np.array_equal(got, want)
+
+
+def _b_columns(spec, grid):
+    # one parent node at a time: fragment_cdf at every edge, differenced
+    cols = [np.asarray(spec.kernel.fragment_cdf(y, grid.edges), dtype=float)
+            for y in grid.nodes]
+    frac = np.stack([np.diff(c) for c in cols], axis=1)
+    return frac, np.array([c[0] for c in cols])
+
+
+@pytest.mark.parametrize("kernel", [
+    PowerLawKernel(0.0), PowerLawKernel(1.0),
+    HomogeneousKernel(lambda z: 3.0 * np.asarray(z, float)),
+], ids=["power0", "power1", "homogeneous"])
+def test_B_build_matches_per_column_loop(kernel):
+    # the blocked build of B is the per-node loop, bit for bit; 300 cells
+    # make the tabulated kernel's blocks uneven
+    spec = build_characteristics(SemiflowSpec(regime=Regime.PURE_JUMP),
+                                 RateSpec(power=(1.0, -1.0)), kernel)
+    grid = LogGrid(1e-4, 1e2, 300)
+    frac, sub_row = _b_columns(spec, grid)
+    b_op = _BOperator(spec, grid)
+    assert np.array_equal(b_op.frac, frac)
+    assert np.array_equal(b_op.sub_row, sub_row)
 
 
 def test_transport_S_degenerate_cells(monkeypatch):
