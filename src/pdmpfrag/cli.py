@@ -242,7 +242,8 @@ def _action_evolve(cfg, spec, out, seed, workers):
             except OutOfRegime:
                 pass
         rows.append((float(t), res.total_mass, res.grid_mass,
-                     res.sub_grid_mass, res.super_grid_mass, oracle_val, tol,
+                     res.sub_grid_mass, res.super_grid_mass,
+                     u0.total_mass - res.total_mass, oracle_val, tol,
                      len(trace.term_norms), float(trace.term_norms[-1]),
                      int(trace.converged)))
         files.append(_write_csv(
@@ -250,8 +251,8 @@ def _action_evolve(cfg, spec, out, seed, workers):
             list(zip(map(float, grid.nodes), map(float, res.masses)))))
     files.append(_write_csv(
         out, "mass_vs_t.csv",
-        "t,mass_total,mass_grid,sub_grid,super_grid,oracle,tolerance,"
-        "n_terms,tail,converged", rows))
+        "t,mass_total,mass_grid,sub_grid,super_grid,unaccounted,oracle,"
+        "tolerance,n_terms,tail,converged", rows))
     if budget_hit:
         raise NumericalError("Dyson-Phillips expansion hit the term budget "
                              "before the tail criterion")
@@ -270,7 +271,12 @@ def _action_classify(cfg, spec, out, seed, workers):
     ev_path = Path(out) / "evidence.csv"
     mc.to_csv(ev_path)
     files.append(ev_path)
-    rows = [("MonteCarloLaplace", mc.verdict.value, mc.notes)]
+    # the Monte Carlo verdict's thresholds and deciding extremes; the closed
+    # form table has none
+    keys = tuple(mc.decision)
+    nan = (float("nan"),) * len(keys)
+    rows = [("MonteCarloLaplace", mc.verdict.value,
+             tuple(mc.decision.values()), mc.notes)]
     power, beta, kernel = spec.rate.power, spec.semiflow.power_beta, spec.kernel
     if power is not None and beta is not None and \
             isinstance(kernel, PowerLawKernel):
@@ -278,11 +284,12 @@ def _action_classify(cfg, spec, out, seed, workers):
         try:
             cf = classify_power_family(power[1], beta, power[0], kernel.h,
                                        regime=regime)
-            rows.append(("ClosedFormTable", cf.verdict.value, cf.notes))
+            rows.append(("ClosedFormTable", cf.verdict.value, nan, cf.notes))
         except OutOfRegime as exc:
-            rows.append(("ClosedFormTable", "OutOfRegime", str(exc)))
-    files.append(_write_csv(out, "verdict.csv", "method,verdict,notes",
-                            [(m, v, '"' + n + '"') for m, v, n in rows]))
+            rows.append(("ClosedFormTable", "OutOfRegime", nan, str(exc)))
+    files.append(_write_csv(
+        out, "verdict.csv", ",".join(("method", "verdict") + keys + ("notes",)),
+        [(m, v, *d, '"' + n + '"') for m, v, d, n in rows]))
     return files
 
 

@@ -2,9 +2,12 @@
 
 Densities are stored as per-cell masses w.r.t. m(dx) = x dx on a log-spaced
 grid (conservative discretization).  Mass leaving the grid is tracked in
-sub/super-grid buckets, never renormalized away: the sub-grid bucket is the
-numerical proxy for mass shattered to zero size, which is exactly the
-honest/dishonest distinction this engine must keep visible.
+sub/super-grid buckets, never renormalized away.  The sub-grid bucket holds
+what transport carries below x_min and what B sends there; it is not the
+mass shattered to zero size.  Under the grid generator exp(tM) of pure
+jump it would be, but the truncated Dyson-Phillips sum drains the stiff
+cells (phi h >> 1) without a record: for phi = 1/x at t = 4 about 0.49 of
+the mass shatters, and the bucket holds 1.8e-9 of it at n_s = 64.
 
 Operators: the explicit substochastic semigroup S(t), the perturbation
 B u = P(phi u), the resolvent R(lambda, A), the truncated Dyson-Phillips
@@ -12,13 +15,15 @@ expansion, and the truncated resolvent series for R(lambda, C).  Only
 ``_SOperator`` knows how S(t) is stored.  A pure-jump S(t) decays each cell
 by its nodal survival e^{-phi(node) t}, at the same nodal phi at which B
 redistributes mass, so S and B together create none; it also turns each
-Dyson-Phillips level's time convolution into a one-pass recurrence.
+Dyson-Phillips level's time convolution into a recurrence, O(n n_s) work
+in about 4 sqrt(n_s) array operations, as a blocked scan.
 R(lambda, A) for growth/decay is a log-space prefix sum over the cells
 upstream of each node.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,7 +171,9 @@ class _SOperator:
     share that B redistributes; a cell-averaged survival took less, and the
     Dyson-Phillips sum created mass (3.5e-4 for phi = 1/x).  Transport is
     ``mats``, one sparse matrix per time, with bucket rows ``sub_row`` /
-    ``sup_row`` (T, n), built in blocks of ~8192 (time, cell) pairs."""
+    ``sup_row`` (T, n), built in blocks of ~8192 (time, cell) pairs.  A
+    diagonal S convolves a Dyson-Phillips level in O(n n_s) work and about
+    4 sqrt(n_s) array operations."""
 
     def __init__(self, spec, grid, ts):
         ts = np.asarray(ts, dtype=float)
@@ -196,18 +203,33 @@ class _SOperator:
     def convolve(self, wm, out, sub, sup):
         """Add sum_{j<k} S((k-j-1/2) h) wm[j] into out[k-1], k = 1..len(wm),
         with its deposits into sub[k-1] / sup[k-1], for ts the half steps
-        j h/2, j = 1, 2, ...  A diagonal S is e^{-phi t} per cell, so the sum
-        is the recurrence v[k] = e^{-phi h} v[k-1] + e^{-phi h/2} wm[k]:
-        O(n) per k.  Transport adds each lag d = k-j-1 to a block of rows."""
+        j h/2, j = 1, ..., 2 len(wm).  A diagonal S is e^{-phi t} per cell,
+        so the sum is the recurrence v[k] = e^{-phi h} v[k-1] +
+        e^{-phi h/2} wm[k], run as a blocked scan (Blelloch 1990): blocks of
+        b = round(sqrt(n_s)) rows scan all at once, then each block's last
+        row carries into the next.  That is O(n n_s) work in about
+        4 sqrt(n_s) array operations.  Transport adds each lag d = k-j-1 to
+        a block of rows."""
         n_s = len(wm)
         if self.mats is None:
-            v = wm * self.factor[0]
-            for k in range(1, n_s):
-                v[k] += v[k - 1] * self.factor[1]
-            out += v
+            # row 2m+1 of factor, e^{-phi (m+1) h}, carries a block's last
+            # row into row m of the next; the zero-padded rows are dropped
+            b = round(math.sqrt(n_s))
+            nb = -(-n_s // b)
+            v = np.zeros((nb * b, wm.shape[1]))
+            np.multiply(wm, self.factor[0], out=v[:n_s])
+            vb = v.reshape(nb, b, -1)
+            for m in range(1, b):
+                vb[:, m] += vb[:, m - 1] * self.factor[1]
+            carry = self.factor[1:2 * b:2]
+            for k in range(1, nb):
+                vb[k] += vb[k - 1, -1] * carry
+            out += v[:n_s]
             return
         # lags in decreasing order add each row's sources j = 0, 1, ... in
-        # turn
+        # turn; the sparse products read each block wm[:n_s-d].T, whose
+        # rows F order keeps contiguous (6% of a level at n = 256)
+        wm = np.asfortranarray(wm)
         for d in range(n_s - 1, -1, -1):
             self.add(2 * d, wm[:n_s - d], out[d:], sub[d:], sup[d:])
 
@@ -249,7 +271,9 @@ class _BOperator:
     def apply(self, masses):
         """B on one density (n,) or a stack (..., n): (masses, sub deposits)."""
         inflow = masses * self.phi
-        return (self.frac @ inflow.T).T, inflow @ self.sub_row
+        # a C-order stack: the row averages of a Dyson-Phillips level read
+        # it faster than the transposed view (frac @ inflow.T).T, same bits
+        return inflow @ self.frac.T, inflow @ self.sub_row
 
 
 def apply_B(spec, u: GridDensity) -> GridDensity:
@@ -327,7 +351,8 @@ def dyson_phillips(spec, t, u: GridDensity, N=60, n_s=64):
     (phi * h >> 1); a trapezoid rule would apply the unbounded B at s = t
     without any survival damping and diverge.  A level costs one B product
     on the whole stack and one ``_SOperator.convolve``: for a diagonal S a
-    recurrence over k, O(n n_s) multiply-adds; for transport, whose operator
+    recurrence over k, O(n n_s) multiply-adds in about 4 sqrt(n_s) array
+    operations (a blocked scan); for transport, whose operator
     depends only on the lag d = k-j-1, one application of each
     S((d+1/2) h) to the block Wbar[:n_s-d], O(nnz n_s^2).  All the S
     factors, at the 2 n_s half steps j h/2, are built once per call, in one

@@ -44,6 +44,9 @@ class Classification:
     evidence: list = field(default_factory=list)
     method: str = "MonteCarloLaplace"
     notes: str = ""
+    # the thresholds and the extremes of the evidence that decided the
+    # verdict; empty for the closed-form table
+    decision: dict = field(default_factory=dict)
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -177,18 +180,22 @@ def classify(spec, lam_grid=DEFAULT_LAMBDAS, probe_grid=None, budgets=None,
         evidence += [{"lam": e.diagnostics["lambda"], "x": e.diagnostics["x"],
                       "f_hat": e.value, "se": e.std_error, "n_iter": n_iter,
                       "half_gap": e.diagnostics["half_gap"]} for e in last]
-    upper = np.array([e.value + 3.0 * e.std_error for e in last])
-    lower = np.array([e.value - 3.0 * e.std_error for e in last])
-    gaps = np.array([e.diagnostics["half_gap"] for e in last])
-    if float(np.max(upper)) < EPS_S:
+    decision = {
+        "eps_s": EPS_S, "eps_ss": EPS_SS, "eps_conv": EPS_CONV,
+        "max_upper_ci": max(e.value + 3.0 * e.std_error for e in last),
+        "min_lower_ci": min(e.value - 3.0 * e.std_error for e in last),
+        "max_half_gap": max(e.diagnostics["half_gap"] for e in last)}
+    if decision["max_upper_ci"] < EPS_S:
         verdict = Verdict.STOCHASTIC
-    elif float(np.min(lower)) > 1.0 - EPS_SS and float(np.max(gaps)) < EPS_CONV:
+    elif decision["min_lower_ci"] > 1.0 - EPS_SS and \
+            decision["max_half_gap"] < EPS_CONV:
         verdict = Verdict.STRONGLY_STABLE
     else:
         verdict = Verdict.INCONCLUSIVE
     note = (f"smallest-lambda policy: verdict from lambda={lam_grid[-1]:g}; "
             f"eps_s={EPS_S:g}, eps_ss={EPS_SS:g}, eps_conv={EPS_CONV:g}")
-    return Classification(verdict, evidence, "MonteCarloLaplace", note)
+    return Classification(verdict, evidence, "MonteCarloLaplace", note,
+                          decision)
 
 
 # -- embedded jump chain ------------------------------------------------------

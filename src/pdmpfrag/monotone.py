@@ -125,10 +125,13 @@ class TabulatedIntegralMap(MonotoneMap):
     Between nodes the forward map is evaluated exactly (cached table value
     plus a Gauss panel over the remainder), so its accuracy is that of the
     quadrature, not of an interpolant.  The table ``cumvals`` accumulates
-    the cell integrals up from the lower domain edge, except for maps
-    anchored at +inf, where it accumulates them down from the upper edge:
-    there V is small, and a sum of small terms keeps the relative precision
-    that a difference of two numbers near the whole integral would lose.
+    the cell integrals away from the anchor: up from the lower domain edge
+    for anchor 0, down from the upper edge for anchor +inf, and outward both
+    ways from the anchor's cell for a ``from_below`` map with an interior
+    anchor.  Near the anchor V is small, and a sum of small terms keeps the
+    relative precision that a difference of two numbers near the whole
+    integral would lose.  A ``from_above`` map with an interior anchor still
+    takes the table from the lower edge minus its value at the anchor.
     The generalized inverse is a safeguarded Newton iteration in log x
     within one grid cell.
     """
@@ -155,27 +158,39 @@ class TabulatedIntegralMap(MonotoneMap):
                 anchor = 0.0 if self._head_ok else 1.0
             else:
                 anchor = np.inf if self._tail_ok else 1.0
-        # +1: cumvals[i] = int_{nodes[0]}^{nodes[i]} f;
-        # -1: cumvals[i] = int_{nodes[i]}^{nodes[-1]} f; V = sign * cum + const
+        # anchor 0: cumvals[i] = int_{nodes[0]}^{nodes[i]} f, table_dir +1;
+        # anchor inf: cumvals[i] = int_{nodes[i]}^{nodes[-1]} f, table_dir -1;
+        # from_below, anchor x0: cumvals[i] = int_{x0}^{nodes[i]} f, +1;
+        # from_above, anchor x0: as for anchor 0; V = sign * cum + const
         self._table_dir = -1 if anchor == np.inf else +1
         self._sign = float(self.direction * self._table_dir)
-        if self._table_dir > 0:
-            self.cumvals = np.concatenate([[0.0], np.cumsum(cells)])
-        else:
-            self.cumvals = np.concatenate([np.cumsum(cells[::-1])[::-1], [0.0]])
         if anchor == 0.0:
             if not self._head_ok:
                 raise NonIntegrableRate("integrand not integrable at 0")
             if orientation == "from_above":
                 raise ValueError("anchor 0 invalid for from_above maps")
+            self.cumvals = np.concatenate([[0.0], np.cumsum(cells)])
             const = self._head
         elif anchor == np.inf:
             if orientation == "from_below":
                 raise ValueError("anchor inf invalid for from_below maps")
             if not self._tail_ok:
                 raise NonIntegrableRate("integrand not integrable at infinity")
+            self.cumvals = np.concatenate([np.cumsum(cells[::-1])[::-1], [0.0]])
             const = self._tail
+        elif orientation == "from_below":
+            # outward from x0's cell [nodes[k], nodes[k+1]], both ways
+            x0 = float(anchor)
+            k = int(np.clip(np.searchsorted(self.nodes, x0, side="right") - 1,
+                            0, len(cells) - 1))
+            below = gauss_panels(integrand, self.nodes[k], x0)
+            above = gauss_panels(integrand, x0, self.nodes[k + 1])
+            self.cumvals = np.concatenate([
+                -np.cumsum(np.append(below, cells[:k][::-1]))[::-1],
+                np.cumsum(np.append(above, cells[k + 1:]))])
+            const = 0.0
         else:
+            self.cumvals = np.concatenate([[0.0], np.cumsum(cells)])
             const = -self._sign * self._cum(np.array([float(anchor)]))[0]
         self.anchor = anchor
         self._const = float(const)

@@ -10,8 +10,16 @@ import pytest
 import scipy
 from click.testing import CliRunner
 
-from pdmpfrag import estimate_explosion_cdf
+from pdmpfrag import (
+    GridDensity,
+    LogGrid,
+    TauOracle,
+    dyson_phillips,
+    estimate_explosion_cdf,
+    exact_mass,
+)
 from pdmpfrag.cli import build_model, load_config, main
+from pdmpfrag.diagnose import EPS_CONV, EPS_S, EPS_SS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -97,6 +105,37 @@ def test_evolve_mass_vs_t_telemetry(tmp_path):
         assert converged == "1"
 
 
+def test_evolve_unaccounted_column(tmp_path):
+    # unaccounted = ||u0|| - mass_total, in every regime; the other columns
+    # keep their names, order and bytes: each mass is the repr of what
+    # dyson_phillips returns
+    out = tmp_path / "ev"
+    res = _run(["evolve", "-c", str(CONFIGS / "evolve.yaml"), "-o", str(out)])
+    assert res.exit_code == 0, res.output
+    lines = (out / "mass_vs_t.csv").read_text().strip().splitlines()
+    header = lines[0].split(",")
+    assert header.pop(5) == "unaccounted"
+    assert header == ["t", "mass_total", "mass_grid", "sub_grid", "super_grid",
+                      "oracle", "tolerance", "n_terms", "tail", "converged"]
+    cfg = load_config(CONFIGS / "evolve.yaml")
+    spec, num = build_model(cfg), cfg["numeric"]
+    u0 = GridDensity.uniform_in_m(LogGrid(**num["grid"]), num["u0"]["lo"],
+                                  num["u0"]["hi"])
+    for line in lines[1:]:
+        cols = line.split(",")
+        unaccounted = float(cols.pop(5))
+        t = float(cols[0])
+        got, trace = dyson_phillips(spec, t, u0, **num["dyson"])
+        assert cols[:5] == [repr(float(v)) for v in (
+            t, got.total_mass, got.grid_mass, got.sub_grid_mass,
+            got.super_grid_mass)]
+        assert cols[5] == repr(exact_mass(TauOracle(nu=0.0, gamma=1.0, a=1.0),
+                                          t, u0))
+        assert cols[6:] == [repr(num["tolerance"]), str(len(trace.term_norms)),
+                            repr(float(trace.term_norms[-1])), "1"]
+        assert unaccounted == u0.total_mass - got.total_mass
+
+
 def test_simulate_oracle_column_agrees(tmp_path):
     out = tmp_path / "sim"
     res = _run(["simulate", "-c", str(CONFIGS / "simulate.yaml"),
@@ -138,6 +177,22 @@ def test_classify_verdicts_agree(tmp_path):
     rows = dict(line.split(",")[:2] for line in lines[1:])
     assert rows["MonteCarloLaplace"] == "Stochastic"
     assert rows["ClosedFormTable"] == "Stochastic"
+    # the thresholds and the extremes that decided the Monte Carlo verdict,
+    # those of the evidence rows at the smallest lambda; none for the table
+    assert lines[0] == ("method,verdict,eps_s,eps_ss,eps_conv,max_upper_ci,"
+                        "min_lower_ci,max_half_gap,notes")
+    values = {line.split(",")[0]: [float(v) for v in line.split(",")[2:8]]
+              for line in lines[1:]}
+    assert values["MonteCarloLaplace"][:3] == [EPS_S, EPS_SS, EPS_CONV]
+    ev = np.loadtxt(out / "evidence.csv", delimiter=",", skiprows=1)
+    last = ev[ev[:, 0] == ev[:, 0].min()]
+    np.testing.assert_allclose(
+        values["MonteCarloLaplace"][3:],
+        [np.max(last[:, 2] + 3.0 * last[:, 3]),
+         np.min(last[:, 2] - 3.0 * last[:, 3]), np.max(last[:, 5])],
+        rtol=1e-8)
+    assert values["MonteCarloLaplace"][3] < EPS_S
+    assert np.all(np.isnan(values["ClosedFormTable"]))
 
 
 def test_missing_config_exit_2(tmp_path):

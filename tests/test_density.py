@@ -355,6 +355,20 @@ def test_dyson_honest_conservation(bounded_pure_jump):
     assert abs(tot[64] - 1.0) <= abs(tot[64] - tot[32])
 
 
+@pytest.mark.xfail(strict=True, reason="the sub-grid row of _transport "
+                   "discounts mass leaving the grid by the whole-step survival")
+def test_dyson_honest_decay_conservation():
+    # decay g = x^2 with phi = 1 is honest: grid mass plus buckets stays
+    # ||u|| = 1 up to the time-quadrature error that doubling n_s exposes.
+    # On this coarse grid the sub-grid bucket takes 0.61 of the mass, and
+    # 5.4% goes missing at every n_s
+    spec = power_model("decay", alpha=0.0, beta=-1.0)
+    u = GridDensity.uniform_in_m(LogGrid(1e-1, 1e2, 192), 1.0, 2.0)
+    tot = {n_s: dyson_phillips(spec, 4.0, u, N=60, n_s=n_s)[0].total_mass
+           for n_s in (64, 128)}
+    assert abs(tot[128] - u.total_mass) <= abs(tot[128] - tot[64])
+
+
 def test_dyson_builds_each_operator_once(monkeypatch, pure_frag):
     # one S for all 2 n_s half-step times and one B per call, in both the
     # diagonal and the transport regime
@@ -444,11 +458,14 @@ def _convolved(op, wm):
     return out, sub, sup
 
 
-def test_diagonal_S_convolve_matches_lag_sum(pure_frag):
+@pytest.mark.parametrize("n_s", [1, 2, 5, 64, 127, 128])
+def test_diagonal_S_convolve_matches_lag_sum(pure_frag, n_s):
     # the pure-jump recurrence against the direct sum, where phi h reaches
-    # 1.6e4 (x = 1e-6) and e^{-phi h} underflows; some cells get no source
+    # 1.6e4 (x = 1e-6, n_s = 64) and e^{-phi h} underflows; some cells get
+    # no source.  Blocks of round(sqrt(n_s)) rows: n_s = 64 fills 8 blocks,
+    # 5, 127 and 128 pad the last block, 1 and 2 run blocks of one row
     grid = LogGrid(1e-6, 1e2, 256)
-    n_s, h = 64, 1.0 / 64
+    h = 1.0 / n_s
     op = _SOperator(pure_frag, grid, np.arange(1, 2 * n_s + 1) * (0.5 * h))
     rng = np.random.default_rng(11)
     wm = rng.random((n_s, grid.n_cells))
@@ -468,7 +485,11 @@ def test_transport_S_convolve_is_lag_sum():
     n_s, h = 16, 1.0 / 16
     op = _SOperator(spec, grid, np.arange(1, 2 * n_s + 1) * (0.5 * h))
     wm = np.random.default_rng(12).random((n_s, grid.n_cells))
-    for got, want in zip(_convolved(op, wm), _lag_sum(op, wm)):
+    # convolve runs the lag loop on wm in F order, where the sparse products
+    # read contiguous rows; the bucket products' bits depend on the layout,
+    # so the reference runs on the same F-order copy
+    want = _lag_sum(op, np.asfortranarray(wm))
+    for got, want in zip(_convolved(op, wm), want):
         assert np.array_equal(got, want)
 
 

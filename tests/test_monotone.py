@@ -80,6 +80,19 @@ def test_from_above_keeps_relative_precision_where_small():
     assert np.all(np.abs(m.inverse(v) - xs) <= 1e-12 * xs)
 
 
+def test_from_below_interior_anchor_keeps_relative_precision():
+    # f = x^-2 diverges at 0, so the map is anchored at 1: V(x) = 1 - 1/x.
+    # Summed from the lower edge the table would hold ~1e9 near x = 1, and
+    # V(1.0001) and the inverse near V = 1 would keep no relative precision
+    m = TabulatedIntegralMap(lambda x: _arr(x) ** -2.0)
+    assert m.anchor == 1.0
+    x = np.array([1.0001])
+    want = (x - 1.0) / x
+    assert np.all(np.abs(m(x) - want) <= 1e-12 * want)
+    xs = np.array([1e2, 1e4, 1e6])
+    assert np.all(np.abs(m.inverse(m(xs)) - xs) <= 1e-9 * xs)
+
+
 def test_anchor_zero_requires_integrability():
     with pytest.raises(NonIntegrableRate):
         TabulatedIntegralMap(lambda x: 1.0 / x, orientation="from_below",
