@@ -133,7 +133,10 @@ class TabulatedIntegralMap(MonotoneMap):
     integral would lose.  A ``from_above`` map with an interior anchor still
     takes the table from the lower edge minus its value at the anchor.
     The generalized inverse is a safeguarded Newton iteration in log x
-    within one grid cell.
+    within one grid cell, started from a cubic Hermite interpolant of the
+    cell's inverse: the log-x fraction as a function of the integral
+    fraction, whose end slopes come from one integrand value per node.  Its
+    coefficients and the sorted table keys are built once per map.
     """
 
     def __init__(self, integrand, *, orientation="from_below", anchor="auto",
@@ -202,6 +205,22 @@ class TabulatedIntegralMap(MonotoneMap):
         self.limit_zero = self._sign * (self.cumvals[0] - td * head) + self._const
         self.limit_inf = self._sign * (self.cumvals[-1] + td * tail) + self._const
 
+        # inverse's tables: the sorted keys td * cumvals, and per cell the
+        # cubic r = s (c1 + s (c2 + s c3)) of the start, with end slopes
+        # dr/ds = cell / (f(node) node dlog); slope 1 (r = s) where either
+        # end slope is 0 or not finite
+        self._keys = td * self.cumvals
+        width = np.diff(self._keys)
+        fn = np.asarray(integrand(self.nodes), dtype=float) * self.nodes
+        dlog = np.log(self.nodes[1:] / self.nodes[:-1])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            m0 = width / (fn[:-1] * dlog)
+            m1 = width / (fn[1:] * dlog)
+        hermite = (m0 > 0) & (m1 > 0) & np.isfinite(m0) & np.isfinite(m1)
+        m0 = np.where(hermite, m0, 1.0)
+        m1 = np.where(hermite, m1, 1.0)
+        self._start = np.stack([m0, 3.0 - 2.0 * m0 - m1, m0 + m1 - 2.0])
+
     # -- forward ---------------------------------------------------------
     def _cum(self, x):
         """Table value at x, exact per point (cached node value plus a panel
@@ -225,8 +244,15 @@ class TabulatedIntegralMap(MonotoneMap):
         sup{x : V(x) >= q} (the standard convention for decreasing Q).
 
         Within the bracketing grid cell [a, b], with F(x) = int_a^x f - tau,
-        each point runs Newton steps in log x, x <- x exp(-F / (f(x) x)),
-        from the log-linear guess.  Every evaluation narrows [a, b] by the
+        each point runs Newton steps in log x, x <- x exp(-F / (f(x) x)).
+        The start is the cell's cubic Hermite guess r(s) of the log-x
+        fraction r at the integral fraction s = tau / int_a^b f, with end
+        slopes int_a^b f / (f(node) node log(b / a)), clamped to [a, b];
+        where an end slope is 0 or not finite it is the log-linear guess
+        r = s.  On a smooth integrand the cubic is off by O(log(b / a)^4),
+        so one Newton step reaches ``_NEWTON_RTOL`` and the next confirms
+        it: two evaluations per point, where the log-linear guess, off by
+        O(log(b / a)^2), takes three.  Every evaluation narrows [a, b] by the
         sign of F; a step is replaced by the log-midpoint of [a, b] when
         f(x) = 0, when it is not finite or when it leaves (a, b), so flat
         pieces resolve to the same end as bisection would.  A point stops
@@ -234,51 +260,57 @@ class TabulatedIntegralMap(MonotoneMap):
         no longer halves while |F| is at the rounding floor of the target.
         """
         q = np.asarray(q, dtype=float)
-        t = (q - self._const) / self._sign  # target table value
+        t = self.direction * (q - self._const)  # target key td * table value
         shape = t.shape
         t = t.ravel()
         lo, hi = self.domain
         # a target beyond the table's value at the lower domain edge maps to
         # that edge, beyond its value at the upper edge to the upper edge
-        td = self._table_dir
-        to_lo = td * t <= td * self.cumvals[0]
-        to_hi = td * t >= td * self.cumvals[-1]
+        keys = self._keys
+        to_lo = t <= keys[0]
+        to_hi = t >= keys[-1]
         out = np.where(to_hi, hi, lo)
         pos = np.flatnonzero(~(to_lo | to_hi))
         t = t[pos]
         # leftmost x with V(x) >= q (increasing), rightmost (non-increasing)
         side = "left" if self.direction > 0 else "right"
-        j = np.clip(np.searchsorted(td * self.cumvals, td * t, side=side),
-                    1, len(self.nodes) - 1)
+        j = np.clip(np.searchsorted(keys, t, side=side), 1, len(keys) - 1)
         left = self.nodes[j - 1]
         a, b = left, self.nodes[j]
-        tau = td * (t - self.cumvals[j - 1])  # target of int_left^x f
+        tau = t - keys[j - 1]  # target of int_left^x f
         f_tol = _STALL_ULPS * np.spacing(np.maximum(np.abs(t), tau))
-        x = a * (b / a) ** (tau / (td * (self.cumvals[j] - self.cumvals[j - 1])))
+        frac = tau / (keys[j] - keys[j - 1])
+        c1, c2, c3 = self._start[:, j - 1]
+        r = np.minimum(np.maximum(frac * (c1 + frac * (c2 + frac * c3)), 0.0),
+                       1.0)
+        x = a * (b / a) ** r
         prev = np.full(x.shape, np.inf)
-        for _ in range(_MAX_STEPS):
-            if not pos.size:
-                break
-            F = gauss_panels(self.f, left, x) - tau
-            fx = np.asarray(self.f(x), dtype=float)
-            take_left = F >= 0 if self.direction > 0 else F > 0
-            b = np.where(take_left, x, b)
-            a = np.where(take_left, a, x)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for _ in range(_MAX_STEPS):
+                if not pos.size:
+                    break
+                F = gauss_panels(self.f, left, x) - tau
+                fx = np.asarray(self.f(x), dtype=float)
+                take_left = F >= 0 if self.direction > 0 else F > 0
+                b = np.where(take_left, x, b)
+                a = np.where(take_left, a, x)
                 s = -F / (fx * x)
                 newton = x * np.exp(s)
-            ok = (fx > 0) & np.isfinite(s)
-            step = np.abs(s)
-            final = ok & (step <= _NEWTON_RTOL)
-            done = final | (ok & (step > 0.5 * prev) & (np.abs(F) <= f_tol))
-            out[pos[done]] = np.where(final, np.clip(newton, a, b), x)[done]
-            nxt = np.where(ok & (newton > a) & (newton < b), newton,
-                           np.sqrt(a * b))
-            prev = np.abs(np.log(nxt / x))
-            keep = ~done
-            pos, left, tau, f_tol, a, b, prev = (
-                arr[keep] for arr in (pos, left, tau, f_tol, a, b, prev))
-            x = nxt[keep]
-        else:
-            out[pos] = b if self.direction > 0 else a
+                ok = (fx > 0) & np.isfinite(s)
+                step = np.abs(s)
+                final = ok & (step <= _NEWTON_RTOL)
+                done = final | (ok & (step > 0.5 * prev) & (np.abs(F) <= f_tol))
+                out[pos[done]] = np.where(
+                    final, np.minimum(np.maximum(newton, a), b), x)[done]
+                if done.all():
+                    break
+                nxt = np.where(ok & (newton > a) & (newton < b), newton,
+                               np.sqrt(a * b))
+                prev = np.abs(np.log(nxt / x))
+                keep = ~done
+                pos, left, tau, f_tol, a, b, prev = (
+                    arr[keep] for arr in (pos, left, tau, f_tol, a, b, prev))
+                x = nxt[keep]
+            else:
+                out[pos] = b if self.direction > 0 else a
         return float(out[0]) if not shape else out.reshape(shape)

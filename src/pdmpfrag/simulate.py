@@ -30,7 +30,6 @@ import numpy as np
 
 from .characteristics import _holding, flow
 from .errors import HorizonExceeded, NotADensity
-from .kernels import _clamp_q
 
 DEFAULT_N_MAX = 10_000
 DEFAULT_T_MAX = 1_000.0
@@ -158,8 +157,7 @@ def _jump(spec, x, t, u_eps, u_theta, t_stop):
     next jump is absorbed there; past ``t_stop`` a path is parked.
     """
     dt, x_pre, absorbed = _holding(spec, x, -np.log1p(-u_eps))
-    x_new = np.asarray(spec.kernel.sample(_clamp_q(u_theta), x_pre),
-                       dtype=float)
+    x_new = np.asarray(spec.kernel.sample(u_theta, x_pre), dtype=float)
     t_new = t + dt
     # no jump before the rate budget runs out: the orbit hits 0 first
     x_new = np.where(absorbed, 0.0, x_new)
@@ -239,17 +237,20 @@ def _run_block(spec, x0s, seed, path_offset, n_max, checkpoints, t_stop,
                out_times, out_final_x, out_status, sl):
     """Advance a contiguous block of paths; writes results into slices.
 
-    Draws are made only for the paths still running, a refill at a time:
-    about ``_REFILL_BLOCKS`` Philox blocks, 1 to ``_MAX_REFILL_BLOCKS`` per
-    path, never for steps past ``n_max``.
+    Only the running paths' states are carried from step to step, as compact
+    arrays.  A path's final state, status and time are written out once,
+    when it stops (its time to every later checkpoint: it is exact there),
+    and the running paths' times at each checkpoint.  Draws are made only
+    for the paths still running, a refill at a time: about
+    ``_REFILL_BLOCKS`` Philox blocks, 1 to ``_MAX_REFILL_BLOCKS`` per path,
+    never for steps past ``n_max``.
     """
+    times, final_x, status = out_times[:, sl], out_final_x[sl], out_status[sl]
     P = len(x0s)
-    x = np.asarray(x0s, dtype=float).copy()
-    t = np.zeros(P)
-    status = np.full(P, _RUNNING, dtype=np.int8)
     ids = np.arange(P, dtype=np.uint64) + np.uint64(path_offset)
     cp_rows = {c: k for k, c in enumerate(checkpoints)}
-    run = np.arange(P)  # the running paths
+    run = np.arange(P)  # the running paths, their states in xr and tr
+    xr, tr = np.asarray(x0s, dtype=float).copy(), np.zeros(P)
     n_done = s = width = 0
     while n_done < n_max and len(run):
         if s == width:  # buffer spent: refill the running paths
@@ -257,19 +258,20 @@ def _run_block(spec, x0s, seed, path_offset, n_max, checkpoints, t_stop,
             width = min(2 * blocks, n_max - n_done)
             draws = _uniforms(seed, ids[run], 2 * n_done, 2 * width)
             rows, s = np.arange(len(run)), 0  # run's rows in draws
-        t_new, x_new, st = _jump(spec, x[run], t[run], draws[rows, 2 * s],
-                                 draws[rows, 2 * s + 1], t_stop)
-        t[run], x[run], status[run] = t_new, x_new, st
-        keep = st == _RUNNING
-        run, rows = run[keep], rows[keep]
+        tr, xr, st = _jump(spec, xr, tr, draws[rows, 2 * s],
+                           draws[rows, 2 * s + 1], t_stop)
         s += 1
         n_done += 1
+        keep = st == _RUNNING
+        if not keep.all():  # write out the paths that stopped
+            stop = ~keep
+            gone = run[stop]
+            final_x[gone], status[gone] = xr[stop], st[stop]
+            times[np.searchsorted(checkpoints, n_done):, gone] = tr[stop]
+            run, rows, tr, xr = run[keep], rows[keep], tr[keep], xr[keep]
         if n_done in cp_rows:
-            out_times[cp_rows[n_done], sl] = t
-    # paths all settled early: later checkpoints repeat their times
-    out_times[np.searchsorted(checkpoints, n_done, side="right"):, sl] = t
-    out_final_x[sl] = x
-    out_status[sl] = status
+            times[cp_rows[n_done], run] = tr
+    final_x[run], status[run] = xr, _RUNNING
 
 
 def run_chains(spec, x0s, *, seed, n_max=DEFAULT_N_MAX, checkpoints=None,

@@ -192,8 +192,10 @@ def test_inverse_at_double_zero_of_integrand():
     assert np.all(np.abs(m(x) - q) <= 8.0 * np.spacing(q))
 
 
-@pytest.mark.parametrize("name", ["one", "inv_x"])
+@pytest.mark.parametrize("name", sorted(_INTEGRANDS))
 def test_inverse_integrand_evaluations_per_point(name):
+    # the per-cell Hermite start leaves most points two Newton passes of 16
+    # evaluations (a 15-point panel and f(x)) each
     f, orientation = _INTEGRANDS[name]
     counted = _Counted(f)
     m = TabulatedIntegralMap(counted, orientation=orientation, n_nodes=4096)
@@ -202,7 +204,7 @@ def test_inverse_integrand_evaluations_per_point(name):
     q = m(xs)
     counted.points = 0
     m.inverse(q)
-    assert counted.points / q.size <= 96
+    assert counted.points / q.size <= 40
 
 
 def test_inverse_keeps_shape():
