@@ -61,48 +61,33 @@ class RateSpec:
 
 
 def _power_map(coeff, p, orientation):
-    """Closed-form map for integrand coeff * x**(p-1), anchored per convention."""
-    if orientation == "from_below":  # increasing; anchor 0 when p > 0, else 1
-        if p > 0:
-            c = coeff / p
+    """Closed-form map for integrand coeff * x**(p-1), anchored per convention.
 
-            def inv_below(q):
-                with np.errstate(invalid="ignore"):
-                    return np.maximum(np.asarray(q, dtype=float) / c,
-                                      0.0) ** (1.0 / p)
+    With d = +1 (from_below) or -1 (from_above): V = d coeff log x for p = 0,
+    V = (coeff/|p|) x**p for d p > 0 (generalized inverse 0 once q <= 0).
+    """
+    d = +1 if orientation == "from_below" else -1
+    if p == 0:
+        c = d * coeff
+        return ClosedFormMap(lambda x: c * np.log(x), lambda q: np.exp(q / c),
+                             direction=d, limit_zero=-d * np.inf,
+                             limit_inf=d * np.inf)
+    if d * p < 0:
+        raise NonIntegrableRate(f"{orientation} integrand x**{p - 1:g} "
+                                f"diverges at {'infinity' if d > 0 else '0'}")
+    c = coeff / abs(p)
 
-            return ClosedFormMap(
-                lambda x: c * x ** p, inv_below,
-                direction=+1, limit_zero=0.0, limit_inf=np.inf)
-        if p == 0:
-            return ClosedFormMap(
-                lambda x: coeff * np.log(x),
-                lambda q: np.exp(q / coeff),
-                direction=+1, limit_zero=-np.inf, limit_inf=np.inf)
-        raise NonIntegrableRate("growth-regime integrand diverges at infinity")
-    else:  # from_above: non-increasing; anchor +inf when p < 0, else 1
-        if p < 0:
-            c = coeff / (-p)
+    def fwd(x):
+        with np.errstate(over="ignore", divide="ignore"):
+            return c * x ** p
 
-            def inv(q):
-                q = np.asarray(q, dtype=float)
-                # generalized inverse: sup{x: V(x) >= q}; 0 once q <= V(inf) = 0
-                with np.errstate(divide="ignore"):
-                    val = np.where(q > 0.0, np.maximum(q / c, 1e-300) ** (1.0 / p), 0.0)
-                return val
+    def inv(q):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return np.where(q > 0.0, np.maximum(q / c, 1e-300) ** (1.0 / p), 0.0)
 
-            def fwd(x):
-                with np.errstate(over="ignore", divide="ignore"):
-                    return c * np.asarray(x, dtype=float) ** p
-
-            return ClosedFormMap(
-                fwd, inv, direction=-1, limit_zero=np.inf, limit_inf=0.0)
-        if p == 0:
-            return ClosedFormMap(
-                lambda x: -coeff * np.log(x),
-                lambda q: np.exp(-q / coeff),
-                direction=-1, limit_zero=np.inf, limit_inf=-np.inf)
-        raise NonIntegrableRate("decay-regime integrand diverges at 0")
+    return ClosedFormMap(fwd, inv, direction=d,
+                         limit_zero=np.inf if d < 0 else 0.0,
+                         limit_inf=np.inf if d > 0 else 0.0)
 
 
 @dataclass
@@ -128,19 +113,21 @@ class CharacteristicsSpec:
         return self.semiflow.g_eval(x)
 
 
-def _divergence_flag(tab_map, regime):
-    """asGQ/asGQd heuristic: the defining integral must diverge at the far end."""
-    if not isinstance(tab_map, TabulatedIntegralMap):
+def _divergence_flag(vmap, regime):
+    """asGQ/asGQd: the map's integral must diverge where the orbit heads
+    (+inf for growth, 0 for decay); "declared" when the map has no limits."""
+    far = vmap.limit_inf if regime is Regime.GROWTH else vmap.limit_zero
+    if far is None:
         return "declared"
-    ok = (not tab_map._tail_ok) if regime is Regime.GROWTH else (not tab_map._head_ok)
-    return "verified" if ok else "failed"
+    return "failed" if np.isfinite(far) else "verified"
 
 
 def build_gq(semiflow: SemiflowSpec, rate: RateSpec, *, domain=DEFAULT_DOMAIN):
     """Construct the monotone maps G (of 1/g) and Q (of phi/g).
 
-    Anchors follow the orbit's direction: the endpoint (0 for growth,
-    +inf for decay) when the integral converges there, otherwise 1.
+    Closed forms where the model declares them, tabulations otherwise.
+    Anchors follow the orbit's direction: the endpoint (0 for growth, +inf
+    for decay) when the integral converges there, otherwise 1.
     """
     regime = semiflow.regime
     if regime is Regime.PURE_JUMP:
@@ -153,38 +140,28 @@ def build_gq(semiflow: SemiflowSpec, rate: RateSpec, *, domain=DEFAULT_DOMAIN):
     if np.any(~np.isfinite(gx)) or np.any(gx <= 0):
         raise DomainError("g must be positive on the working domain")
 
-    divergence = {}
+    beta = semiflow.power_beta
     if semiflow.closed_form is not None:
-        fwd, inv = semiflow.closed_form
-        direction = +1 if regime is Regime.GROWTH else -1
-        G = ClosedFormMap(fwd, inv, direction=direction)
-        divergence["G"] = "declared"
-    elif semiflow.power_beta is not None:
-        beta = semiflow.power_beta
+        G = ClosedFormMap(*semiflow.closed_form,
+                          direction=+1 if regime is Regime.GROWTH else -1)
+    elif beta is not None:
         G = _power_map(1.0, beta, orientation)
-        ok = beta >= 0 if regime is Regime.GROWTH else beta <= 0
-        divergence["G"] = "verified" if ok else "failed"
     else:
         G = TabulatedIntegralMap(lambda x: 1.0 / semiflow.g_eval(x),
                                  orientation=orientation, domain=domain)
-        divergence["G"] = _divergence_flag(G, regime)
 
-    if rate.power is not None and semiflow.power_beta is not None:
+    if rate.power is not None and beta is not None:
         a, alpha = rate.power
         if a <= 0:
             raise DomainError("power-law rate needs a > 0")
-        Q = _power_map(a, alpha + semiflow.power_beta, orientation)
-        p = alpha + semiflow.power_beta
-        ok = p >= 0 if regime is Regime.GROWTH else p <= 0
-        divergence["Q"] = "verified" if ok else "failed"
+        Q = _power_map(a, alpha + beta, orientation)
     else:
-        def phi_over_g(x):
-            return rate.phi_eval(x) / semiflow.g_eval(x)
-        Q = TabulatedIntegralMap(phi_over_g, orientation=orientation,
-                                 domain=domain)
-        divergence["Q"] = _divergence_flag(Q, regime)
+        Q = TabulatedIntegralMap(
+            lambda x: rate.phi_eval(x) / semiflow.g_eval(x),
+            orientation=orientation, domain=domain)
 
-    return G, Q, divergence
+    return G, Q, {"G": _divergence_flag(G, regime),
+                  "Q": _divergence_flag(Q, regime)}
 
 
 def build_characteristics(semiflow, rate, kernel=None, *, domain=DEFAULT_DOMAIN):
@@ -229,8 +206,6 @@ def flow(spec, t, x):
         raise ValueError("t must be nonnegative")
     if x <= 0:
         raise DomainError("state must be positive")
-    if spec.regime is Regime.PURE_JUMP:
-        return float(x)
     y, absorbed = flow_vec(spec, t, np.array([x], dtype=float))
     if absorbed[0]:
         hit = float(spec.G.limit_zero - spec.G(np.array([x]))[0])
@@ -244,8 +219,8 @@ def cumulative_rate(spec, x, t):
         return spec.phi(x) * t
     y, absorbed = flow_vec(spec, t, x)
     qx = spec.Q(np.asarray(x, dtype=float))
-    lim = spec.Q.limit_zero if spec.Q.limit_zero is not None else np.inf
-    out = np.where(absorbed, lim - qx, spec.Q(np.where(absorbed, 1.0, y)) - qx)
+    out = np.where(absorbed, spec.Q.limit_zero - qx,
+                   spec.Q(np.where(absorbed, 1.0, y)) - qx)
     if np.ndim(x) == 0 and np.ndim(t) == 0:
         return float(out)
     return out
@@ -268,7 +243,6 @@ def _holding(spec, x, eps):
             raise InfiniteHolding("zero jump rate in pure-jump regime")
         return eps / rate, x, np.zeros(len(x), dtype=bool)
     lim = spec.Q.limit_inf if regime is Regime.GROWTH else spec.Q.limit_zero
-    lim = np.inf if lim is None else lim
     qx = spec.Q(x)
     with np.errstate(invalid="ignore"):
         absorbed = eps > (lim - qx)

@@ -2,9 +2,10 @@
 
 Loads a structured YAML config describing a model and an action, dispatches
 to the library, and writes CSV artifacts plus a manifest (config hash, tool,
-Python, numpy and scipy versions, stage wall times, output checksums).  All
-randomness flows from the single config seed, so re-running a config
-reproduces byte-identical CSV bodies.
+Python, numpy and scipy versions, the model's divergence flags, stage wall
+times, output checksums).  A key the config schema does not know is a config
+error, not a silent default.  All randomness flows from the single config
+seed, so re-running a config reproduces byte-identical CSV bodies.
 
 Exit codes: 0 ok, 2 config error, 3 model error, 4 numerical non-convergence.
 """
@@ -39,13 +40,19 @@ _REGIMES = {"pure_jump": Regime.PURE_JUMP, "growth": Regime.GROWTH,
 
 # -- config ------------------------------------------------------------------
 
-def _mapping(parent, key, where):
-    """parent[key] as a mapping, {} when absent or empty."""
+def _mapping(parent, key, where, allowed=None):
+    """parent[key] as a mapping, {} when absent or empty; a key outside
+    ``allowed`` (when given) is a ConfigError."""
     val = parent.get(key)
     if val is None:
         return {}
     if not isinstance(val, dict):
         raise ConfigError(f"{where} must be a mapping, got {type(val).__name__}")
+    if allowed is not None:
+        unknown = sorted(map(str, set(val) - set(allowed)))
+        if unknown:
+            raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}"
+                              f"; allowed: {', '.join(sorted(allowed))}")
     return val
 
 
@@ -88,20 +95,20 @@ def _table_callable(path, what):
 
 def build_model(cfg):
     """The CharacteristicsSpec of the config's model section."""
-    model = _mapping(cfg, "model", "model")
+    model = _mapping(cfg, "model", "model", ("regime", "g", "phi", "kernel"))
     regime_name = model.get("regime")
     if regime_name not in _REGIMES:
         raise ConfigError(f"model.regime must be one of {sorted(_REGIMES)}, "
                           f"got {regime_name!r}")
     regime = _REGIMES[regime_name]
 
-    beta = _mapping(model, "g", "model.g").get("beta")
+    beta = _mapping(model, "g", "model.g", ("beta",)).get("beta")
     if regime is not Regime.PURE_JUMP and beta is None:
         raise ConfigError("model.g.beta is required outside the pure-jump regime")
     semiflow = SemiflowSpec(regime=regime,
                             power_beta=None if beta is None else float(beta))
 
-    phi_cfg = _mapping(model, "phi", "model.phi")
+    phi_cfg = _mapping(model, "phi", "model.phi", ("a", "alpha", "table"))
     if "table" in phi_cfg:
         rate = RateSpec(phi=_table_callable(phi_cfg["table"], "model.phi"))
     else:
@@ -109,7 +116,7 @@ def build_model(cfg):
             raise ConfigError("model.phi needs 'a' and 'alpha' (or 'table')")
         rate = RateSpec(power=(float(phi_cfg["a"]), float(phi_cfg["alpha"])))
 
-    k_cfg = _mapping(model, "kernel", "model.kernel")
+    k_cfg = _mapping(model, "kernel", "model.kernel", ("family", "nu", "table"))
     family = k_cfg.get("family", "power")
     if family == "power":
         kernel = PowerLawKernel(float(k_cfg.get("nu", 0.0)))
@@ -129,18 +136,18 @@ def _numeric(cfg, key, default):
     return (cfg.get("numeric") or {}).get(key, default)
 
 
-def _numeric_mapping(cfg, key):
-    return _mapping(cfg.get("numeric") or {}, key, f"numeric.{key}")
+def _numeric_mapping(cfg, key, allowed):
+    return _mapping(cfg.get("numeric") or {}, key, f"numeric.{key}", allowed)
 
 
 def _grid_from(cfg):
-    g = _numeric_mapping(cfg, "grid")
+    g = _numeric_mapping(cfg, "grid", ("x_min", "x_max", "n_cells"))
     return LogGrid(float(g.get("x_min", 1e-6)), float(g.get("x_max", 1e2)),
                    int(g.get("n_cells", 384)))
 
 
 def _u0_from(cfg, grid):
-    u0 = _numeric_mapping(cfg, "u0")
+    u0 = _numeric_mapping(cfg, "u0", ("lo", "hi"))
     return GridDensity.uniform_in_m(grid, float(u0.get("lo", 1.0)),
                                     float(u0.get("hi", 2.0)))
 
@@ -159,14 +166,16 @@ def _write_csv(out_dir, name, header, rows):
     return path
 
 
-def _finish(out_dir, cfg_path, files, wall_s):
-    """Write manifest.json: config and output digests, library versions and
-    the wall time of each stage (timings live here only, so the CSV bodies
-    stay byte-identical across reruns)."""
+def _finish(out_dir, cfg_path, files, wall_s, divergence):
+    """Write manifest.json: config and output digests, library versions, the
+    model's divergence flags (asGQ/asGQd for G and Q, or phi > 0 for pure
+    jump) and the wall time of each stage (timings live here only, so the
+    CSV bodies stay byte-identical across reruns)."""
     digest = hashlib.sha256(Path(cfg_path).read_bytes()).hexdigest()
     manifest = {
         "config": str(cfg_path),
         "config_sha256": digest,
+        "divergence": divergence,
         "tool_version": __version__,
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__, "scipy": scipy.__version__},
@@ -223,7 +232,7 @@ def _action_evolve(cfg, spec, out, seed, workers):
     grid = _grid_from(cfg)
     u0 = _u0_from(cfg, grid)
     ts = [float(t) for t in _numeric(cfg, "t_values", [0.25, 0.5, 1.0, 2.0])]
-    dy = _numeric_mapping(cfg, "dyson")
+    dy = _numeric_mapping(cfg, "dyson", ("N", "n_s"))
     N = int(dy.get("N", 60))
     tol = float(_numeric(cfg, "tolerance", 0.01))
     files = []
@@ -261,7 +270,7 @@ def _action_evolve(cfg, spec, out, seed, workers):
 
 def _action_classify(cfg, spec, out, seed, workers):
     lams = [float(l) for l in _numeric(cfg, "lambdas", [1.0, 0.1, 0.01])]
-    pr = _numeric_mapping(cfg, "probes")
+    pr = _numeric_mapping(cfg, "probes", ("lo", "hi", "n"))
     probes = np.geomspace(float(pr.get("lo", 1e-3)), float(pr.get("hi", 1e3)),
                           int(pr.get("n", 7)))
     budgets = {"n_paths": int(_numeric(cfg, "n_paths", 400)),
@@ -342,12 +351,13 @@ def _action_oracle(cfg, spec, out, seed, workers):
                        "t,q,explosion_cdf_at_x0,exact_mass_u0", rows)]
 
 
+# each action with the numeric keys it reads, besides seed and workers
 _ACTIONS = {
-    "simulate": _action_simulate,
-    "evolve": _action_evolve,
-    "classify": _action_classify,
-    "audit": _action_audit,
-    "oracle": _action_oracle,
+    "simulate": (_action_simulate, ("n_paths", "n_max", "x0", "t_values")),
+    "evolve": (_action_evolve, ("grid", "u0", "t_values", "dyson", "tolerance")),
+    "classify": (_action_classify, ("lambdas", "probes", "n_paths", "n_iter")),
+    "audit": (_action_audit, ("y_values",)),
+    "oracle": (_action_oracle, ("x0", "t_values", "grid", "u0")),
 }
 
 
@@ -363,12 +373,14 @@ def run(action, config_path, out_dir=None, seed=None, workers=None):
     if declared is not None and declared != action:
         raise ConfigError(f"config field 'action' says {declared!r} but the "
                           f"{action!r} subcommand was invoked")
+    act, keys = _ACTIONS[action]
+    _mapping(cfg, "numeric", "numeric", ("seed", "workers") + keys)
     if seed is None:
         seed = _numeric(cfg, "seed", None)
         if seed is None:
             raise ConfigError("numeric.seed is required (or pass --seed)")
-    out = Path(out_dir if out_dir is not None
-               else _mapping(cfg, "output", "output").get("dir", "."))
+    out_cfg = _mapping(cfg, "output", "output", ("dir",))
+    out = Path(out_dir if out_dir is not None else out_cfg.get("dir", "."))
     out.mkdir(parents=True, exist_ok=True)
     try:
         seed = int(seed)
@@ -379,11 +391,11 @@ def run(action, config_path, out_dir=None, seed=None, workers=None):
         t0 = time.perf_counter()
         spec = build_model(cfg)
         t1 = time.perf_counter()
-        files = _ACTIONS[action](cfg, spec, out, seed, workers)
+        files = act(cfg, spec, out, seed, workers)
         wall_s = {"build_model": t1 - t0, "action": time.perf_counter() - t1}
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad value for {action}: {exc}") from exc
-    _finish(out, config_path, files, wall_s)
+    _finish(out, config_path, files, wall_s, spec.divergence)
     return files
 
 

@@ -22,7 +22,7 @@ from .density import _BOperator
 from .errors import NonConvergent, OutOfRegime
 from .monotone import endpoint_integral, gauss_panels
 from .oracles import mu0
-from .simulate import _ABSORBED, Estimate, _uniforms, run_chains
+from .simulate import _ABSORBED, Estimate, _stratified_starts, run_chains
 
 EPS_S = 0.02       # stochastic: all upper CIs below this at the smallest lambda
 EPS_SS = 0.05      # strongly stable: all lower CIs above 1 - this
@@ -137,9 +137,7 @@ def dual_pairing(spec, lam, u, n_iter, n_paths, *, seed=0, workers=1):
     estimate is the u-average of e^{-lambda t_{n_iter}} (an upper bound,
     decreasing to the pairing as n_iter grows).
     """
-    strat = _uniforms(seed, [2 ** 62], 0, n_paths)[0]
-    us = (np.arange(n_paths) + strat) / n_paths
-    x0s = u.sample_inverse_cdf(us)
+    x0s = _stratified_starts(u, n_paths, seed, "pairing")
     w = _laplace_weights(spec, [lam], x0s, n_iter, seed=seed,
                          workers=workers)[0, -1]
     val = float(np.mean(w)) * u.grid_mass

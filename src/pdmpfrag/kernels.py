@@ -21,7 +21,8 @@ def _clamp_q(q):
 
 
 class JumpKernel:
-    """Base class; subclasses provide the per-parent fragment-fraction CDF."""
+    """Base class; subclasses provide the per-parent fragment-fraction CDF
+    and either the fraction density h of a homogeneous kernel or b."""
 
     def ratio_cdf(self, x, r):
         """H_x(r): probability that a daughter is below r*x, r in [0,1]."""
@@ -32,15 +33,23 @@ class JumpKernel:
         raise NotImplementedError
 
     def b(self, x, y):
-        """Daughter-size density b(x, y) (zero for x >= y)."""
-        raise NotImplementedError
+        """Daughter-size density b(x, y) = h(x/y)/y (zero for x >= y)."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = self.h(np.where(x < y, x / y, 0.5)) / y
+        return np.where(x < y, val, 0.0)
 
     def sample(self, q, x):
         """kappa(q, x): daughter size for uniform variate q, parent x."""
         x = np.asarray(x, dtype=float)
         if np.any(x <= 0):
             raise KernelDomain("parent size must be positive")
-        return self.ratio_inverse(x, _clamp_q(q)) * x
+        return self._kappa(_clamp_q(q), x)
+
+    def _kappa(self, q, x):
+        """The sampling map on checked parents x > 0 and clamped q."""
+        return self.ratio_inverse(x, q) * x
 
     def transition_density(self, x, y):
         """Kernel p(x,y) = b(x,y)/y of the transition operator w.r.t. m(dx)=x dx."""
@@ -71,13 +80,6 @@ class PowerLawKernel(JumpKernel):
     def ratio_inverse(self, x, q):
         return np.asarray(q, dtype=float) ** (1.0 / (self.nu + 2.0))
 
-    def b(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = self.h(x / y) / y
-        return np.where(x < y, val, 0.0)
-
 
 class HomogeneousKernel(JumpKernel):
     """Homogeneous kernel b(x,y) = h(x/y)/y for a general normalized h."""
@@ -95,13 +97,6 @@ class HomogeneousKernel(JumpKernel):
 
     def ratio_inverse(self, x, q):
         return self.H.inverse(q)
-
-    def b(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = self.h(np.where(x < y, x / y, 0.5)) / y
-        return np.where(x < y, val, 0.0)
 
 
 class SeparableKernel(JumpKernel):
@@ -129,11 +124,8 @@ class SeparableKernel(JumpKernel):
         q = np.asarray(q, dtype=float)
         return self.Lam.inverse(q * self.Lam(x)) / x
 
-    def sample(self, q, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x <= 0):
-            raise KernelDomain("parent size must be positive")
-        return self.Lam.inverse(_clamp_q(q) * self.Lam(x))
+    def _kappa(self, q, x):
+        return self.Lam.inverse(q * self.Lam(x))
 
     def b(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -155,11 +147,8 @@ class CustomKernel(JumpKernel):
         self.kappa = kappa
         self.p = p
 
-    def sample(self, q, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x <= 0):
-            raise KernelDomain("parent size must be positive")
-        return self.kappa(_clamp_q(q), x)
+    def _kappa(self, q, x):
+        return self.kappa(q, x)
 
     def transition_density(self, x, y):
         if self.p is None:
@@ -167,7 +156,4 @@ class CustomKernel(JumpKernel):
         return self.p(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
     def b(self, x, y):
-        if self.p is None:
-            raise NoDensity("custom kernel lacks a transition density")
-        return self.p(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) \
-            * np.asarray(y, dtype=float)
+        return self.transition_density(x, y) * np.asarray(y, dtype=float)

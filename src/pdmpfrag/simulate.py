@@ -137,6 +137,15 @@ def _uniforms(seed, ids, start, n):
     return out.reshape(len(k1), -1)[:, skip:skip + n]
 
 
+def _stratified_starts(u, n_paths, seed, stream):
+    """n_paths states drawn from the grid density ``u`` by stratified
+    inverse-CDF sampling, one stratum per path, each placed by a draw of a
+    stream id above every path id: 2**63 for "survival", 2**62 for "pairing"."""
+    sid = {"survival": 2 ** 63, "pairing": 2 ** 62}[stream]
+    strat = _uniforms(seed, [sid], 0, n_paths)[0]
+    return u.sample_inverse_cdf((np.arange(n_paths) + strat) / n_paths)
+
+
 # run_chains status codes
 _RUNNING, _SETTLED, _PARKED, _ABSORBED = 0, 1, 2, 3
 
@@ -321,6 +330,21 @@ def _binomial_se(p, n):
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
+def _truncated_share(spec, x0s, t, n_max, seed, workers, event):
+    """Share of the paths from ``x0s`` with ``event(t_{n_max}, t)``, with its
+    value at n_max/2 and the share of paths whose jump budget ran out."""
+    half = max(1, n_max // 2)
+    times, _, status, cps = run_chains(
+        spec, x0s, seed=seed, n_max=n_max, checkpoints=(half, n_max),
+        t_stop=t, workers=workers)
+    val = float(np.mean(event(times[cps.index(n_max)], t)))
+    return Estimate(val, _binomial_se(val, len(x0s)), len(x0s), {
+        "n_max": n_max,
+        "value_at_half_budget": float(np.mean(event(times[cps.index(half)], t))),
+        "frac_budget_exhausted": float(np.mean(status == _RUNNING)),
+    })
+
+
 def estimate_explosion_cdf(spec, x0, t, n_paths, n_max=DEFAULT_N_MAX, *,
                            seed, workers=1):
     """P_x(t_infty <= t) approximated from above in law by P(t_{n_max} <= t).
@@ -334,16 +358,8 @@ def estimate_explosion_cdf(spec, x0, t, n_paths, n_max=DEFAULT_N_MAX, *,
         raise ValueError("need n_paths >= 100")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    half = max(1, n_max // 2)
-    times, _, status, cps = run_chains(
-        spec, np.full(n_paths, float(x0)), seed=seed, n_max=n_max,
-        checkpoints=(half, n_max), t_stop=t, workers=workers)
-    val = float(np.mean(times[cps.index(n_max)] <= t))
-    val_half = float(np.mean(times[cps.index(half)] <= t))
-    return Estimate(val, _binomial_se(val, n_paths), n_paths, {
-        "n_max": n_max, "value_at_half_budget": val_half,
-        "frac_budget_exhausted": float(np.mean(status == _RUNNING)),
-    })
+    return _truncated_share(spec, np.full(n_paths, float(x0)), t, n_max, seed,
+                            workers, np.less_equal)
 
 
 def estimate_survival_mass(spec, u0, t, n_paths, n_max=DEFAULT_N_MAX, *,
@@ -360,17 +376,5 @@ def estimate_survival_mass(spec, u0, t, n_paths, n_max=DEFAULT_N_MAX, *,
         raise NotADensity(f"u0 has mass {total}, expected 1")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    strat = _uniforms(seed, [2 ** 63], 0, n_paths)[0]
-    us = (np.arange(n_paths) + strat) / n_paths
-    x0s = u0.sample_inverse_cdf(us)
-    half = max(1, n_max // 2)
-    times, _, status, cps = run_chains(
-        spec, x0s, seed=seed, n_max=n_max, checkpoints=(half, n_max),
-        t_stop=t, workers=workers)
-    surv = times[cps.index(n_max)] > t
-    surv_half = times[cps.index(half)] > t
-    val = float(np.mean(surv))
-    return Estimate(val, _binomial_se(val, n_paths), n_paths, {
-        "n_max": n_max, "value_at_half_budget": float(np.mean(surv_half)),
-        "frac_budget_exhausted": float(np.mean(status == _RUNNING)),
-    })
+    x0s = _stratified_starts(u0, n_paths, seed, "survival")
+    return _truncated_share(spec, x0s, t, n_max, seed, workers, np.greater)

@@ -22,7 +22,8 @@ from pdmpfrag import (
     inverse_cumulative_rate,
     post_flow_position,
 )
-from conftest import power_model
+from pdmpfrag.characteristics import _power_map
+from conftest import power_model, unit_decay_model
 
 
 def _tabulated_model(regime, g, phi, kernel=None, domain=(1e-9, 1e9)):
@@ -84,6 +85,48 @@ def test_divergence_flags():
     assert growth_ok.divergence == {"G": "verified", "Q": "verified"}
     pj = power_model("pure_jump", alpha=-1.0)
     assert pj.divergence == {"phi_positive": "verified"}
+    # a user closed form states no limits, so its flag is only declared; Q
+    # of phi/g = 1/x is tabulated and diverges at infinity
+    declared = build_characteristics(
+        SemiflowSpec(regime=Regime.GROWTH, g=lambda x: np.asarray(x, float),
+                     closed_form=(np.log, np.exp)),
+        RateSpec(power=(1.0, 0.0)), PowerLawKernel(0.0))
+    assert declared.divergence == {"G": "declared", "Q": "verified"}
+    # unit-speed decay reaches 0: both integrals converge there
+    assert unit_decay_model().divergence == {"G": "failed", "Q": "failed"}
+
+
+@pytest.mark.parametrize("p", [-1.5, -1.0, 0.0, 0.5, 1.0])
+@pytest.mark.parametrize("orientation", ["from_below", "from_above"])
+def test_power_map_closed_form(p, orientation):
+    # integrand coeff x^(p-1) with d = +1 (from_below) or -1 (from_above):
+    # V = d coeff log x for p = 0, V = (coeff/|p|) x^p for d p > 0, and
+    # d p < 0 diverges at the anchor's end
+    coeff, d = 2.5, (1 if orientation == "from_below" else -1)
+    if d * p < 0:
+        with pytest.raises(NonIntegrableRate):
+            _power_map(coeff, p, orientation)
+        return
+    vmap = _power_map(coeff, p, orientation)
+    xs = np.geomspace(1e-9, 1e9, 73)
+    qs = np.concatenate([[-2.0, -1e-300, 0.0, 1e-310],
+                         np.geomspace(1e-12, 1e12, 49),
+                         -np.geomspace(1e-12, 1e12, 7)])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if p == 0:
+            c = d * coeff
+            fwd, inv = c * np.log(xs), np.exp(qs / c)
+            limits = (-d * np.inf, d * np.inf)
+        else:
+            c = coeff / abs(p)
+            fwd = c * xs ** p
+            inv = np.where(qs > 0, np.maximum(qs / c, 1e-300) ** (1.0 / p), 0.0)
+            limits = (0.0, np.inf) if d > 0 else (np.inf, 0.0)
+            # the generalized inverse is 0 at and below V's value 0 at its anchor
+            assert np.all(vmap.inverse(qs[qs <= 0]) == 0.0)
+        np.testing.assert_array_equal(vmap(xs), fwd)
+        np.testing.assert_array_equal(vmap.inverse(qs), inv)
+    assert (vmap.limit_zero, vmap.limit_inf, vmap.direction) == limits + (d,)
 
 
 def test_flow_examples():

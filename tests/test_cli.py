@@ -58,6 +58,9 @@ def test_example_configs_run(tmp_path, action, expected):
         assert (out / name).is_file(), name
     manifest = _check_manifest(out)
     assert set(manifest["outputs"]) == set(expected)
+    # the model's divergence flags travel with the artifacts
+    cfg = load_config(CONFIGS / f"{action}.yaml")
+    assert manifest["divergence"] == build_model(cfg).divergence
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -240,7 +243,24 @@ def test_bad_schema_exit_2(tmp_path):
         "negative_seed": (model + "numeric: {seed: 0}\n", ["--seed", "-1"]),
         "negative_t": (model + "numeric: {seed: 0, n_paths: 100, "
                        "t_values: [1.0, -1.0]}\n", []),
+        # a misspelled key, or one the action does not read, is an error
+        # that names it, not a silent default
+        "numeric_typo": (model + "numeric: {seed: 0, n_path: 200, "
+                         "t_value: [0.5]}\n", []),
+        "kernel_typo": (model.replace("{family: power, nu: 0.0}", "{mu: 0.5}")
+                        + "numeric: {seed: 0}\n", []),
+        "phi_typo": (model.replace("alpha:", "alfa:")
+                     + "numeric: {seed: 0}\n", []),
+        "g_typo": (model.replace("pure_jump", "growth") + "  g: {bta: 1.0}\n"
+                   "numeric: {seed: 0}\n", []),
+        "model_typo": (model + "  kernal: {family: power}\n"
+                       "numeric: {seed: 0}\n", []),
+        "other_action_key": (model + "numeric: {seed: 0, lambdas: [1.0]}\n",
+                             []),
     }
+    unknown = {"numeric_typo": "n_path, t_value", "kernel_typo": "mu",
+               "phi_typo": "alfa", "g_typo": "bta", "model_typo": "kernal",
+               "other_action_key": "lambdas"}
     for name, (text, extra) in bad.items():
         path = tmp_path / f"{name}.yaml"
         path.write_text(text)
@@ -248,6 +268,18 @@ def test_bad_schema_exit_2(tmp_path):
                    + extra)
         assert res.exit_code == 2, (name, res.output, res.exception)
         assert "config error" in res.output, name
+        assert unknown.get(name, "") in res.output, name
+    # the nested numeric sections too, each on an action that reads it
+    for action, numeric in (
+            ("evolve", "{seed: 0, grid: {x_min: 1.0e-3, n_cell: 64}}"),
+            ("evolve", "{seed: 0, dyson: {N: 60, ns: 64}}"),
+            ("oracle", "{seed: 0, u0: {lo: 1.0, high: 2.0}}"),
+            ("classify", "{seed: 0, probes: {lo: 1.0, hi: 2.0, m: 3}}")):
+        path = tmp_path / "nested.yaml"
+        path.write_text(model + f"numeric: {numeric}\n")
+        res = _run([action, "-c", str(path), "-o", str(tmp_path / "nested")])
+        assert res.exit_code == 2, (numeric, res.output)
+        assert "unknown key(s) in numeric." in res.output, numeric
 
 
 def test_missing_seed_exit_2(tmp_path):

@@ -1,6 +1,7 @@
 """Source hygiene: every import in the library modules is used and sits at
 module level, every random draw goes through one stream, every holding time
-through one rule, and only the S operator knows how S is stored."""
+through one rule, only the S operator knows how S is stored, and the
+characteristics read the monotone maps through their public interface."""
 
 import ast
 from pathlib import Path
@@ -82,4 +83,14 @@ def test_dyson_phillips_reads_no_S_storage():
     found = sorted(f"{node.attr} (line {node.lineno})" for node in ast.walk(fn)
                    if isinstance(node, ast.Attribute)
                    and node.attr in {"factor", "mats", "sub_row", "sup_row"})
+    assert found == []
+
+
+def test_characteristics_reads_no_private_map_state():
+    # the divergence flags and the holding rule read a monotone map only
+    # through its public interface: values, inverse, direction and limits
+    tree = ast.parse((SRC / "characteristics.py").read_text())
+    found = sorted(f"{node.attr} (line {node.lineno})" for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and node.attr.startswith("_"))
     assert found == []
