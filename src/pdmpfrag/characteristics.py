@@ -191,13 +191,11 @@ def flow_vec(spec, t, x):
         return np.broadcast_to(x, np.broadcast(x, t).shape).copy(), \
             np.zeros(np.broadcast(x, t).shape, dtype=bool)
     gx = spec.G(x) + t
+    g0 = spec.G.limit_zero if spec.regime is Regime.DECAY else None
     absorbed = np.zeros(np.shape(gx), dtype=bool)
-    if spec.regime is Regime.DECAY and spec.G.limit_zero is not None \
-            and np.isfinite(spec.G.limit_zero):
-        absorbed = np.asarray(gx > spec.G.limit_zero)
-    y = spec.G.inverse(gx)
-    y = np.where(absorbed, 0.0, y)
-    return y, absorbed
+    if g0 is not None and np.isfinite(g0):
+        absorbed = np.asarray(gx > g0)
+    return np.where(absorbed, 0.0, spec.G.inverse(gx)), absorbed
 
 
 def flow(spec, t, x):
@@ -207,9 +205,8 @@ def flow(spec, t, x):
     if x <= 0:
         raise DomainError("state must be positive")
     y, absorbed = flow_vec(spec, t, np.array([x], dtype=float))
-    if absorbed[0]:
-        hit = float(spec.G.limit_zero - spec.G(np.array([x]))[0])
-        raise DomainExit(hit)
+    if absorbed[0]:  # at the hit time G(0+) - G(x)
+        raise DomainExit(float(spec.G.limit_zero - spec.G(np.array([x]))[0]))
     return float(y[0])
 
 
@@ -221,9 +218,7 @@ def cumulative_rate(spec, x, t):
     qx = spec.Q(np.asarray(x, dtype=float))
     out = np.where(absorbed, spec.Q.limit_zero - qx,
                    spec.Q(np.where(absorbed, 1.0, y)) - qx)
-    if np.ndim(x) == 0 and np.ndim(t) == 0:
-        return float(out)
-    return out
+    return float(out) if np.ndim(x) == 0 and np.ndim(t) == 0 else out
 
 
 def _holding(spec, x, eps):
@@ -231,43 +226,48 @@ def _holding(spec, x, eps):
 
     The one holding-time rule, behind the jump step of ``simulate`` and the
     scalar views below: x_pre = Q^{<-}(Q(x) + eps) directly through Q (never
-    by composing the flow with dt) and dt = phi_x^{<-}(eps) = G(x_pre) -
-    G(x).  Raises InfiniteHolding for a zero pure-jump rate and for eps
-    beyond a bounded cumulative rate, unless the decay orbit reaches 0
-    first (G(0+) finite): that path is ``absorbed`` after G(0+) - G(x).
+    by composing the flow with dt) and dt = phi_x^{<-}(eps) = G(x_pre) - G(x).
+    Raises InfiniteHolding for a zero pure-jump rate and for eps beyond a
+    bounded cumulative rate, unless the decay orbit reaches 0 first (G(0+)
+    finite): that path is ``absorbed`` after G(0+) - G(x).  Absorption is
+    tested only if Q's far limit is finite; the absorbed and dead fix-ups
+    run only when some path needs them.
     """
     regime = spec.regime
     if regime is Regime.PURE_JUMP:
         rate = np.asarray(spec.phi(x), dtype=float)
-        if np.any(rate <= 0):
+        if (rate <= 0).any():
             raise InfiniteHolding("zero jump rate in pure-jump regime")
         return eps / rate, x, np.zeros(len(x), dtype=bool)
     lim = spec.Q.limit_inf if regime is Regime.GROWTH else spec.Q.limit_zero
     qx = spec.Q(x)
-    with np.errstate(invalid="ignore"):
-        absorbed = eps > (lim - qx)
-    g0 = spec.G.limit_zero
-    if np.any(absorbed) and (regime is Regime.GROWTH or g0 is None
-                             or not np.isfinite(g0)):
+    absorbed = eps > (lim - qx) if lim < np.inf else np.zeros(len(x), bool)
+    any_absorbed, g0 = absorbed.any(), spec.G.limit_zero
+    if any_absorbed and (regime is Regime.GROWTH or g0 is None
+                         or not np.isfinite(g0)):
         raise InfiniteHolding(
             "cumulative rate along the orbit is bounded; check asGQ/asGQd")
-    x_pre = spec.Q.inverse(qx + np.where(absorbed, 0.0, eps))
+    x_pre = spec.Q.inverse(
+        qx + np.where(absorbed, 0.0, eps) if any_absorbed else qx + eps)
     gx = spec.G(x)
     # a state outside float range cannot be advanced: dt = nan freezes it
-    dead = ~(x_pre > 0.0) | ~np.isfinite(x_pre)
-    x_pre = np.where(dead, x, x_pre)
+    live = (x_pre > 0.0) & (x_pre < np.inf)
+    all_live = live.all()
+    if not all_live:
+        x_pre = np.where(live, x_pre, x)
     with np.errstate(over="ignore", invalid="ignore"):
         dt = spec.G(x_pre) - gx
         # short orbit segment, where the G-difference is lost to rounding:
         # small against G(x), or (near G(x) = 0) lost with x_pre's own digits;
         # eps/phi(geometric midpoint) is the exact limit
         lossy = (dt <= 1e-8 * np.abs(gx)) | (np.abs(x_pre - x) <= 1e-8 * x)
-        if np.any(lossy):
+        if lossy.any():
             mid = np.sqrt(x * x_pre)
             rate = np.asarray(spec.phi(mid), dtype=float)
             dt = np.where(lossy, eps / rate, dt)
-    dt = np.where(dead, np.nan, dt)
-    if np.any(absorbed):
+    if not all_live:
+        dt = np.where(live, dt, np.nan)
+    if any_absorbed:
         dt = np.where(absorbed, g0 - gx, dt)
     return dt, x_pre, absorbed
 

@@ -67,6 +67,8 @@ def load_config(path):
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if not isinstance(cfg, dict) or "model" not in cfg:
         raise ConfigError("config must be a mapping with a 'model' section")
+    _mapping({"config": cfg}, "config", "config",
+             ("action", "model", "numeric", "output"))
     for key in ("model", "numeric", "output"):
         _mapping(cfg, key, key)
     return cfg

@@ -349,9 +349,7 @@ def classify_power_family(alpha, beta, a, h, regime=None) -> Classification:
     if regime == "growth":
         if beta < 0 or alpha + beta < 0:
             raise OutOfRegime("growth regime needs beta >= 0 and alpha+beta >= 0")
-        if alpha + beta > 0:
-            verdict = Verdict.STOCHASTIC
-        elif beta == 0:
+        if alpha + beta > 0 or beta == 0:
             verdict = Verdict.STOCHASTIC
         else:
             m0 = mu0(h)

@@ -17,7 +17,7 @@ Q_MIN = 2.0 ** -53  # clamp for uniform variates: measure-zero endpoints
 
 
 def _clamp_q(q):
-    return np.clip(np.asarray(q, dtype=float), Q_MIN, 1.0 - Q_MIN)
+    return np.minimum(np.maximum(np.asarray(q, dtype=float), Q_MIN), 1.0 - Q_MIN)
 
 
 class JumpKernel:
@@ -43,7 +43,7 @@ class JumpKernel:
     def sample(self, q, x):
         """kappa(q, x): daughter size for uniform variate q, parent x."""
         x = np.asarray(x, dtype=float)
-        if np.any(x <= 0):
+        if (x <= 0).any():
             raise KernelDomain("parent size must be positive")
         return self._kappa(_clamp_q(q), x)
 
@@ -121,8 +121,7 @@ class SeparableKernel(JumpKernel):
 
     def ratio_inverse(self, x, q):
         x = np.asarray(x, dtype=float)
-        q = np.asarray(q, dtype=float)
-        return self.Lam.inverse(q * self.Lam(x)) / x
+        return self._kappa(np.asarray(q, dtype=float), x) / x
 
     def _kappa(self, q, x):
         return self.Lam.inverse(q * self.Lam(x))

@@ -158,28 +158,30 @@ _MAX_REFILL_BLOCKS = 32
 def _jump(spec, x, t, u_eps, u_theta, t_stop):
     """One jump of a batch of running paths: (t_new, x_new, status).
 
-    The holding times and pre-jump states come from
-    ``characteristics._holding``, the daughters from the kernel.  A path
-    settles in place when its time no longer advances (numerically
-    converged jump times) or its state leaves float range, and also settles
-    after jumping out of (0, inf); a decay orbit that reaches 0 before its
-    next jump is absorbed there; past ``t_stop`` a path is parked.
+    Holding times and pre-jump states come from ``characteristics._holding``,
+    daughters from the kernel.  A path settles in place when its time no
+    longer advances (converged jump times) or its state leaves float range,
+    and after jumping out of (0, inf); a decay orbit that reaches 0 before
+    its next jump is absorbed there; past ``t_stop`` a path is parked.  The
+    absorbed and in-place fix-ups run only on steps that have such paths.
     """
     dt, x_pre, absorbed = _holding(spec, x, -np.log1p(-u_eps))
     x_new = np.asarray(spec.kernel.sample(u_theta, x_pre), dtype=float)
     t_new = t + dt
-    # no jump before the rate budget runs out: the orbit hits 0 first
-    x_new = np.where(absorbed, 0.0, x_new)
     # non-increasing or non-finite time: the increment is lost to rounding;
     # settle at the previous time without a bogus jump
-    degenerate = ~(np.isfinite(t_new) & (t_new > t)) & ~absorbed
-    t_new = np.where(degenerate, t, t_new)
-    x_new = np.where(degenerate, x, x_new)
-    status = np.full(len(x), _RUNNING, dtype=np.int8)
-    status[degenerate | (x_new <= 0) | ~np.isfinite(x_new)] = _SETTLED
+    moved = (t_new > t) & (t_new < np.inf)
+    if absorbed.any():  # no jump before the rate budget runs out: x hits 0
+        x_new = np.where(absorbed, 0.0, x_new)
+        moved |= absorbed
+    if not moved.all():
+        t_new = np.where(moved, t_new, t)
+        x_new = np.where(moved, x_new, x)
+    running = moved & (x_new > 0) & (x_new < np.inf)  # absorbed: x_new = 0
+    status = np.where(running, np.int8(_RUNNING), np.int8(_SETTLED))
     status[absorbed] = _ABSORBED
     if t_stop is not None:
-        status[(t_new > t_stop) & (status == _RUNNING)] = _PARKED
+        status[(t_new > t_stop) & running] = _PARKED
     return t_new, x_new, status
 
 
@@ -197,8 +199,7 @@ def simulate_chain(spec, x0, *, seed, path_id=0, n_max=DEFAULT_N_MAX,
         raise ValueError("x0 must be positive")
     if n_max < 1 or t_max <= 0:
         raise ValueError("need n_max >= 1 and t_max > 0")
-    times = [0.0]
-    positions = [float(x0)]
+    times, positions = [0.0], [float(x0)]
     code = _RUNNING
     for n in range(n_max):
         s = n % (2 * _MAX_REFILL_BLOCKS)
@@ -249,10 +250,11 @@ def _run_block(spec, x0s, seed, path_offset, n_max, checkpoints, t_stop,
     Only the running paths' states are carried from step to step, as compact
     arrays.  A path's final state, status and time are written out once,
     when it stops (its time to every later checkpoint: it is exact there),
-    and the running paths' times at each checkpoint.  Draws are made only
-    for the paths still running, a refill at a time: about
-    ``_REFILL_BLOCKS`` Philox blocks, 1 to ``_MAX_REFILL_BLOCKS`` per path,
-    never for steps past ``n_max``.
+    and the running paths' times at each checkpoint; only a step where some
+    paths stop indexes the carried arrays, by one pass for the stopped rows
+    and one for the kept.  Draws are made only for the running paths, a
+    refill at a time: about ``_REFILL_BLOCKS`` Philox blocks, 1 to
+    ``_MAX_REFILL_BLOCKS`` per path, never for steps past ``n_max``.
     """
     times, final_x, status = out_times[:, sl], out_final_x[sl], out_status[sl]
     P = len(x0s)
@@ -271,9 +273,8 @@ def _run_block(spec, x0s, seed, path_offset, n_max, checkpoints, t_stop,
                            draws[rows, 2 * s + 1], t_stop)
         s += 1
         n_done += 1
-        keep = st == _RUNNING
-        if not keep.all():  # write out the paths that stopped
-            stop = ~keep
+        if st.any():  # some paths stopped (_RUNNING is 0): write them out
+            stop, keep = np.flatnonzero(st), np.flatnonzero(st == _RUNNING)
             gone = run[stop]
             final_x[gone], status[gone] = xr[stop], st[stop]
             times[np.searchsorted(checkpoints, n_done):, gone] = tr[stop]

@@ -257,10 +257,13 @@ def test_bad_schema_exit_2(tmp_path):
                        "numeric: {seed: 0}\n", []),
         "other_action_key": (model + "numeric: {seed: 0, lambdas: [1.0]}\n",
                              []),
+        # a misspelled section: its artifacts would land elsewhere
+        "section_typo": (model + "numeric: {seed: 0}\n"
+                         f"outptu: {{dir: {tmp_path / 'wanted'}}}\n", []),
     }
     unknown = {"numeric_typo": "n_path, t_value", "kernel_typo": "mu",
                "phi_typo": "alfa", "g_typo": "bta", "model_typo": "kernal",
-               "other_action_key": "lambdas"}
+               "other_action_key": "lambdas", "section_typo": "outptu"}
     for name, (text, extra) in bad.items():
         path = tmp_path / f"{name}.yaml"
         path.write_text(text)

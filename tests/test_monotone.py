@@ -180,6 +180,40 @@ def test_inverse_matches_bisection(name):
     assert np.all(np.abs(got - want) <= 4.0 * np.spacing(want))
 
 
+def _jump_in_cell():
+    """V of f = 0 on [1, 2] and 1 + x elsewhere, on 512 nodes, and a point
+    x whose cell holds the jump of f at 2, with q = V(x)."""
+    def f(x):
+        x = _arr(x)
+        return np.where((x >= 1.0) & (x <= 2.0), 0.0, 1.0 + x)
+
+    m = TabulatedIntegralMap(f, orientation="from_below", anchor=0.1,
+                             domain=(1e-2, 1e2), n_nodes=512)
+    x = 2.00138677
+    return m, x, m(np.array([x]))
+
+
+def test_log_bisection_on_V_across_jump_in_cell():
+    # log bisection on the same V recovers x: the miss is inverse's own
+    m, x, q = _jump_in_cell()
+    lo, hi = np.log(1.9), np.log(2.1)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if m(np.array([np.exp(mid)]))[0] >= q[0]:
+            hi = mid
+        else:
+            lo = mid
+    assert abs(np.exp(hi) - x) <= 4.0 * np.spacing(x)
+
+
+@pytest.mark.xfail(strict=True, reason="inverse integrates the cell across "
+                   "the jump of f with one Gauss panel: 2.0015658, 8.9e-5 "
+                   "relative off")
+def test_inverse_across_jump_in_cell():
+    m, x, q = _jump_in_cell()
+    assert abs(m.inverse(q)[0] - x) <= 4.0 * np.spacing(x)
+
+
 def test_inverse_at_double_zero_of_integrand():
     # f = (log x)^2 vanishes to second order at 1, where Newton converges
     # only linearly; the residual in q must still reach the rounding floor
