@@ -2,7 +2,8 @@
 
 Densities are stored as per-cell masses w.r.t. m(dx) = x dx on a log-spaced
 grid (conservative discretization).  Mass leaving the grid is tracked in
-sub/super-grid buckets, never renormalized away.  The sub-grid bucket holds
+sub/super-grid buckets, never renormalized away; transport S(t) holds them
+as two more rows of its sparse matrices.  The sub-grid bucket holds
 what transport carries below x_min and what B sends there; it is not the
 mass shattered to zero size.  Under the grid generator exp(tM) of pure
 jump it would be, but the truncated Dyson-Phillips sum drains the stiff
@@ -114,12 +115,13 @@ class OperatorTrace:
 # -- semigroup S(t) ----------------------------------------------------------
 
 def _transport(spec, grid, ts):
-    """Transport S(t) at the times ``ts``: T sparse matrices and the (T, n)
-    masses each cell sends below x_min / above x_max, from one searchsorted /
-    repeat / overlap pass over the (T, n) destination intervals.  Entries
-    come by source cell, so each matrix is a CSC straight from its arrays:
-    its products add every output cell up in ascending source order, as the
-    CSR of a COO conversion did, so results keep every bit."""
+    """Transport S(t) at the times ``ts``: T sparse (n + 2, n) matrices from
+    one searchsorted / repeat / overlap pass over the (T, n) destination
+    intervals, on the w-cells extended by (-inf, w_0] and [w_n, +inf), whose
+    deposits are rows n + 1 (below x_min) and n (above x_max).  Entries come
+    by source cell, so each matrix is a CSC straight from its arrays: its
+    products add every output up in ascending source order, as the CSR of
+    a COO conversion did, so grid results keep every bit."""
     T, n = len(ts), grid.n_cells
     # shift in the flow coordinate w = direction * G: flow_vec moves G(x) ->
     # G(x) + t, so w = d G moves by d t, up for growth (d = +1) and down for
@@ -127,6 +129,7 @@ def _transport(spec, grid, ts):
     d = spec.G.direction
     w_edges = d * np.asarray(spec.G(grid.edges), dtype=float)
     w_dest = w_edges + d * ts[:, None]
+    edges = np.concatenate([[-np.inf], w_edges, [np.inf]])
     survival = np.exp(-np.asarray(
         cumulative_rate(spec, grid.nodes, ts[:, None]), dtype=float)).ravel()
     # source cell i at time ts[r], flat index r * n + i, goes to [a, b]
@@ -134,31 +137,28 @@ def _transport(spec, grid, ts):
     with np.errstate(invalid="ignore", divide="ignore"):
         width = b - a
         regular = np.isfinite(width) & (width > 0)
-        # a regular cell spreads over the destination cells [k0, k1] it
-        # overlaps, a degenerate one deposits whole at its midpoint's
-        # destination k0 = k1; what falls outside the grid is a bucket
+        # a regular cell spreads over the extended cells [k0, k1] it
+        # overlaps, a degenerate one deposits whole at its midpoint's cell
+        # k0 = k1, clamped to n + 1: a midpoint at +inf is past the end
         mid = np.where(np.isfinite(a), 0.5 * (a + b), b)
-        k0 = np.searchsorted(w_edges, np.where(regular, a, mid), side="right") - 1
-        k1 = np.where(regular, np.searchsorted(w_edges, b, side="left") - 1, k0)
-        sub = survival * np.where(
-            regular, np.clip((w_edges[0] - a) / width, 0.0, 1.0), k0 < 0)
-        sup = survival * np.where(
-            regular, np.clip((b - w_edges[-1]) / width, 0.0, 1.0), k1 >= n)
-        k0, k1 = np.maximum(k0, 0), np.minimum(k1, n - 1)
-        counts = np.maximum(k1 - k0 + 1, 0)
+        k0 = np.minimum(np.searchsorted(
+            edges, np.where(regular, a, mid), side="right") - 1, n + 1)
+        k1 = np.where(regular, np.searchsorted(edges, b, side="left") - 1, k0)
+        counts = k1 - k0 + 1
         pos = np.repeat(np.arange(T * n), counts)
-        rows = k0[pos] + np.arange(len(pos)) - (np.cumsum(counts) - counts)[pos]
-        ov = np.minimum(b[pos], w_edges[rows + 1]) - np.maximum(a[pos], w_edges[rows])
+        cells = k0[pos] + np.arange(len(pos)) - (np.cumsum(counts) - counts)[pos]
+        ov = np.minimum(b[pos], edges[cells + 1]) - np.maximum(a[pos], edges[cells])
         keep = (ov > 0) | ~regular[pos]
-        pos, rows, ov = pos[keep], rows[keep].astype(np.int32), ov[keep]
+        pos, cells, ov = pos[keep], cells[keep], ov[keep]
         vals = np.where(regular[pos], survival[pos] * ov / width[pos], survival[pos])
-    # entries come by source cell, then destination row: CSC storage order;
+    # extended cell k is row k - 1, and cell 0, below the grid, row n + 1;
+    # entries come by source cell, then destination: CSC storage order;
     # int32 indices, as scipy would pick, spare it a scan of each array
+    rows = ((cells - 1) % (n + 2)).astype(np.int32)
     ptr = np.searchsorted(pos, np.arange(T * n + 1))
-    mats = [sp.csc_matrix((vals[p[0]:p[-1]], rows[p[0]:p[-1]],
-                           (p - p[0]).astype(np.int32)), shape=(n, n))
+    return [sp.csc_matrix((vals[p[0]:p[-1]], rows[p[0]:p[-1]],
+                           (p - p[0]).astype(np.int32)), shape=(n + 2, n))
             for p in (ptr[r * n:r * n + n + 1] for r in range(T))]
-    return mats, sub.reshape(T, n), sup.reshape(T, n)
 
 
 class _SOperator:
@@ -170,10 +170,10 @@ class _SOperator:
     the nodal survival, so that S takes out of each cell the phi(node)
     share that B redistributes; a cell-averaged survival took less, and the
     Dyson-Phillips sum created mass (3.5e-4 for phi = 1/x).  Transport is
-    ``mats``, one sparse matrix per time, with bucket rows ``sub_row`` /
-    ``sup_row`` (T, n), built in blocks of ~8192 (time, cell) pairs.  A
-    diagonal S convolves a Dyson-Phillips level in O(n n_s) work and about
-    4 sqrt(n_s) array operations."""
+    ``mats``, one sparse (n + 2, n) matrix per time whose rows n and n + 1
+    are the super- and sub-grid deposits, built in blocks of ~8192
+    (time, cell) pairs.  A diagonal S convolves a Dyson-Phillips level in
+    O(n n_s) work and about 4 sqrt(n_s) array operations."""
 
     def __init__(self, spec, grid, ts):
         ts = np.asarray(ts, dtype=float)
@@ -183,22 +183,20 @@ class _SOperator:
                 -ts[:, None] * np.asarray(spec.phi(grid.nodes), dtype=float))
             return
         step = max(1, 8192 // grid.n_cells)
-        blocks = [_transport(spec, grid, ts[r:r + step])
-                  for r in range(0, len(ts), step)]
-        self.mats = [m for block in blocks for m in block[0]]
-        self.sub_row = np.concatenate([block[1] for block in blocks])
-        self.sup_row = np.concatenate([block[2] for block in blocks])
+        self.mats = [m for r in range(0, len(ts), step)
+                     for m in _transport(spec, grid, ts[r:r + step])]
 
     def add(self, r, masses, out, sub, sup):
         """Add S(ts[r]) of one density (n,) or a stack (..., n) into ``out``
         and its sub- and super-grid deposits, one per density, into ``sub``
-        and ``sup``; a diagonal S deposits nothing."""
+        and ``sup``, from one sparse product; a diagonal S deposits nothing."""
         if self.mats is None:
             out += masses * self.factor[r]
             return
-        out += (self.mats[r] @ masses.T).T
-        sub += masses @ self.sub_row[r]
-        sup += masses @ self.sup_row[r]
+        res = (self.mats[r] @ masses.T).T
+        out += res[..., :-2]
+        sup += res[..., -2]
+        sub += res[..., -1]
 
     def convolve(self, wm, out, sub, sup):
         """Add sum_{j<k} S((k-j-1/2) h) wm[j] into out[k-1], k = 1..len(wm),

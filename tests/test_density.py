@@ -355,8 +355,8 @@ def test_dyson_honest_conservation(bounded_pure_jump):
     assert abs(tot[64] - 1.0) <= abs(tot[64] - tot[32])
 
 
-@pytest.mark.xfail(strict=True, reason="the sub-grid row of _transport "
-                   "discounts mass leaving the grid by the whole-step survival")
+@pytest.mark.xfail(strict=True, reason="the below-grid entries of _transport "
+                   "discount mass leaving the grid by the whole-step survival")
 def test_dyson_honest_decay_conservation():
     # decay g = x^2 with phi = 1 is honest: grid mass plus buckets stays
     # ||u|| = 1 up to the time-quadrature error that doubling n_s exposes.
@@ -412,6 +412,47 @@ def test_dyson_golden_grid_masses(name, spec):
     np.testing.assert_allclose(res.masses, want, rtol=1e-12, atol=0.0)
 
 
+_SMALL = ((1e-4, 1e2, 64), 1.0, 3, 16, (0.0, 0.0))
+_TRANSPORT_GOLDEN = [
+    # (name, spec, grid, t, N, n_s, start buckets (sub, sup)); the first
+    # five are the transport models of dyson_golden.json, on its set-up
+    ("growth", power_model("growth", alpha=0.0, beta=0.0)) + _SMALL,
+    ("decay", power_model("decay", alpha=0.0, beta=-1.0)) + _SMALL,
+    ("growth_sqrt", power_model("growth", alpha=-0.5, beta=1.0)) + _SMALL,
+    ("growth_tabulated", build_characteristics(
+        SemiflowSpec(regime=Regime.GROWTH, power_beta=0.0),
+        RateSpec(phi=lambda x: np.asarray(x, float)),
+        PowerLawKernel(0.0))) + _SMALL,
+    ("decay_to_zero", unit_decay_model()) + _SMALL,
+    # both buckets nonzero: growth g = x leaves the top and B sends
+    # fragments below x_min = 0.1; decay g = x^2 leaves at the bottom, and
+    # never at the top, so its start carries a super-grid bucket
+    ("growth_buckets", power_model("growth", alpha=0.0, beta=0.0),
+     (1e-1, 1e2, 96), 4.0, 60, 32, (0.0, 0.0)),
+    ("decay_buckets", power_model("decay", alpha=0.0, beta=-1.0),
+     (1e-1, 1e2, 96), 4.0, 60, 32, (0.0625, 0.125)),
+]
+
+
+@pytest.mark.parametrize("name,spec,grid,t,N,n_s,start", _TRANSPORT_GOLDEN,
+                         ids=[case[0] for case in _TRANSPORT_GOLDEN])
+def test_transport_dyson_golden(name, spec, grid, t, N, n_s, start):
+    # transport Dyson-Phillips outputs recorded before the out-of-grid
+    # buckets became two rows of each S matrix (commit 4d54c18): grid masses
+    # keep every bit; the bucket deposits, now summed in ascending source
+    # order rather than by BLAS, may move by an ulp: here the final buckets
+    # kept their bits and term_norms moved by <= 1.6e-16 relative
+    want = json.loads((DATA / "transport_golden.json").read_text())[name]
+    u = GridDensity.uniform_in_m(LogGrid(*grid), 1.0, 2.0)
+    u.sub_grid_mass, u.super_grid_mass = start
+    res, tr = dyson_phillips(spec, t, u, N=N, n_s=n_s)
+    np.testing.assert_array_equal(res.masses, want["masses"])
+    np.testing.assert_allclose([res.sub_grid_mass, res.super_grid_mass],
+                               [want["sub"], want["sup"]], rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(tr.term_norms, want["term_norms"],
+                               rtol=1e-15, atol=0.0)
+
+
 @pytest.mark.parametrize("t", [0.1, 2.0])
 @pytest.mark.parametrize("spec", [
     power_model("growth", alpha=0.0, beta=0.0),
@@ -423,12 +464,42 @@ def test_transport_S_columns_carry_survival(spec, t):
     grid = LogGrid(1e-4, 1e2, 64)
     ts = (t / 8, t / 2, t)
     op = _SOperator(spec, grid, ts)
-    assert len(op.mats) == op.sub_row.shape[0] == op.sup_row.shape[0] == 3
+    assert len(op.mats) == 3
     for r, s in enumerate(ts):
-        cols = np.asarray(op.mats[r].sum(axis=0)).ravel() + op.sub_row[r] \
-            + op.sup_row[r]
+        mat = op.mats[r].toarray()
+        assert mat.shape == (66, 64)
+        # rows n and n + 1 are the super- and sub-grid deposits
+        cols = mat[:-2].sum(axis=0) + mat[-1] + mat[-2]
         want = np.exp(-np.asarray(cumulative_rate(spec, grid.nodes, s)))
         np.testing.assert_allclose(cols, want, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("spec,k", [
+    (power_model("growth", alpha=0.0, beta=0.0), 2),
+    (power_model("decay", alpha=0.0, beta=-1.0), 1),
+], ids=["growth", "decay"])
+def test_transport_S_add_stack_is_rows(spec, k):
+    # add on a (3, n) stack, in C or F order as the lag loop passes it, is
+    # three 1-D adds, as apply_S and the term-0 rows make them, bit for bit:
+    # grid and both buckets.  One S(t) moves every cell the same way in w,
+    # so growth deposits above the grid (sup, output k = 2) and decay below
+    # (sub, k = 1)
+    grid = LogGrid(1e-1, 1e2, 96)
+    op = _SOperator(spec, grid, [4.0])
+    x = np.random.default_rng(7).random((3, grid.n_cells))
+
+    def start():
+        return np.ones_like(x), np.full(3, 0.5), np.full(3, 0.25)
+
+    want = start()
+    for i in range(3):
+        op.add(0, x[i], want[0][i], want[1][i:i + 1], want[2][i:i + 1])
+    assert np.all(want[k] > start()[k])
+    for stack in (x, np.asfortranarray(x)):
+        got = start()
+        op.add(0, stack, *got)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 def test_diagonal_S_adds_any_stack(pure_frag):
@@ -486,9 +557,9 @@ def test_transport_S_convolve_is_lag_sum():
     op = _SOperator(spec, grid, np.arange(1, 2 * n_s + 1) * (0.5 * h))
     wm = np.random.default_rng(12).random((n_s, grid.n_cells))
     # convolve runs the lag loop on wm in F order, where the sparse products
-    # read contiguous rows; the bucket products' bits depend on the layout,
-    # so the reference runs on the same F-order copy
-    want = _lag_sum(op, np.asfortranarray(wm))
+    # read contiguous rows; one sparse product, buckets included, has the
+    # same bits in either layout, so the reference runs on the C-order wm
+    want = _lag_sum(op, wm)
     for got, want in zip(_convolved(op, wm), want):
         assert np.array_equal(got, want)
 
@@ -533,12 +604,14 @@ def test_transport_S_degenerate_cells(monkeypatch):
     spec = SimpleNamespace(regime=Regime.GROWTH, G=StepG())
     op = _SOperator(spec, LogGrid(1.0, 64.0, 6), [0.5])
     surv = math.exp(-0.25)
-    mat = op.mats[0].toarray()
-    np.testing.assert_allclose(mat.sum(axis=0) + op.sub_row[0] + op.sup_row[0],
+    full = op.mats[0].toarray()
+    assert full.shape == (8, 6)
+    mat, sup_row, sub_row = full[:-2], full[-2], full[-1]
+    np.testing.assert_allclose(mat.sum(axis=0) + sub_row + sup_row,
                                surv, rtol=0.0, atol=1e-15)
     assert mat[1, 0] == surv  # (-inf, 0.5]: deposited at 0.5
     assert mat[3, 2] == surv  # [1.5, 1.5]: deposited at 1.5
-    assert op.sup_row[0, 5] == surv  # [3.5, inf): above the grid
+    assert sup_row[5] == surv  # [3.5, inf): midpoint +inf, above the grid
     # each output cell adds its sources in ascending order, as the CSR of a
     # COO conversion does: cell 3 takes regular column 1, degenerate column
     # 2 and regular column 3, and on this stack adding column 3 before
