@@ -14,6 +14,9 @@ Randomness is counter-based (Philox4x64-10, Salmon et al., SC'11), computed
 statelessly by ``_uniforms``: draw k of path p is word k mod 4 of the block
 at counter (k // 4 + 1, 0, 0, 0) under key (seed, p), as the double
 (w >> 11) * 2**-53.  This is the stream of ``path_rng(seed, p).random()``.
+The draws come step-major, one row per draw index across the paths, so a
+jump step reads a contiguous row; the first two of the ten rounds, whose
+counters are constant but for the block index, are folded.
 Step n of a path uses its draws 2n (holding time) and 2n + 1 (daughter
 size), so a path's chain depends only on (seed, path id, start state): not
 on the batch it runs in, how that batch is split or the worker count.
@@ -77,6 +80,7 @@ def path_rng(seed, path_id):
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LO32 = np.uint64(0xFFFFFFFF)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 _U32, _U11 = np.uint64(32), np.uint64(11)
 
 
@@ -104,24 +108,43 @@ def _mulhilo(m, x, lo, hi, a, b, c):
 
 
 def _uniforms(seed, ids, start, n):
-    """Draws start .. start+n-1 of each path's stream, shape (len(ids), n).
+    """Draws start .. start+n-1 of each path's stream, shape (n, len(ids)).
 
-    Equal bitwise to ``path_rng(seed, p).random(start + n)[start:]`` for
-    every p in ``ids``, without building a generator per path.
+    Step-major: row k holds draw start + k of every path, a contiguous row
+    of a (blocks, 4, paths) buffer, and column j equals bitwise
+    ``path_rng(seed, ids[j]).random(start + n)[start:]``, with no generator
+    built per path.  Philox runs on (blocks, paths) arrays, paths on the
+    contiguous axis.  Rounds 0 and 1 are folded: block i's counter is
+    (i, 0, 0, 0), so round 0's one nonzero product, M0·i, runs on a
+    (blocks, 1) column; round 0 leaves the seed k0 in word 0 of every
+    block, so round 1's M0 product is one Python int product (mod 2**64),
+    and only its M1 product runs on full arrays.  The folding is exact: it
+    forms the same 64-bit words by the same products and XORs, and skips
+    only those with a zero operand or with operands that no path changes.
     """
     k0 = int(np.array([seed, 0], dtype=np.uint64)[0])  # path_rng's checks
-    k1 = np.asarray(ids, dtype=np.uint64)[:, None].copy()
+    k1 = np.asarray(ids, dtype=np.uint64)
     b0, b1 = start // 4, (start + n + 3) // 4
-    shape = (len(k1), b1 - b0)
-    c0 = np.broadcast_to(np.arange(b0 + 1, b1 + 1, dtype=np.uint64), shape)
-    c0 = c0.copy()
-    c1, c2, c3 = (np.zeros(shape, dtype=np.uint64) for _ in range(3))
-    f0, f1, f2, f3, a, b, c = (np.empty(shape, dtype=np.uint64)
-                               for _ in range(7))
-    for r in range(10):
-        if r:
-            k0 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFFFFFFFFFF
-            k1 += np.uint64(_PHILOX_W[1])
+    shape = (b1 - b0, len(k1))
+    c0, c1, c2, c3, f0, f1, f2, f3, a, b, c = (
+        np.empty(shape, dtype=np.uint64) for _ in range(11))
+    # round 0 turns the counter (i, 0, 0, 0) of block i into the words
+    # (k0, 0, hi(M0 i) ^ k1, lo(M0 i))
+    lo, hi, *work = (np.empty((shape[0], 1), dtype=np.uint64) for _ in range(5))
+    _mulhilo(_PHILOX_M[0], np.arange(b0 + 1, b1 + 1, dtype=np.uint64)[:, None],
+             lo, hi, *work)
+    np.bitwise_xor(hi, k1, out=c2)
+    # round 1: word 0 is k0 in every block, word 1 is 0
+    m0k0 = _PHILOX_M[0] * k0
+    k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, k1 + np.uint64(_PHILOX_W[1])
+    _mulhilo(_PHILOX_M[1], c2, f1, f0, a, b, c)
+    f0 ^= np.uint64(k0)
+    np.bitwise_xor(lo ^ np.uint64(m0k0 >> 64), k1, out=f2)
+    f3.fill(m0k0 & _MASK64)
+    c0, c1, c2, c3, f0, f1, f2, f3 = f0, f1, f2, f3, c0, c1, c2, c3
+    for _ in range(2, 10):
+        k0 = (k0 + _PHILOX_W[0]) & _MASK64
+        k1 += np.uint64(_PHILOX_W[1])
         _mulhilo(_PHILOX_M[0], c0, f3, f2, a, b, c)
         _mulhilo(_PHILOX_M[1], c2, f1, f0, a, b, c)
         f0 ^= c1
@@ -129,12 +152,12 @@ def _uniforms(seed, ids, start, n):
         f2 ^= c3
         f2 ^= k1
         c0, c1, c2, c3, f0, f1, f2, f3 = f0, f1, f2, f3, c0, c1, c2, c3
-    out = np.empty(shape + (4,))
+    out = np.empty((shape[0], 4, shape[1]))
     for j, w in enumerate((c0, c1, c2, c3)):
         w >>= _U11
-        np.multiply(w, 2.0 ** -53, out=out[:, :, j])
+        np.multiply(w, 2.0 ** -53, out=out[:, j])
     skip = start - 4 * b0
-    return out.reshape(len(k1), -1)[:, skip:skip + n]
+    return out.reshape(-1, len(k1))[skip:skip + n]
 
 
 def _stratified_starts(u, n_paths, seed, stream):
@@ -142,7 +165,7 @@ def _stratified_starts(u, n_paths, seed, stream):
     inverse-CDF sampling, one stratum per path, each placed by a draw of a
     stream id above every path id: 2**63 for "survival", 2**62 for "pairing"."""
     sid = {"survival": 2 ** 63, "pairing": 2 ** 62}[stream]
-    strat = _uniforms(seed, [sid], 0, n_paths)[0]
+    strat = _uniforms(seed, [sid], 0, n_paths)[:, 0]
     return u.sample_inverse_cdf((np.arange(n_paths) + strat) / n_paths)
 
 
@@ -195,8 +218,8 @@ def simulate_chain(spec, x0, *, seed, path_id=0, n_max=DEFAULT_N_MAX,
     InfiniteHolding for mis-specified models whose cumulative rate along an
     orbit stays bounded.
     """
-    if x0 <= 0:
-        raise ValueError("x0 must be positive")
+    if not 0.0 < x0 < math.inf:
+        raise ValueError(f"starting state {x0} is not in (0, inf)")
     if n_max < 1 or t_max <= 0:
         raise ValueError("need n_max >= 1 and t_max > 0")
     times, positions = [0.0], [float(x0)]
@@ -204,7 +227,7 @@ def simulate_chain(spec, x0, *, seed, path_id=0, n_max=DEFAULT_N_MAX,
     for n in range(n_max):
         s = n % (2 * _MAX_REFILL_BLOCKS)
         if s == 0:
-            u = _uniforms(seed, [path_id], 2 * n, 4 * _MAX_REFILL_BLOCKS)[0]
+            u = _uniforms(seed, [path_id], 2 * n, 4 * _MAX_REFILL_BLOCKS)[:, 0]
         t_new, x_new, st = _jump(spec, np.array(positions[-1:]),
                                  np.array(times[-1:]), u[2 * s:2 * s + 1],
                                  u[2 * s + 1:2 * s + 2], t_max)
@@ -254,7 +277,10 @@ def _run_block(spec, x0s, seed, path_offset, n_max, checkpoints, t_stop,
     paths stop indexes the carried arrays, by one pass for the stopped rows
     and one for the kept.  Draws are made only for the running paths, a
     refill at a time: about ``_REFILL_BLOCKS`` Philox blocks, 1 to
-    ``_MAX_REFILL_BLOCKS`` per path, never for steps past ``n_max``.
+    ``_MAX_REFILL_BLOCKS`` per path, never for steps past ``n_max``.  The
+    refill is step-major, so a step reads its two draws as row views while
+    no path has stopped since the refill, and gathers them by the kept
+    columns (one 1-D take each) after one has.
     """
     times, final_x, status = out_times[:, sl], out_final_x[sl], out_status[sl]
     P = len(x0s)
@@ -268,9 +294,11 @@ def _run_block(spec, x0s, seed, path_offset, n_max, checkpoints, t_stop,
             blocks = min(max(_REFILL_BLOCKS // len(run), 1), _MAX_REFILL_BLOCKS)
             width = min(2 * blocks, n_max - n_done)
             draws = _uniforms(seed, ids[run], 2 * n_done, 2 * width)
-            rows, s = np.arange(len(run)), 0  # run's rows in draws
-        tr, xr, st = _jump(spec, xr, tr, draws[rows, 2 * s],
-                           draws[rows, 2 * s + 1], t_stop)
+            cols, s = None, 0  # run's columns in draws; None: all of them
+        u_eps, u_theta = draws[2 * s], draws[2 * s + 1]
+        if cols is not None:
+            u_eps, u_theta = u_eps[cols], u_theta[cols]
+        tr, xr, st = _jump(spec, xr, tr, u_eps, u_theta, t_stop)
         s += 1
         n_done += 1
         if st.any():  # some paths stopped (_RUNNING is 0): write them out
@@ -278,7 +306,8 @@ def _run_block(spec, x0s, seed, path_offset, n_max, checkpoints, t_stop,
             gone = run[stop]
             final_x[gone], status[gone] = xr[stop], st[stop]
             times[np.searchsorted(checkpoints, n_done):, gone] = tr[stop]
-            run, rows, tr, xr = run[keep], rows[keep], tr[keep], xr[keep]
+            cols = keep if cols is None else cols[keep]
+            run, tr, xr = run[keep], tr[keep], xr[keep]
         if n_done in cp_rows:
             times[cp_rows[n_done], run] = tr
     final_x[run], status[run] = xr, _RUNNING
@@ -301,6 +330,9 @@ def run_chains(spec, x0s, *, seed, n_max=DEFAULT_N_MAX, checkpoints=None,
     """
     x0s = np.asarray(x0s, dtype=float)
     P = len(x0s)
+    ok = (x0s > 0) & (x0s < np.inf)
+    if not ok.all():
+        raise ValueError(f"starting state {x0s[~ok][0]} is not in (0, inf)")
     if checkpoints is None:
         checkpoints = (n_max,)
     checkpoints = sorted(set(int(c) for c in checkpoints))

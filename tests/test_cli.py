@@ -285,6 +285,18 @@ def test_bad_schema_exit_2(tmp_path):
         assert "unknown key(s) in numeric." in res.output, numeric
 
 
+@pytest.mark.parametrize("x0", [".nan", "-1.0", ".inf"])
+def test_start_outside_domain_exit_2(tmp_path, x0):
+    cfg = tmp_path / "x0.yaml"
+    cfg.write_text("model:\n  regime: pure_jump\n"
+                   "  phi: {a: 1.0, alpha: -1.0}\n"
+                   "  kernel: {family: power, nu: 0.0}\n"
+                   f"numeric: {{seed: 1, n_paths: 100, x0: {x0}}}\n")
+    res = _run(["simulate", "-c", str(cfg), "-o", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert "not in (0, inf)" in res.output
+
+
 def test_missing_seed_exit_2(tmp_path):
     cfg = tmp_path / "noseed.yaml"
     cfg.write_text("model:\n  regime: pure_jump\n"

@@ -154,14 +154,61 @@ def test_uniforms_match_path_rng():
         rng.integers(0, 2 ** 64, 500, dtype=np.uint64, endpoint=False))]
     pairs += [(7, pid) for pid in (0, 2 ** 62, 2 ** 63, 2 ** 64 - 1)]
     for seed, pid in pairs:
-        assert np.array_equal(_uniforms(seed, [pid], 0, 64)[0],
+        assert np.array_equal(_uniforms(seed, [pid], 0, 64)[:, 0],
                               path_rng(seed, pid).random(64))
     # many paths in one call, a window past 10^6 that starts mid-block
     seed, pids = pairs[0][0], [p for _, p in pairs[-8:]]
     start = 10 ** 6 + 3
     got = _uniforms(seed, pids, start, 6)
-    for row, pid in zip(got, pids):
-        assert np.array_equal(row, path_rng(seed, pid).random(start + 6)[start:])
+    for col, pid in zip(got.T, pids):
+        assert np.array_equal(col, path_rng(seed, pid).random(start + 6)[start:])
+    # several blocks and several paths in one call: the folded rounds
+    # broadcast a (blocks, 1) column against the paths' keys and wrap
+    # Python-int products around 2**64
+    pids = [0, 5, 2 ** 63, 0x123456789ABCDEF0, 2 ** 64 - 1]
+    for seed in (0, 7, 0xFEDCBA9876543210, 2 ** 64 - 1):
+        for start in range(9):
+            for n in (1, 3, 6, 37):
+                got = _uniforms(seed, pids, start, n)
+                assert got.shape == (n, len(pids))
+                for col, pid in zip(got.T, pids):
+                    want = path_rng(seed, pid).random(start + n)[start:]
+                    assert np.array_equal(col, want), (seed, pid, start, n)
+
+
+def _no_draws(*args):
+    raise AssertionError("a draw was made")
+
+
+def test_nan_start_rejected_by_explosion_cdf(pure_frag, monkeypatch):
+    # a NaN start read 1.0 with SE 0: every path "exploded" at once
+    monkeypatch.setattr("pdmpfrag.simulate._uniforms", _no_draws)
+    with pytest.raises(ValueError, match="not in"):
+        estimate_explosion_cdf(pure_frag, math.nan, 1.0, 100, seed=1)
+
+
+def test_nan_start_rejected_by_simulate_chain(pure_frag, monkeypatch):
+    # a NaN start gave a domain-exit trajectory at x = nan
+    monkeypatch.setattr("pdmpfrag.simulate._uniforms", _no_draws)
+    with pytest.raises(ValueError, match="not in"):
+        simulate_chain(pure_frag, math.nan, seed=1)
+
+
+def test_negative_start_rejected_by_run_chains(pure_frag, monkeypatch):
+    # a negative start raised InfiniteHolding (zero jump rate) mid-run
+    monkeypatch.setattr("pdmpfrag.simulate._uniforms", _no_draws)
+    with pytest.raises(ValueError, match="not in"):
+        run_chains(pure_frag, [1.0, -1.0], seed=1, n_max=10)
+
+
+def test_infinite_start_rejected_by_run_chains(monkeypatch):
+    # a decay model (g = x^2, phi = 1) ran paths from x0 = inf
+    spec = power_model("decay", alpha=0.0, beta=-1.0)
+    monkeypatch.setattr("pdmpfrag.simulate._uniforms", _no_draws)
+    with pytest.raises(ValueError, match="not in"):
+        run_chains(spec, [2.0, math.inf], seed=1, n_max=10)
+    with pytest.raises(ValueError, match="not in"):
+        simulate_chain(spec, math.inf, seed=1)
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64, -2 ** 70])
