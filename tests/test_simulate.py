@@ -181,28 +181,28 @@ def _no_draws(*args):
 
 
 def test_nan_start_rejected_by_explosion_cdf(pure_frag, monkeypatch):
-    # a NaN start read 1.0 with SE 0: every path "exploded" at once
+    # unchecked, a NaN start counts every path as exploded: 1.0, SE 0
     monkeypatch.setattr("pdmpfrag.simulate._uniforms", _no_draws)
     with pytest.raises(ValueError, match="not in"):
         estimate_explosion_cdf(pure_frag, math.nan, 1.0, 100, seed=1)
 
 
 def test_nan_start_rejected_by_simulate_chain(pure_frag, monkeypatch):
-    # a NaN start gave a domain-exit trajectory at x = nan
+    # unchecked, a NaN start gives a domain-exit trajectory at x = nan
     monkeypatch.setattr("pdmpfrag.simulate._uniforms", _no_draws)
     with pytest.raises(ValueError, match="not in"):
         simulate_chain(pure_frag, math.nan, seed=1)
 
 
 def test_negative_start_rejected_by_run_chains(pure_frag, monkeypatch):
-    # a negative start raised InfiniteHolding (zero jump rate) mid-run
+    # unchecked, a negative start meets a zero jump rate mid-run
     monkeypatch.setattr("pdmpfrag.simulate._uniforms", _no_draws)
     with pytest.raises(ValueError, match="not in"):
         run_chains(pure_frag, [1.0, -1.0], seed=1, n_max=10)
 
 
 def test_infinite_start_rejected_by_run_chains(monkeypatch):
-    # a decay model (g = x^2, phi = 1) ran paths from x0 = inf
+    # unchecked, a decay model (g = x^2, phi = 1) runs paths from inf
     spec = power_model("decay", alpha=0.0, beta=-1.0)
     monkeypatch.setattr("pdmpfrag.simulate._uniforms", _no_draws)
     with pytest.raises(ValueError, match="not in"):
