@@ -203,7 +203,7 @@ def _tau_oracle(spec):
 
 # -- actions -------------------------------------------------------------------
 
-def _action_simulate(cfg, spec, out, seed, workers):
+def _action_simulate(cfg, spec, out, seed):
     n_paths = int(_numeric(cfg, "n_paths", 10_000))
     n_max = int(_numeric(cfg, "n_max", 2_000))
     x0 = float(_numeric(cfg, "x0", 1.0))
@@ -218,8 +218,7 @@ def _action_simulate(cfg, spec, out, seed, workers):
     orc = _tau_oracle(spec)
     rows = []
     for t in ts:
-        est = estimate_explosion_cdf(spec, x0, t, n_paths, n_max,
-                                     seed=seed, workers=workers)
+        est = estimate_explosion_cdf(spec, x0, t, n_paths, n_max, seed=seed)
         oracle_val = explosion_cdf(orc, t, x0) if orc is not None else float("nan")
         rows.append((float(t), est.value, est.std_error, oracle_val,
                      est.diagnostics["value_at_half_budget"],
@@ -230,7 +229,7 @@ def _action_simulate(cfg, spec, out, seed, workers):
     return files
 
 
-def _action_evolve(cfg, spec, out, seed, workers):
+def _action_evolve(cfg, spec, out, seed):
     grid = _grid_from(cfg)
     u0 = _u0_from(cfg, grid)
     ts = [float(t) for t in _numeric(cfg, "t_values", [0.25, 0.5, 1.0, 2.0])]
@@ -270,14 +269,14 @@ def _action_evolve(cfg, spec, out, seed, workers):
     return files
 
 
-def _action_classify(cfg, spec, out, seed, workers):
+def _action_classify(cfg, spec, out, seed):
     lams = [float(l) for l in _numeric(cfg, "lambdas", [1.0, 0.1, 0.01])]
     pr = _numeric_mapping(cfg, "probes", ("lo", "hi", "n"))
     probes = np.geomspace(float(pr.get("lo", 1e-3)), float(pr.get("hi", 1e3)),
                           int(pr.get("n", 7)))
     budgets = {"n_paths": int(_numeric(cfg, "n_paths", 400)),
                "n_iter": int(_numeric(cfg, "n_iter", 400))}
-    mc = classify(spec, lams, probes, budgets, seed=seed, workers=workers)
+    mc = classify(spec, lams, probes, budgets, seed=seed)
     files = []
     ev_path = Path(out) / "evidence.csv"
     mc.to_csv(ev_path)
@@ -304,7 +303,7 @@ def _action_classify(cfg, spec, out, seed, workers):
     return files
 
 
-def _action_audit(cfg, spec, out, seed, workers):
+def _action_audit(cfg, spec, out, seed):
     ys = [float(y) for y in _numeric(cfg, "y_values", [0.5, 1.0, 2.0, 5.0, 10.0])]
     kernel = spec.kernel
     rows = []
@@ -331,7 +330,7 @@ def _action_audit(cfg, spec, out, seed, workers):
     return files
 
 
-def _action_oracle(cfg, spec, out, seed, workers):
+def _action_oracle(cfg, spec, out, seed):
     orc = _tau_oracle(spec)
     if orc is None:
         raise ModelError("the oracle action needs the pure-fragmentation power "
@@ -353,7 +352,7 @@ def _action_oracle(cfg, spec, out, seed, workers):
                        "t,q,explosion_cdf_at_x0,exact_mass_u0", rows)]
 
 
-# each action with the numeric keys it reads, besides seed and workers
+# each action with the numeric keys it reads, besides seed
 _ACTIONS = {
     "simulate": (_action_simulate, ("n_paths", "n_max", "x0", "t_values")),
     "evolve": (_action_evolve, ("grid", "u0", "t_values", "dyson", "tolerance")),
@@ -363,7 +362,7 @@ _ACTIONS = {
 }
 
 
-def run(action, config_path, out_dir=None, seed=None, workers=None):
+def run(action, config_path, out_dir=None, seed=None):
     """Execute one configured action; returns the artifact paths.
 
     An argument error (ValueError, TypeError, OverflowError) raised while
@@ -376,7 +375,7 @@ def run(action, config_path, out_dir=None, seed=None, workers=None):
         raise ConfigError(f"config field 'action' says {declared!r} but the "
                           f"{action!r} subcommand was invoked")
     act, keys = _ACTIONS[action]
-    _mapping(cfg, "numeric", "numeric", ("seed", "workers") + keys)
+    _mapping(cfg, "numeric", "numeric", ("seed",) + keys)
     if seed is None:
         seed = _numeric(cfg, "seed", None)
         if seed is None:
@@ -388,12 +387,10 @@ def run(action, config_path, out_dir=None, seed=None, workers=None):
         seed = int(seed)
         if not 0 <= seed < 2 ** 64:
             raise ConfigError(f"the seed must lie in [0, 2**64), got {seed}")
-        workers = int(_numeric(cfg, "workers", 1) if workers is None
-                      else workers)
         t0 = time.perf_counter()
         spec = build_model(cfg)
         t1 = time.perf_counter()
-        files = act(cfg, spec, out, seed, workers)
+        files = act(cfg, spec, out, seed)
         wall_s = {"build_model": t1 - t0, "action": time.perf_counter() - t1}
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad value for {action}: {exc}") from exc
@@ -401,9 +398,9 @@ def run(action, config_path, out_dir=None, seed=None, workers=None):
     return files
 
 
-def _invoke(action, config, out, workers, seed):
+def _invoke(action, config, out, seed):
     try:
-        files = run(action, config, out, seed=seed, workers=workers)
+        files = run(action, config, out, seed=seed)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
@@ -426,8 +423,6 @@ def main():
 def _common(fn):
     fn = click.option("--seed", "-s", type=int, default=None,
                       help="Override numeric.seed.")(fn)
-    fn = click.option("--workers", "-w", type=int, default=None,
-                      help="Worker threads (overrides numeric.workers).")(fn)
     fn = click.option("--out", "-o", type=click.Path(), default=None,
                       help="Output directory (overrides output.dir).")(fn)
     fn = click.option("--config", "-c", type=click.Path(), required=True,
@@ -443,8 +438,8 @@ for _name, _help in (
         ("oracle", "Tabulate the closed-form gamma-law ground truth.")):
     def _mk(name):
         @_common
-        def cmd(config, out, workers, seed):
-            _invoke(name, config, out, workers, seed)
+        def cmd(config, out, seed):
+            _invoke(name, config, out, seed)
         cmd.__name__ = name
         cmd.__doc__ = _help
         return cmd

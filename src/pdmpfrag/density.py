@@ -273,6 +273,12 @@ class _BOperator:
         # it faster than the transposed view (frac @ inflow.T).T, same bits
         return inflow @ self.frac.T, inflow @ self.sub_row
 
+    def adjoint(self, f):
+        """P* f on nodal values f (n,), the transpose of B without its phi:
+        each parent node's average of f over the cells its mass lands in,
+        the sub-grid share taking the value at the smallest node."""
+        return self.frac.T @ f + self.sub_row * f[0]
+
 
 def apply_B(spec, u: GridDensity) -> GridDensity:
     """B u = P(phi u).  Output mass equals int phi u dm exactly (P is stochastic);

@@ -126,7 +126,7 @@ def f_lambda_grid(spec, lam, grid, n_iter):
     damp = phi / (lam + phi)
     f = np.ones(grid.n_cells)
     for _ in range(n_iter):
-        f = damp * (b_op.frac.T @ f + b_op.sub_row * f[0])
+        f = damp * b_op.adjoint(f)
     return f
 
 

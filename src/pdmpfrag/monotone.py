@@ -46,15 +46,12 @@ def endpoint_integral(f, x0, side):
     """
     if side not in ("zero", "inf"):
         raise ValueError(f"side must be 'zero' or 'inf', got {side!r}")
+    step, stop = (0.25, 1e-290) if side == "zero" else (4.0, 1e290)
     total = 0.0
     edge = float(x0)
     for _ in range(400):
-        if side == "zero":
-            nxt = edge / 4.0
-            piece = float(gauss_panels(f, nxt, edge))
-        else:
-            nxt = edge * 4.0
-            piece = float(gauss_panels(f, edge, nxt))
+        nxt = edge * step
+        piece = float(gauss_panels(f, min(edge, nxt), max(edge, nxt)))
         if not np.isfinite(piece) or piece < 0:
             return np.inf, False
         total += piece
@@ -64,9 +61,7 @@ def endpoint_integral(f, x0, side):
             # remaining tail is below the quadrature noise floor
             return total, True
         edge = nxt
-        if side == "zero" and edge < 1e-290:
-            break
-        if side == "inf" and edge > 1e290:
+        if edge < stop if step < 1.0 else edge > stop:
             break
     return np.inf, False
 
@@ -122,21 +117,24 @@ class TabulatedIntegralMap(MonotoneMap):
     ``anchor='auto'`` places x0 at the endpoint (0 resp. +inf) exactly when
     the integral converges there, and at 1 otherwise; a float pins it.
 
-    Between nodes the forward map is evaluated exactly (cached table value
-    plus a Gauss panel over the remainder), so its accuracy is that of the
-    quadrature, not of an interpolant.  The table ``cumvals`` accumulates
-    the cell integrals away from the anchor: up from the lower domain edge
-    for anchor 0, down from the upper edge for anchor +inf, and outward both
-    ways from the anchor's cell for a ``from_below`` map with an interior
-    anchor.  Near the anchor V is small, and a sum of small terms keeps the
-    relative precision that a difference of two numbers near the whole
-    integral would lose.  A ``from_above`` map with an interior anchor still
-    takes the table from the lower edge minus its value at the anchor.
+    ``cumvals[i]`` is the signed integral of f from an origin to node i,
+    summed outward both ways from the origin's cell, and
+    ``V = direction * table + const`` with const = -direction * table(x0).
+    The origin is the anchor clamped to the domain (the lower edge for
+    anchor 0, the upper edge for anchor +inf), except that a ``from_above``
+    map with an interior anchor keeps the lower edge.  Near the origin the
+    table is small, and a sum of small terms keeps the relative precision
+    that a difference of two numbers near the whole integral would lose.
+    The head and tail integrals beyond the domain extend the table to 0 and
+    +inf, which gives const and the limits.  Between nodes the forward map
+    is evaluated exactly (cached table value plus a Gauss panel over the
+    remainder of the cell, taken from the node nearer the origin), so its
+    accuracy is that of the quadrature, not of an interpolant.
     The generalized inverse is a safeguarded Newton iteration in log x
     within one grid cell, started from a cubic Hermite interpolant of the
     cell's inverse: the log-x fraction as a function of the integral
     fraction, whose end slopes come from one integrand value per node.  Its
-    coefficients and the sorted table keys are built once per map.
+    coefficients are built once per map.
     """
 
     def __init__(self, integrand, *, orientation="from_below", anchor="auto",
@@ -146,71 +144,44 @@ class TabulatedIntegralMap(MonotoneMap):
         lo, hi = float(domain[0]), float(domain[1])
         self.f = integrand
         self.domain = (lo, hi)
-        self.orientation = orientation
-        self.direction = +1 if orientation == "from_below" else -1
+        self.direction = d = +1 if orientation == "from_below" else -1
         self.nodes = np.geomspace(lo, hi, int(n_nodes))
         cells = gauss_panels(integrand, self.nodes[:-1], self.nodes[1:])
         if np.any(cells < -1e-15 * max(1.0, float(np.max(np.abs(cells))))):
             raise ValueError("integrand must be nonnegative")
         cells = np.maximum(cells, 0.0)
-        self._head, self._head_ok = endpoint_integral(integrand, lo, "zero")
-        self._tail, self._tail_ok = endpoint_integral(integrand, hi, "inf")
+        self._head, _ = endpoint_integral(integrand, lo, "zero")
+        self._tail, _ = endpoint_integral(integrand, hi, "inf")
 
+        # the endpoint V is integrated from, and the integral beyond it
+        end, beyond = (0.0, self._head) if d > 0 else (np.inf, self._tail)
         if anchor == "auto":
-            if orientation == "from_below":
-                anchor = 0.0 if self._head_ok else 1.0
-            else:
-                anchor = np.inf if self._tail_ok else 1.0
-        # anchor 0: cumvals[i] = int_{nodes[0]}^{nodes[i]} f, table_dir +1;
-        # anchor inf: cumvals[i] = int_{nodes[i]}^{nodes[-1]} f, table_dir -1;
-        # from_below, anchor x0: cumvals[i] = int_{x0}^{nodes[i]} f, +1;
-        # from_above, anchor x0: as for anchor 0; V = sign * cum + const
-        self._table_dir = -1 if anchor == np.inf else +1
-        self._sign = float(self.direction * self._table_dir)
-        if anchor == 0.0:
-            if not self._head_ok:
-                raise NonIntegrableRate("integrand not integrable at 0")
-            if orientation == "from_above":
-                raise ValueError("anchor 0 invalid for from_above maps")
-            self.cumvals = np.concatenate([[0.0], np.cumsum(cells)])
-            const = self._head
-        elif anchor == np.inf:
-            if orientation == "from_below":
-                raise ValueError("anchor inf invalid for from_below maps")
-            if not self._tail_ok:
-                raise NonIntegrableRate("integrand not integrable at infinity")
-            self.cumvals = np.concatenate([np.cumsum(cells[::-1])[::-1], [0.0]])
-            const = self._tail
-        elif orientation == "from_below":
-            # outward from x0's cell [nodes[k], nodes[k+1]], both ways
-            x0 = float(anchor)
-            k = int(np.clip(np.searchsorted(self.nodes, x0, side="right") - 1,
-                            0, len(cells) - 1))
-            below = gauss_panels(integrand, self.nodes[k], x0)
-            above = gauss_panels(integrand, x0, self.nodes[k + 1])
-            self.cumvals = np.concatenate([
-                -np.cumsum(np.append(below, cells[:k][::-1]))[::-1],
-                np.cumsum(np.append(above, cells[k + 1:]))])
-            const = 0.0
-        else:
-            self.cumvals = np.concatenate([[0.0], np.cumsum(cells)])
-            const = -self._sign * self._cum(np.array([float(anchor)]))[0]
-        self.anchor = anchor
-        self._const = float(const)
+            anchor = end if beyond < np.inf else 1.0
+        self.anchor = anchor = float(anchor)
+        if anchor in (0.0, np.inf) and anchor != end:
+            raise ValueError(f"anchor {anchor} invalid for {orientation} maps")
+        # an interior from_above anchor keeps the lower edge: summed outward
+        # from it, the table loses precision on the low cells
+        interior_above = d < 0 and anchor < np.inf
+        origin = lo if interior_above else min(max(anchor, lo), hi)
+        self._top = origin == hi
+        k = int(np.clip(np.searchsorted(self.nodes, origin, side="right") - 1,
+                        0, len(cells) - 1))
+        below = gauss_panels(integrand, self.nodes[k], origin)
+        above = gauss_panels(integrand, origin, self.nodes[k + 1])
+        self.cumvals = np.concatenate([
+            -np.cumsum(np.append(below, cells[:k][::-1]))[::-1],
+            np.cumsum(np.append(above, cells[k + 1:]))])
+        self._const = float(-d * self._table_at(anchor))
+        if not np.isfinite(self._const):
+            raise NonIntegrableRate(f"integrand not integrable at {anchor:g}")
+        self.limit_zero = d * self._table_at(0.0) + self._const
+        self.limit_inf = d * self._table_at(np.inf) + self._const
 
-        # endpoint limits of V on (0, inf)
-        head = self._head if self._head_ok else np.inf
-        tail = self._tail if self._tail_ok else np.inf
-        td = self._table_dir
-        self.limit_zero = self._sign * (self.cumvals[0] - td * head) + self._const
-        self.limit_inf = self._sign * (self.cumvals[-1] + td * tail) + self._const
-
-        # inverse's tables: the sorted keys td * cumvals, and per cell the
-        # cubic r = s (c1 + s (c2 + s c3)) of the start, with end slopes
-        # dr/ds = cell / (f(node) node dlog); slope 1 (r = s) where either
-        # end slope is 0 or not finite
-        self._keys = td * self.cumvals
-        width = np.diff(self._keys)
+        # inverse's start: per cell the cubic r = s (c1 + s (c2 + s c3)),
+        # with end slopes dr/ds = cell / (f(node) node dlog); slope 1 (r = s)
+        # where either end slope is 0 or not finite
+        width = np.diff(self.cumvals)
         fn = np.asarray(integrand(self.nodes), dtype=float) * self.nodes
         dlog = np.log(self.nodes[1:] / self.nodes[:-1])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -228,13 +199,22 @@ class TabulatedIntegralMap(MonotoneMap):
         x = np.asarray(x, dtype=float)
         idx = np.clip(np.searchsorted(self.nodes, x, side="right"),
                       1, len(self.nodes) - 1)
-        if self._table_dir > 0:
-            return self.cumvals[idx - 1] + gauss_panels(
-                self.f, self.nodes[idx - 1], x)
-        return self.cumvals[idx] + gauss_panels(self.f, x, self.nodes[idx])
+        if self._top:
+            return self.cumvals[idx] - gauss_panels(self.f, x, self.nodes[idx])
+        return self.cumvals[idx - 1] + gauss_panels(
+            self.f, self.nodes[idx - 1], x)
+
+    def _table_at(self, x):
+        """The table at x in [0, inf]: extended to 0 and +inf by the head and
+        tail integrals (infinite where they diverge)."""
+        if x == 0.0:
+            return self.cumvals[0] - self._head
+        if x == np.inf:
+            return self.cumvals[-1] + self._tail
+        return self._cum(x)
 
     def __call__(self, x):
-        return self._sign * self._cum(x) + self._const
+        return self.direction * self._cum(x) + self._const
 
     # -- generalized inverse ---------------------------------------------
     def inverse(self, q):
@@ -260,26 +240,26 @@ class TabulatedIntegralMap(MonotoneMap):
         no longer halves while |F| is at the rounding floor of the target.
         """
         q = np.asarray(q, dtype=float)
-        t = self.direction * (q - self._const)  # target key td * table value
+        t = self.direction * (q - self._const)  # target table value
         shape = t.shape
         t = t.ravel()
         lo, hi = self.domain
         # a target beyond the table's value at the lower domain edge maps to
         # that edge, beyond its value at the upper edge to the upper edge
-        keys = self._keys
-        to_lo = t <= keys[0]
-        to_hi = t >= keys[-1]
+        cum = self.cumvals
+        to_lo = t <= cum[0]
+        to_hi = t >= cum[-1]
         out = np.where(to_hi, hi, lo)
         pos = np.flatnonzero(~(to_lo | to_hi))
         t = t[pos]
         # leftmost x with V(x) >= q (increasing), rightmost (non-increasing)
         side = "left" if self.direction > 0 else "right"
-        j = np.clip(np.searchsorted(keys, t, side=side), 1, len(keys) - 1)
+        j = np.clip(np.searchsorted(cum, t, side=side), 1, len(cum) - 1)
         left = self.nodes[j - 1]
         a, b = left, self.nodes[j]
-        tau = t - keys[j - 1]  # target of int_left^x f
+        tau = t - cum[j - 1]  # target of int_left^x f
         f_tol = _STALL_ULPS * np.spacing(np.maximum(np.abs(t), tau))
-        frac = tau / (keys[j] - keys[j - 1])
+        frac = tau / (cum[j] - cum[j - 1])
         c1, c2, c3 = self._start[:, j - 1]
         r = np.minimum(np.maximum(frac * (c1 + frac * (c2 + frac * c3)), 0.0),
                        1.0)

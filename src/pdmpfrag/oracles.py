@@ -90,10 +90,10 @@ def exact_mass(oracle: TauOracle, t, u) -> float:
     """Exact mass of the semigroup at time t acting on density u.
 
     int e^{-atx^{-gamma}} sum_{k<=rho} (atx^{-gamma})^k/k! u(x) x dx, valid
-    when rho = (nu+2)/gamma is a nonnegative integer.  ``u`` may be a
-    GridDensity (cellwise quadrature against the midpoint reconstruction) or
-    a callable density (quadrature over its support must be passed via a
-    GridDensity instead).
+    when rho = (nu+2)/gamma is a nonnegative integer.  ``u`` is a
+    GridDensity: the weight is integrated over each cell against its
+    midpoint reconstruction ``u.values()``, and the out-of-grid buckets
+    are not counted.
     """
     rho = (oracle.nu + 2.0) / oracle.gamma
     if abs(rho - round(rho)) > 1e-9:

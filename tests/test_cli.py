@@ -260,10 +260,13 @@ def test_bad_schema_exit_2(tmp_path):
         # a misspelled section: its artifacts would land elsewhere
         "section_typo": (model + "numeric: {seed: 0}\n"
                          f"outptu: {{dir: {tmp_path / 'wanted'}}}\n", []),
+        # the thread count is no longer a knob
+        "workers_key": (model + "numeric: {seed: 0, workers: 2}\n", []),
     }
     unknown = {"numeric_typo": "n_path, t_value", "kernel_typo": "mu",
                "phi_typo": "alfa", "g_typo": "bta", "model_typo": "kernal",
-               "other_action_key": "lambdas", "section_typo": "outptu"}
+               "other_action_key": "lambdas", "section_typo": "outptu",
+               "workers_key": "workers"}
     for name, (text, extra) in bad.items():
         path = tmp_path / f"{name}.yaml"
         path.write_text(text)
@@ -283,6 +286,11 @@ def test_bad_schema_exit_2(tmp_path):
         res = _run([action, "-c", str(path), "-o", str(tmp_path / "nested")])
         assert res.exit_code == 2, (numeric, res.output)
         assert "unknown key(s) in numeric." in res.output, numeric
+    # nor is the thread count an option
+    path = tmp_path / "workers.yaml"
+    path.write_text(model + "numeric: {seed: 0}\n")
+    res = _run(["simulate", "-c", str(path), "--workers", "2"])
+    assert res.exit_code == 2 and "--workers" in res.output, res.output
 
 
 @pytest.mark.parametrize("x0", [".nan", "-1.0", ".inf"])

@@ -1,7 +1,8 @@
 """Source hygiene: every import in the library modules is used and sits at
 module level, every random draw goes through one stream, every holding time
-through one rule, only the S operator knows how S is stored, and the
-characteristics read the monotone maps through their public interface."""
+through one rule, only the S operator knows how S is stored, only
+density.py how B and S are stored, and the characteristics read the
+monotone maps through their public interface."""
 
 import ast
 from pathlib import Path
@@ -83,6 +84,17 @@ def test_dyson_phillips_reads_no_S_storage():
     found = sorted(f"{node.attr} (line {node.lineno})" for node in ast.walk(fn)
                    if isinstance(node, ast.Attribute)
                    and node.attr in {"factor", "mats", "sub_row", "sup_row"})
+    assert found == []
+
+
+def test_only_density_reads_operator_storage():
+    # other modules reach B and S through the operators' methods, so a
+    # change to how either is stored stays inside density.py
+    found = sorted(f"{path.name}: {node.attr} (line {node.lineno})"
+                   for path in SRC.glob("*.py") if path.name != "density.py"
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Attribute)
+                   and node.attr in {"frac", "sub_row", "factor", "mats"})
     assert found == []
 
 

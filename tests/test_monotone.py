@@ -1,10 +1,16 @@
 """Monotone-map machinery: quadrature, tabulation, generalized inverses."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pdmpfrag import NonIntegrableRate, TabulatedIntegralMap
 from pdmpfrag.monotone import endpoint_integral, gauss_panels
+from conftest import unit_decay_model
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_gauss_panels_polynomial_exact():
@@ -124,13 +130,11 @@ def test_inverse_clamps_to_domain():
 
 def _bisect_inverse(m, q, n_steps=64):
     """Reference generalized inverse: plain log bisection within the cell."""
-    t = (np.asarray(q, dtype=float) - m._const) / m._sign
-    td = m._table_dir
+    t = m.direction * (np.asarray(q, dtype=float) - m._const)  # table value
     side = "left" if m.direction > 0 else "right"
-    j = np.clip(np.searchsorted(td * m.cumvals, td * t, side=side), 1,
-                len(m.nodes) - 1)
+    j = np.clip(np.searchsorted(m.cumvals, t, side=side), 1, len(m.nodes) - 1)
     a, b = m.nodes[j - 1], m.nodes[j]
-    tau = td * (t - m.cumvals[j - 1])
+    tau = t - m.cumvals[j - 1]
     for _ in range(n_steps):
         mid = np.sqrt(a * b)
         fm = gauss_panels(m.f, m.nodes[j - 1], mid)
@@ -138,8 +142,8 @@ def _bisect_inverse(m, q, n_steps=64):
         b = np.where(take_left, mid, b)
         a = np.where(take_left, a, mid)
     out = b if m.direction > 0 else a
-    out = np.where(td * t <= td * m.cumvals[0], m.domain[0], out)
-    return np.where(td * t >= td * m.cumvals[-1], m.domain[1], out)
+    out = np.where(t <= m.cumvals[0], m.domain[0], out)
+    return np.where(t >= m.cumvals[-1], m.domain[1], out)
 
 
 def _arr(x):
@@ -239,6 +243,53 @@ def test_inverse_integrand_evaluations_per_point(name):
     counted.points = 0
     m.inverse(q)
     assert counted.points / q.size <= 40
+
+
+# name: map builder.  One map per anchor case: 0 (the tabulated Q of growth
+# g = phi = x), +inf, interior from_below (auto anchor 1) and interior
+# from_above (the G of unit decay g = phi = 1, auto anchor 1), plus an
+# explicit anchor on a coarse table.
+MAP_CASES = {
+    "anchor_zero": lambda: TabulatedIntegralMap(_INTEGRANDS["one"][0]),
+    "anchor_inf": lambda: TabulatedIntegralMap(
+        _INTEGRANDS["two_x_minus_2"][0], orientation="from_above"),
+    "interior_from_below": lambda: TabulatedIntegralMap(
+        lambda x: _arr(x) ** -2.0),
+    "interior_from_above": lambda: unit_decay_model().G,
+    "wavy_anchor_0.1": lambda: TabulatedIntegralMap(
+        _INTEGRANDS["wavy"][0], anchor=0.1, n_nodes=512),
+}
+
+
+def map_arrays(m):
+    """V at 47 fixed points (24 nodes, 7 at the anchor clamped to the
+    domain, 12 between nodes, 4 outside the domain), inverse of those values
+    and of 8 targets at and beyond the ends of V's range, and both limits."""
+    lo, hi = m.domain
+    x0 = min(max(m.anchor, lo), hi)
+    xs = np.concatenate([
+        m.nodes[np.linspace(0, len(m.nodes) - 1, 24).astype(int)],
+        x0 * (1.0 + np.array([-1e-3, -1e-6, -1e-10, 0.0, 1e-10, 1e-6, 1e-3])),
+        np.geomspace(1.37 * lo, hi / 1.37, 12),
+        np.array([lo / 10.0, lo / 2.0, 2.0 * hi, 10.0 * hi])])
+    v = m(xs)
+    ends = m(np.array([lo, hi]))
+    clamped = np.concatenate([[-1e300, 1e300, m.limit_zero, m.limit_inf],
+                              ends - 1.0, ends + 1.0])
+    return {"x": xs, "V": v, "inverse_V": m.inverse(v),
+            "inverse_clamped": m.inverse(clamped),
+            "limits": np.array([m.limit_zero, m.limit_inf])}
+
+
+@pytest.mark.parametrize("name", sorted(MAP_CASES))
+def test_maps_golden(name):
+    # frozen before the table was summed outward from one origin; floats
+    # stored by repr, infinite limits as Infinity
+    want = json.loads((DATA / "maps_golden.json").read_text())[name]
+    got = map_arrays(MAP_CASES[name]())
+    assert sorted(got) == sorted(want)
+    for key, arr in got.items():
+        np.testing.assert_array_equal(arr, np.array(want[key]), err_msg=key)
 
 
 def test_inverse_keeps_shape():
