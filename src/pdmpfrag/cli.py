@@ -168,11 +168,12 @@ def _write_csv(out_dir, name, header, rows):
     return path
 
 
-def _finish(out_dir, cfg_path, files, wall_s, divergence):
+def _finish(out_dir, cfg_path, files, wall_s, divergence, work):
     """Write manifest.json: config and output digests, library versions, the
     model's divergence flags (asGQ/asGQd for G and Q, or phi > 0 for pure
-    jump) and the wall time of each stage (timings live here only, so the
-    CSV bodies stay byte-identical across reruns)."""
+    jump), the action's work counters and the wall time of each stage
+    (timings live here only, so the CSV bodies stay byte-identical across
+    reruns)."""
     digest = hashlib.sha256(Path(cfg_path).read_bytes()).hexdigest()
     manifest = {
         "config": str(cfg_path),
@@ -182,6 +183,7 @@ def _finish(out_dir, cfg_path, files, wall_s, divergence):
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__, "scipy": scipy.__version__},
         "wall_s": wall_s,
+        "work": work,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "outputs": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                     for p in files},
@@ -203,7 +205,7 @@ def _tau_oracle(spec):
 
 # -- actions -------------------------------------------------------------------
 
-def _action_simulate(cfg, spec, out, seed):
+def _action_simulate(cfg, spec, out, seed, work):
     n_paths = int(_numeric(cfg, "n_paths", 10_000))
     n_max = int(_numeric(cfg, "n_max", 2_000))
     x0 = float(_numeric(cfg, "x0", 1.0))
@@ -229,9 +231,12 @@ def _action_simulate(cfg, spec, out, seed):
     return files
 
 
-def _action_evolve(cfg, spec, out, seed):
+def _action_evolve(cfg, spec, out, seed, work):
     grid = _grid_from(cfg)
     u0 = _u0_from(cfg, grid)
+    if not u0.grid_mass > 0.0:
+        raise ConfigError("numeric.u0 puts no mass on the grid "
+                          f"[{grid.edges[0]:g}, {grid.edges[-1]:g}]")
     ts = [float(t) for t in _numeric(cfg, "t_values", [0.25, 0.5, 1.0, 2.0])]
     dy = _numeric_mapping(cfg, "dyson", ("N", "n_s"))
     N = int(dy.get("N", 60))
@@ -240,9 +245,14 @@ def _action_evolve(cfg, spec, out, seed):
     rows = []
     orc = _tau_oracle(spec)
     budget_hit = False
+    # per t: the time steps, the Dyson levels run and the cells they ran on
+    work["dyson"] = []
     for t in ts:
         n_s = int(dy.get("n_s", max(64, int(32 * max(1.0, t)))))
         res, trace = dyson_phillips(spec, t, u0, N=N, n_s=n_s)
+        work["dyson"].append({"t": t, "n_s": n_s,
+                              "levels": len(trace.term_norms) - 1,
+                              "cells": trace.cells})
         if not trace.converged:
             budget_hit = True
         oracle_val = float("nan")
@@ -269,7 +279,7 @@ def _action_evolve(cfg, spec, out, seed):
     return files
 
 
-def _action_classify(cfg, spec, out, seed):
+def _action_classify(cfg, spec, out, seed, work):
     lams = [float(l) for l in _numeric(cfg, "lambdas", [1.0, 0.1, 0.01])]
     pr = _numeric_mapping(cfg, "probes", ("lo", "hi", "n"))
     probes = np.geomspace(float(pr.get("lo", 1e-3)), float(pr.get("hi", 1e3)),
@@ -303,7 +313,7 @@ def _action_classify(cfg, spec, out, seed):
     return files
 
 
-def _action_audit(cfg, spec, out, seed):
+def _action_audit(cfg, spec, out, seed, work):
     ys = [float(y) for y in _numeric(cfg, "y_values", [0.5, 1.0, 2.0, 5.0, 10.0])]
     kernel = spec.kernel
     rows = []
@@ -330,7 +340,7 @@ def _action_audit(cfg, spec, out, seed):
     return files
 
 
-def _action_oracle(cfg, spec, out, seed):
+def _action_oracle(cfg, spec, out, seed, work):
     orc = _tau_oracle(spec)
     if orc is None:
         raise ModelError("the oracle action needs the pure-fragmentation power "
@@ -352,7 +362,8 @@ def _action_oracle(cfg, spec, out, seed):
                        "t,q,explosion_cdf_at_x0,exact_mass_u0", rows)]
 
 
-# each action with the numeric keys it reads, besides seed
+# each action with the numeric keys it reads, besides seed; an action may
+# record work counters in its ``work`` dict, which goes to the manifest
 _ACTIONS = {
     "simulate": (_action_simulate, ("n_paths", "n_max", "x0", "t_values")),
     "evolve": (_action_evolve, ("grid", "u0", "t_values", "dyson", "tolerance")),
@@ -390,11 +401,12 @@ def run(action, config_path, out_dir=None, seed=None):
         t0 = time.perf_counter()
         spec = build_model(cfg)
         t1 = time.perf_counter()
-        files = act(cfg, spec, out, seed)
+        work = {}
+        files = act(cfg, spec, out, seed, work)
         wall_s = {"build_model": t1 - t0, "action": time.perf_counter() - t1}
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad value for {action}: {exc}") from exc
-    _finish(out, config_path, files, wall_s, spec.divergence)
+    _finish(out, config_path, files, wall_s, spec.divergence, work)
     return files
 
 

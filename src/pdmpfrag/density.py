@@ -17,7 +17,9 @@ expansion, and the truncated resolvent series for R(lambda, C).  Only
 by its nodal survival e^{-phi(node) t}, at the same nodal phi at which B
 redistributes mass, so S and B together create none; it also turns each
 Dyson-Phillips level's time convolution into a recurrence, O(n n_s) work
-in about 4 sqrt(n_s) array operations, as a blocked scan.
+in about 4 sqrt(n_s) array operations, as a blocked scan.  B sends mass
+only to smaller cells, so a pure-jump Dyson-Phillips sum runs on the cells
+up to u's highest occupied one and leaves the cells above it exactly 0.
 R(lambda, A) for growth/decay is a log-space prefix sum over the cells
 upstream of each node.
 """
@@ -48,6 +50,15 @@ class LogGrid:
     @property
     def n_cells(self):
         return len(self.nodes)
+
+    def head(self, k):
+        """The grid of the first k cells, sharing this grid's arrays: a fresh
+        geomspace over them would move the edges."""
+        grid = object.__new__(LogGrid)
+        grid.edges = self.edges[:k + 1]
+        grid.nodes = self.nodes[:k]
+        grid.m_weights = self.m_weights[:k]
+        return grid
 
 
 @dataclass
@@ -104,12 +115,14 @@ class GridDensity:
 
 @dataclass
 class OperatorTrace:
-    """Per-term norms of a truncated expansion plus identity residuals."""
+    """Per-term norms of a truncated expansion plus identity residuals, and
+    the number of cells each Dyson-Phillips level ran on (0: none ran)."""
 
     term_norms: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
     converged: bool = True
     note: str = ""
+    cells: int = 0
 
 
 # -- semigroup S(t) ----------------------------------------------------------
@@ -368,34 +381,54 @@ def dyson_phillips(spec, t, u: GridDensity, N=60, n_s=64):
     or into level n+1 (minimal semigroup, Kato-Voigt setting), so the total
     over all terms stays substochastic.
 
+    In the pure-jump regime every term lives on the first J cells, J = 1 +
+    the index of u's highest nonzero cell: S is diagonal and B sends mass
+    only to smaller cells (b(x, y) = 0 for x >= y, so ``frac`` is upper
+    triangular).  S, B and the level stacks are built on those J cells, the
+    head of u's grid, and the cells above hold exactly 0; transport moves
+    mass up, so it runs on all n cells.  ``trace.cells`` is that J or n.
+
     Returns (GridDensity, OperatorTrace).  Stops early once a term's total
-    mass falls below 1e-8 * ||u||; if the budget N is reached first the
-    trace is flagged unconverged (result still returned).
+    mass falls to 1e-8 * ||u|| or below, so a density with no mass stops
+    after one level; if the budget N is reached first the trace is flagged
+    unconverged (result still returned).
     """
     if t < 0 or N < 0 or n_s < 1:
         raise ValueError("need t >= 0, N >= 0, n_s >= 1")
-    grid = u.grid
     if t == 0.0 or N == 0:
         res = apply_S(spec, t, u)
         return res, OperatorTrace(term_norms=[res.total_mass])
 
+    n = J = u.grid.n_cells
+    if spec.regime is Regime.PURE_JUMP:
+        J = int(np.flatnonzero(u.masses).max(initial=-1)) + 1
+    grid = u.grid.head(J)
     h = t / n_s
     # S at the half steps j h/2, j = 1..2 n_s: row 2d is (d + 1/2) h and row
     # 2k - 1 is k h, bitwise, since halving h is exact
     s_op = _SOperator(spec, grid, np.arange(1, 2 * n_s + 1) * (0.5 * h))
     b_op = _BOperator(spec, grid)
     eps_tail = EPS_TAIL_FACTOR * u.total_mass
+    # a term's norm sums its last row padded to n cells: zeros added at the
+    # end keep the bits of the sum over the whole grid
+    row = np.zeros(n)
+
+    def norm(V, sub, sup):
+        row[:J] = V[-1]
+        return float(row.sum() + sub[-1] + sup[-1])
 
     # term 0 on the time grid: row k is S(k h) u, its buckets include u's own
-    V = np.zeros((n_s + 1, grid.n_cells))
+    V = np.zeros((n_s + 1, J))
     sub = np.full(n_s + 1, u.sub_grid_mass)
     sup = np.full(n_s + 1, u.super_grid_mass)
-    V[0] = u.masses
+    V[0] = u.masses[:J]
     for k in range(1, n_s + 1):
-        s_op.add(2 * k - 1, u.masses, V[k], sub[k:k + 1], sup[k:k + 1])
+        s_op.add(2 * k - 1, V[0], V[k], sub[k:k + 1], sup[k:k + 1])
 
-    acc, acc_sub, acc_sup = V[-1].copy(), sub[-1], sup[-1]
-    trace = OperatorTrace(term_norms=[float(V[-1].sum() + sub[-1] + sup[-1])])
+    acc = np.zeros(n)
+    acc[:J] = V[-1]
+    acc_sub, acc_sup = sub[-1], sup[-1]
+    trace = OperatorTrace(term_norms=[norm(V, sub, sup)], cells=J)
     for _level in range(1, N + 1):
         bm, bsub = b_op.apply(V)
         # h times the midpoint values of B S_n(s) u on each subinterval
@@ -405,17 +438,17 @@ def dyson_phillips(spec, t, u: GridDensity, N=60, n_s=64):
         sup = np.zeros(n_s + 1)
         sub[1:] = np.cumsum((0.5 * h) * (bsub[:-1] + bsub[1:]))
         s_op.convolve(wm, V[1:], sub[1:], sup[1:])
-        tn = float(V[-1].sum() + sub[-1] + sup[-1])
+        tn = norm(V, sub, sup)
         trace.term_norms.append(tn)
-        acc += V[-1]
+        acc[:J] += V[-1]
         acc_sub += sub[-1]
         acc_sup += sup[-1]
-        if tn < eps_tail:
+        if tn <= eps_tail:
             break
     else:
         trace.converged = False
         trace.note = f"tail {trace.term_norms[-1]:.3e} above {eps_tail:.3e} at N={N}"
-    return GridDensity(grid, acc, float(acc_sub), float(acc_sup)), trace
+    return GridDensity(u.grid, acc, float(acc_sub), float(acc_sup)), trace
 
 
 # -- resolvent series for R(lam, C) --------------------------------------------

@@ -139,6 +139,31 @@ def test_evolve_unaccounted_column(tmp_path):
         assert unaccounted == u0.total_mass - got.total_mass
 
 
+def test_evolve_manifest_work_counters(tmp_path):
+    # per t-value the manifest records n_s, the Dyson levels run and the
+    # cells they ran on: the first J cells for pure jump, all n otherwise;
+    # the other actions record no work
+    out = tmp_path / "ev"
+    res = _run(["evolve", "-c", str(CONFIGS / "evolve.yaml"), "-o", str(out)])
+    assert res.exit_code == 0, res.output
+    cfg = load_config(CONFIGS / "evolve.yaml")
+    spec, num = build_model(cfg), cfg["numeric"]
+    u0 = GridDensity.uniform_in_m(LogGrid(**num["grid"]), num["u0"]["lo"],
+                                  num["u0"]["hi"])
+    J = int(np.flatnonzero(u0.masses)[-1]) + 1
+    assert J < num["grid"]["n_cells"]
+    want = []
+    for t in num["t_values"]:
+        _, trace = dyson_phillips(spec, t, u0, **num["dyson"])
+        want.append({"t": t, "n_s": num["dyson"]["n_s"],
+                     "levels": len(trace.term_norms) - 1, "cells": J})
+    assert _check_manifest(out)["work"] == {"dyson": want}
+    res = _run(["oracle", "-c", str(CONFIGS / "oracle.yaml"),
+                "-o", str(tmp_path / "or")])
+    assert res.exit_code == 0, res.output
+    assert _check_manifest(tmp_path / "or")["work"] == {}
+
+
 def test_simulate_oracle_column_agrees(tmp_path):
     out = tmp_path / "sim"
     res = _run(["simulate", "-c", str(CONFIGS / "simulate.yaml"),
@@ -345,6 +370,22 @@ def test_evolve_budget_exhausted_exit_4(tmp_path):
     assert "numerical error" in res.output
     row = (tmp_path / "o" / "mass_vs_t.csv").read_text().splitlines()[1]
     assert row.split(",")[-3::2] == ["2", "0"]  # n_terms, converged
+
+
+def test_evolve_u0_off_grid_exit_2(tmp_path):
+    # a u0 with no mass on the grid has nothing to evolve: a config error
+    # naming the key, not all-zero rows and a term-budget exit 4
+    cfg = tmp_path / "off.yaml"
+    cfg.write_text("action: evolve\nmodel:\n  regime: pure_jump\n"
+                   "  phi: {a: 1.0, alpha: -1.0}\n"
+                   "  kernel: {family: power, nu: 0.0}\n"
+                   "numeric:\n  seed: 0\n  t_values: [1.0]\n"
+                   "  grid: {x_min: 1.0e-6, x_max: 1.0e+2, n_cells: 64}\n"
+                   "  u0: {lo: 200.0, hi: 300.0}\n")
+    res = _run(["evolve", "-c", str(cfg), "-o", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert "config error" in res.output and "numeric.u0" in res.output
+    assert not (tmp_path / "o" / "mass_vs_t.csv").exists()
 
 
 def test_audit_tabulated_decay_rate(tmp_path):

@@ -453,6 +453,76 @@ def test_transport_dyson_golden(name, spec, grid, t, N, n_s, start):
                                rtol=1e-15, atol=0.0)
 
 
+_PURE_JUMP_GOLDEN = [
+    # (name, alpha of phi = x^alpha, grid, t, n_s), u uniform in m on [1, 2]
+    ("inv_x_t1", -1.0, (1e-6, 1e2, 256), 1.0, 64),
+    ("inv_x_t4", -1.0, (1e-6, 1e2, 256), 4.0, 128),
+    ("one_t4", 0.0, (1e-1, 1e2, 192), 4.0, 128),
+]
+
+
+@pytest.mark.parametrize("name,alpha,grid,t,n_s", _PURE_JUMP_GOLDEN,
+                         ids=[case[0] for case in _PURE_JUMP_GOLDEN])
+def test_pure_jump_dyson_golden(name, alpha, grid, t, n_s):
+    # pure-jump outputs recorded while every level still ran on all n
+    # cells (commit e1f2aa9): the levels now run on the cells up to u's
+    # highest occupied one, and every bit is kept
+    want = json.loads((DATA / "pure_jump_golden.json").read_text())[name]
+    u = GridDensity.uniform_in_m(LogGrid(*grid), 1.0, 2.0)
+    res, tr = dyson_phillips(power_model("pure_jump", alpha=alpha), t, u,
+                             n_s=n_s)
+    assert tr.converged
+    np.testing.assert_array_equal(res.masses, want["masses"])
+    np.testing.assert_array_equal([res.sub_grid_mass, res.super_grid_mass],
+                                  [want["sub"], want["sup"]])
+    np.testing.assert_array_equal(tr.term_norms, want["term_norms"])
+
+
+def test_pure_jump_dyson_runs_on_occupied_cells(monkeypatch, pure_frag):
+    # B sends mass only to smaller cells, so both operators are built on the
+    # first J cells, J = 1 + u's highest nonzero cell, and the cells above
+    # stay exactly 0; u in the top cell needs the whole grid
+    import pdmpfrag.density as density
+    grids = []
+    for name in ("_SOperator", "_BOperator"):
+        cls = getattr(density, name)
+        monkeypatch.setattr(
+            density, name,
+            lambda spec, grid, *a, cls=cls: grids.append(grid) or cls(spec, grid, *a))
+    grid = LogGrid(1e-4, 1e2, 64)
+    # x = 2 lies in cell 45, [1.65, 2.05]; x = 100 in the top cell
+    for hi, J in ((2.0, 46), (100.0, 64)):
+        u = GridDensity.uniform_in_m(grid, 1.0, hi)
+        grids.clear()
+        res, tr = dyson_phillips(pure_frag, 1.0, u, N=60, n_s=16)
+        assert [g.n_cells for g in grids] == [J, J]
+        assert tr.cells == J
+        for g in grids:
+            np.testing.assert_array_equal(g.edges, grid.edges[:J + 1])
+            np.testing.assert_array_equal(g.nodes, grid.nodes[:J])
+            np.testing.assert_array_equal(g.m_weights, grid.m_weights[:J])
+        assert res.masses.shape == (64,)
+        assert np.all(res.masses[J:] == 0.0) and np.all(res.masses[:J] > 0.0)
+    # transport moves mass up, so its levels run on every cell
+    growth = power_model("growth", alpha=0.0, beta=0.0)
+    u = GridDensity.uniform_in_m(grid, 1.0, 2.0)
+    assert dyson_phillips(growth, 1.0, u, N=3, n_s=16)[1].cells == 64
+
+
+@pytest.mark.parametrize("spec", [
+    power_model("pure_jump", alpha=-1.0),
+    power_model("growth", alpha=0.0, beta=0.0),
+])
+def test_dyson_zero_density_converges_at_once(spec):
+    # a density with no mass has a zero tail at the first level: it stops
+    # there, converged, instead of running the whole budget N
+    u = GridDensity(LogGrid(1e-4, 1e2, 64), np.zeros(64))
+    res, tr = dyson_phillips(spec, 1.0, u, N=60, n_s=16)
+    assert tr.converged and tr.note == ""
+    assert tr.term_norms == [0.0, 0.0]
+    assert res.total_mass == 0.0 and res.masses.shape == (64,)
+
+
 @pytest.mark.parametrize("t", [0.1, 2.0])
 @pytest.mark.parametrize("spec", [
     power_model("growth", alpha=0.0, beta=0.0),
