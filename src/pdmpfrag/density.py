@@ -3,7 +3,7 @@
 Densities are stored as per-cell masses w.r.t. m(dx) = x dx on a log-spaced
 grid (conservative discretization).  Mass leaving the grid is tracked in
 sub/super-grid buckets, never renormalized away; transport S(t) holds them
-as two more rows of its sparse matrices.  The sub-grid bucket holds
+as two more rows of its CSC arrays.  The sub-grid bucket holds
 what transport carries below x_min and what B sends there; it is not the
 mass shattered to zero size.  Under the grid generator exp(tM) of pure
 jump it would be, but the truncated Dyson-Phillips sum drains the stiff
@@ -30,7 +30,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
+# private scipy kernel behind csc_matrix @ stack; its calling convention and
+# bit-equality with that path were checked on scipy 1.17.1 only, and
+# test_transport_S_add_matches_scipy keeps the public path as the reference
+from scipy.sparse import _sparsetools
 
 from .characteristics import Regime, cumulative_rate
 from .errors import NoDensity
@@ -95,6 +98,8 @@ class GridDensity:
     @classmethod
     def uniform_in_m(cls, grid, lo, hi):
         """The density u = 2/(hi^2 - lo^2) 1_[lo,hi], of unit mass."""
+        if not lo < hi:
+            raise ValueError(f"uniform_in_m needs lo < hi, got lo={lo}, hi={hi}")
         c = 2.0 / (hi ** 2 - lo ** 2)
         a = np.clip(grid.edges[:-1], lo, hi)
         b = np.clip(grid.edges[1:], lo, hi)
@@ -128,13 +133,14 @@ class OperatorTrace:
 # -- semigroup S(t) ----------------------------------------------------------
 
 def _transport(spec, grid, ts):
-    """Transport S(t) at the times ``ts``: T sparse (n + 2, n) matrices from
-    one searchsorted / repeat / overlap pass over the (T, n) destination
-    intervals, on the w-cells extended by (-inf, w_0] and [w_n, +inf), whose
-    deposits are rows n + 1 (below x_min) and n (above x_max).  Entries come
-    by source cell, so each matrix is a CSC straight from its arrays: its
-    products add every output up in ascending source order, as the CSR of
-    a COO conversion did, so grid results keep every bit."""
+    """Transport S(t) at the times ``ts``: T (n + 2, n) matrices, each the
+    raw CSC triple (float64 data, int32 row indices, int32 column pointers),
+    from one searchsorted / repeat / overlap pass over the (T, n)
+    destination intervals, on the w-cells extended by (-inf, w_0] and
+    [w_n, +inf), whose deposits are rows n + 1 (below x_min) and n (above
+    x_max).  Entries come by source cell, so the arrays are CSC storage as
+    they stand: a product adds every output up in ascending source order,
+    as the CSR of a COO conversion did, so grid results keep every bit."""
     T, n = len(ts), grid.n_cells
     # shift in the flow coordinate w = direction * G: flow_vec moves G(x) ->
     # G(x) + t, so w = d G moves by d t, up for growth (d = +1) and down for
@@ -165,12 +171,11 @@ def _transport(spec, grid, ts):
         pos, cells, ov = pos[keep], cells[keep], ov[keep]
         vals = np.where(regular[pos], survival[pos] * ov / width[pos], survival[pos])
     # extended cell k is row k - 1, and cell 0, below the grid, row n + 1;
-    # entries come by source cell, then destination: CSC storage order;
-    # int32 indices, as scipy would pick, spare it a scan of each array
+    # entries come by source cell, then destination: CSC storage order,
+    # with the int32 indices the compiled product takes
     rows = ((cells - 1) % (n + 2)).astype(np.int32)
     ptr = np.searchsorted(pos, np.arange(T * n + 1))
-    return [sp.csc_matrix((vals[p[0]:p[-1]], rows[p[0]:p[-1]],
-                           (p - p[0]).astype(np.int32)), shape=(n + 2, n))
+    return [(vals[p[0]:p[-1]], rows[p[0]:p[-1]], (p - p[0]).astype(np.int32))
             for p in (ptr[r * n:r * n + n + 1] for r in range(T))]
 
 
@@ -183,10 +188,13 @@ class _SOperator:
     the nodal survival, so that S takes out of each cell the phi(node)
     share that B redistributes; a cell-averaged survival took less, and the
     Dyson-Phillips sum created mass (3.5e-4 for phi = 1/x).  Transport is
-    ``mats``, one sparse (n + 2, n) matrix per time whose rows n and n + 1
-    are the super- and sub-grid deposits, built in blocks of ~8192
-    (time, cell) pairs.  A diagonal S convolves a Dyson-Phillips level in
-    O(n n_s) work and about 4 sqrt(n_s) array operations."""
+    ``mats``, one (n + 2, n) CSC triple (data, row indices, column
+    pointers) per time whose rows n and n + 1 are the super- and sub-grid
+    deposits, built in blocks of ~8192 (time, cell) pairs and multiplied by
+    scipy's compiled ``csc_matvecs``, the kernel ``csc_matrix @ stack``
+    ends in, without the sparse-matrix layer around it.  A diagonal S
+    convolves a Dyson-Phillips level in O(n n_s) work and about
+    4 sqrt(n_s) array operations."""
 
     def __init__(self, spec, grid, ts):
         ts = np.asarray(ts, dtype=float)
@@ -206,10 +214,30 @@ class _SOperator:
         if self.mats is None:
             out += masses * self.factor[r]
             return
-        res = (self.mats[r] @ masses.T).T
+        res = self._product(r, masses)
         out += res[..., :-2]
         sup += res[..., -2]
         sub += res[..., -1]
+
+    def _product(self, r, masses):
+        """Transport S(ts[r]) of one density (n,) or a stack (..., n), as a
+        (..., n + 2) view whose last two columns are the super- and
+        sub-grid deposits.  The kernel takes the k densities as the columns
+        of a C-order (n, k) array and adds each output row's sources in
+        ascending order into a zeroed (n + 2, k) result.  It checks no
+        sizes, so a density of the wrong length is refused here: it would
+        read past ``ptr`` or write rows past the result."""
+        data, rows, ptr = self.mats[r]
+        n = len(ptr) - 1
+        if masses.shape[-1] != n:
+            raise ValueError(f"transport S(t) acts on {n} cells, got "
+                             f"masses of length {masses.shape[-1]}")
+        x = np.ascontiguousarray(masses.reshape(-1, n).T)
+        k = x.shape[1]
+        res = np.zeros((n + 2, k))
+        _sparsetools.csc_matvecs(n + 2, n, k, ptr, rows, data, x.ravel(),
+                                 res.ravel())
+        return res.T.reshape(masses.shape[:-1] + (n + 2,))
 
     def convolve(self, wm, out, sub, sup):
         """Add sum_{j<k} S((k-j-1/2) h) wm[j] into out[k-1], k = 1..len(wm),
@@ -219,8 +247,10 @@ class _SOperator:
         e^{-phi h/2} wm[k], run as a blocked scan (Blelloch 1990): blocks of
         b = round(sqrt(n_s)) rows scan all at once, then each block's last
         row carries into the next.  That is O(n n_s) work in about
-        4 sqrt(n_s) array operations.  Transport adds each lag d = k-j-1 to
-        a block of rows."""
+        4 sqrt(n_s) array operations.  Transport adds each lag d = k-j-1,
+        grid cells and both deposits in one add, to a block of rows of one
+        (n_s, n + 2) work array that starts from ``out``, ``sup`` and
+        ``sub`` and is copied back once."""
         n_s = len(wm)
         if self.mats is None:
             # row 2m+1 of factor, e^{-phi (m+1) h}, carries a block's last
@@ -238,11 +268,15 @@ class _SOperator:
             out += v[:n_s]
             return
         # lags in decreasing order add each row's sources j = 0, 1, ... in
-        # turn; the sparse products read each block wm[:n_s-d].T, whose
-        # rows F order keeps contiguous (6% of a level at n = 256)
+        # turn; the products copy each block wm[:n_s-d].T, whose rows F
+        # order keeps contiguous (6% of a level at n = 256)
+        n = wm.shape[1]
+        work = np.empty((n_s, n + 2))
+        work[:, :n], work[:, n], work[:, n + 1] = out, sup, sub
         wm = np.asfortranarray(wm)
         for d in range(n_s - 1, -1, -1):
-            self.add(2 * d, wm[:n_s - d], out[d:], sub[d:], sup[d:])
+            work[d:] += self._product(2 * d, wm[:n_s - d])
+        out[...], sup[...], sub[...] = work[:, :n], work[:, n], work[:, n + 1]
 
 
 def apply_S(spec, t, u: GridDensity) -> GridDensity:

@@ -388,6 +388,21 @@ def test_evolve_u0_off_grid_exit_2(tmp_path):
     assert not (tmp_path / "o" / "mass_vs_t.csv").exists()
 
 
+@pytest.mark.parametrize("action", ["evolve", "oracle"])
+def test_u0_empty_interval_exit_2(tmp_path, action):
+    # u0 with lo = hi has no uniform density: a config error naming both
+    # ends, not a ZeroDivisionError traceback and exit 1
+    cfg = tmp_path / "u0.yaml"
+    cfg.write_text("model:\n  regime: pure_jump\n"
+                   "  phi: {a: 1.0, alpha: -1.0}\n"
+                   "  kernel: {family: power, nu: 0.0}\n"
+                   "numeric:\n  seed: 0\n  t_values: [1.0]\n"
+                   "  u0: {lo: 1.0, hi: 1.0}\n")
+    res = _run([action, "-c", str(cfg), "-o", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert "config error" in res.output and "lo < hi" in res.output
+
+
 def test_audit_tabulated_decay_rate(tmp_path):
     # decay g(x) = x^2 with phi = 1 given as a table: Q(x) = 1/x is a
     # tabulated map anchored at +inf whose roundtrip must hold out to 1e7

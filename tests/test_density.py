@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.sparse import csc_matrix
 
 from pdmpfrag import (
     GridDensity,
@@ -37,6 +38,14 @@ def _zero_rate():
     return RateSpec(phi=lambda x: np.zeros_like(np.asarray(x, float)))
 
 
+def _csc(mat):
+    # a transport S(t) triple (data, row indices, column pointers) as the
+    # public scipy matrix of shape (n + 2, n)
+    data, rows, ptr = mat
+    n = len(ptr) - 1
+    return csc_matrix((data, rows, ptr), shape=(n + 2, n))
+
+
 def test_grid_and_density_basics():
     grid = LogGrid(1e-2, 1e2, 64)
     assert grid.n_cells == 64
@@ -58,6 +67,14 @@ def test_grid_and_density_basics():
     assert np.all(np.diff(xs) >= 0)
     empty = GridDensity(grid, np.zeros(grid.n_cells))
     assert empty.grid_mass == 0.0
+
+
+@pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (2.0, 1.0), (math.nan, 2.0)])
+def test_uniform_in_m_needs_lo_below_hi(lo, hi):
+    # an empty or reversed interval has no uniform density: a ValueError
+    # naming both ends, not a ZeroDivisionError or a negative density
+    with pytest.raises(ValueError, match="lo < hi"):
+        GridDensity.uniform_in_m(LogGrid(1e-2, 1e2, 64), lo, hi)
 
 
 def test_apply_S_identity_and_diag(pure_frag):
@@ -536,7 +553,7 @@ def test_transport_S_columns_carry_survival(spec, t):
     op = _SOperator(spec, grid, ts)
     assert len(op.mats) == 3
     for r, s in enumerate(ts):
-        mat = op.mats[r].toarray()
+        mat = _csc(op.mats[r]).toarray()
         assert mat.shape == (66, 64)
         # rows n and n + 1 are the super- and sub-grid deposits
         cols = mat[:-2].sum(axis=0) + mat[-1] + mat[-2]
@@ -658,9 +675,9 @@ def test_B_build_matches_per_column_loop(kernel):
     assert np.array_equal(b_op.sub_row, sub_row)
 
 
-def test_transport_S_degenerate_cells(monkeypatch):
-    # a zero-width or unbounded destination interval deposits the whole
-    # surviving cell mass at its midpoint's destination cell, or in a bucket
+def _degenerate_op(monkeypatch):
+    # S(0.5) on 6 cells whose G has a flat piece and infinite ends, at the
+    # constant cumulative rate 0.25
     import pdmpfrag.density as density
     monkeypatch.setattr(density, "cumulative_rate",
                         lambda spec, x, t: np.full(np.broadcast(x, t).shape, 0.25))
@@ -672,9 +689,15 @@ def test_transport_S_degenerate_cells(monkeypatch):
             return np.array([-np.inf, 0.0, 1.0, 1.0, 2.0, 3.0, np.inf])
 
     spec = SimpleNamespace(regime=Regime.GROWTH, G=StepG())
-    op = _SOperator(spec, LogGrid(1.0, 64.0, 6), [0.5])
+    return _SOperator(spec, LogGrid(1.0, 64.0, 6), [0.5])
+
+
+def test_transport_S_degenerate_cells(monkeypatch):
+    # a zero-width or unbounded destination interval deposits the whole
+    # surviving cell mass at its midpoint's destination cell, or in a bucket
+    op = _degenerate_op(monkeypatch)
     surv = math.exp(-0.25)
-    full = op.mats[0].toarray()
+    full = _csc(op.mats[0]).toarray()
     assert full.shape == (8, 6)
     mat, sup_row, sub_row = full[:-2], full[-2], full[-1]
     np.testing.assert_allclose(mat.sum(axis=0) + sub_row + sup_row,
@@ -695,3 +718,46 @@ def test_transport_S_degenerate_cells(monkeypatch):
         op.add(0, masses, out, np.zeros(masses.shape[:-1]),
                np.zeros(masses.shape[:-1]))
         assert np.array_equal(out, expect)
+
+
+@pytest.mark.parametrize("spec", [
+    power_model("growth", alpha=0.0, beta=0.0),
+    power_model("decay", alpha=0.0, beta=-1.0),
+    None,
+], ids=["growth", "decay", "degenerate"])
+def test_transport_S_add_matches_scipy(spec, monkeypatch):
+    # the compiled product of add against the public scipy path, the same
+    # triple as a csc_matrix applied with @, bit for bit: a 1-D density,
+    # (3, n) stacks in C and F order and a block of an F-order (n_s, n)
+    # stack, as the lag loop passes it, on the S(t) of the stack test and
+    # the degenerate matrix
+    op = (_degenerate_op(monkeypatch) if spec is None
+          else _SOperator(spec, LogGrid(1e-1, 1e2, 96), [4.0]))
+    mat = _csc(op.mats[0])
+    n = mat.shape[1]
+    rng = np.random.default_rng(17)
+    x3 = rng.random((3, n))
+    for masses in (rng.random(n), x3, np.asfortranarray(x3),
+                   np.asfortranarray(rng.random((64, n)))[:48]):
+        want = (mat @ masses.T).T
+        out = np.zeros(masses.shape)
+        sub, sup = np.zeros(masses.shape[:-1]), np.zeros(masses.shape[:-1])
+        op.add(0, masses, out, sub, sup)
+        assert np.array_equal(out, want[..., :-2])
+        assert np.array_equal(sup, want[..., -2])
+        assert np.array_equal(sub, want[..., -1])
+
+
+@pytest.mark.parametrize("spec", [
+    power_model("growth", alpha=0.0, beta=0.0),
+    power_model("decay", alpha=0.0, beta=-1.0),
+], ids=["growth", "decay"])
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_apply_S_wrong_length_masses_raise(spec, extra):
+    # the compiled product checks no sizes: masses a cell short would write
+    # rows past its result and a cell long read past the column pointers,
+    # so transport refuses them as csc_matrix @ did
+    grid = LogGrid(1e-1, 1e2, 96)
+    u = GridDensity(grid, np.full(grid.n_cells + extra, 1e-2))
+    with pytest.raises(ValueError, match="96 cells"):
+        apply_S(spec, 1.0, u)

@@ -1,15 +1,17 @@
 """Source hygiene: every import in the library modules is used and sits at
 module level, every random draw goes through one stream, every holding time
 through one rule, only the S operator knows how S is stored, only
-density.py how B and S are stored, and the characteristics read the
-monotone maps through their public interface."""
+density.py how B and S are stored and which private scipy module multiplies
+S, and the characteristics read the monotone maps through their public
+interface."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "pdmpfrag"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "pdmpfrag"
 
 
 def _unused_imports(path):
@@ -96,6 +98,21 @@ def test_only_density_reads_operator_storage():
                    if isinstance(node, ast.Attribute)
                    and node.attr in {"frac", "sub_row", "factor", "mats"})
     assert found == []
+
+
+def test_only_density_imports_private_scipy():
+    # the transport product calls scipy.sparse._sparsetools directly; one
+    # file holds that import, so a scipy release that moves the private
+    # module breaks density.py alone, and this names it
+    found = sorted(
+        str(path.relative_to(ROOT))
+        for folder in ("src", "tests", "perfbench")
+        for path in (ROOT / folder).rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        for alias in getattr(node, "names", ())
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and "_sparsetools" in f"{getattr(node, 'module', '')}.{alias.name}")
+    assert found == ["src/pdmpfrag/density.py"]
 
 
 def test_characteristics_reads_no_private_map_state():
