@@ -3,15 +3,19 @@
 Loads a structured YAML config describing a model and an action, dispatches
 to the library, and writes CSV artifacts plus a manifest (config hash, tool,
 Python, numpy and scipy versions, the model's divergence flags, stage wall
-times, output checksums).  A key the config schema does not know is a config
-error, not a silent default.  All randomness flows from the single config
-seed, so re-running a config reproduces byte-identical CSV bodies.
+times, output checksums).  Two tables are the one source of config keys and
+their defaults: ``_MODEL`` for the model section and ``_ACTIONS`` for each
+action's numeric section.  ``_section`` reads every section against them,
+and a key they do not know is a config error, not a silent default.  All
+randomness flows from the single config seed, so re-running a config
+reproduces byte-identical CSV bodies.
 
 Exit codes: 0 ok, 2 config error, 3 model error, 4 numerical non-convergence.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import platform
@@ -34,26 +38,32 @@ from .monotone import gauss_panels
 from .oracles import TauOracle, exact_mass, explosion_cdf
 from .simulate import estimate_explosion_cdf, simulate_chain
 
-_REGIMES = {"pure_jump": Regime.PURE_JUMP, "growth": Regime.GROWTH,
-            "decay": Regime.DECAY}
-
 
 # -- config ------------------------------------------------------------------
 
-def _mapping(parent, key, where, allowed=None):
-    """parent[key] as a mapping, {} when absent or empty; a key outside
-    ``allowed`` (when given) is a ConfigError."""
-    val = parent.get(key)
-    if val is None:
-        return {}
+# A schema maps each key of a config section to its default.  A mapping
+# default is a nested section, read the same way.  _UNSET marks a key with
+# no default: a missing key reads as _UNSET, an explicit null as None.
+_UNSET = object()
+
+_MODEL = {"regime": None, "g": {"beta": None},
+          "phi": {"a": _UNSET, "alpha": _UNSET, "table": _UNSET},
+          "kernel": {"family": "power", "nu": 0.0, "table": _UNSET}}
+
+
+def _section(parent, key, where, schema):
+    """parent[key] as a mapping (absent or null reads as empty) with every key
+    of ``schema``, a missing one set to its default; a key outside
+    ``schema`` is a ConfigError."""
+    val = {} if parent.get(key) is None else parent[key]
     if not isinstance(val, dict):
         raise ConfigError(f"{where} must be a mapping, got {type(val).__name__}")
-    if allowed is not None:
-        unknown = sorted(map(str, set(val) - set(allowed)))
-        if unknown:
-            raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}"
-                              f"; allowed: {', '.join(sorted(allowed))}")
-    return val
+    unknown = sorted(map(str, set(val) - set(schema)))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}"
+                          f"; allowed: {', '.join(sorted(schema))}")
+    return {k: _section(val, k, f"{where}.{k}", d) if isinstance(d, dict)
+            else val.get(k, d) for k, d in schema.items()}
 
 
 def load_config(path):
@@ -67,10 +77,8 @@ def load_config(path):
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if not isinstance(cfg, dict) or "model" not in cfg:
         raise ConfigError("config must be a mapping with a 'model' section")
-    _mapping({"config": cfg}, "config", "config",
-             ("action", "model", "numeric", "output"))
-    for key in ("model", "numeric", "output"):
-        _mapping(cfg, key, key)
+    _section({"config": cfg}, "config", "config",
+             dict.fromkeys(("action", "model", "numeric", "output")))
     return cfg
 
 
@@ -85,6 +93,8 @@ def _table_callable(path, what):
     if data.shape[0] < 2 or data.shape[1] < 2:
         raise ConfigError(f"{what} table needs two columns and two data rows")
     xs, ys = data[:, 0], data[:, 1]
+    if not np.all(np.isfinite(data[:, :2])) or xs[0] <= 0:
+        raise ConfigError(f"{what} table must have finite entries and x > 0")
     if np.any(np.diff(xs) <= 0) or np.any(ys < 0):
         raise ConfigError(f"{what} table must have increasing x and values >= 0")
     lx = np.log(xs)
@@ -97,33 +107,36 @@ def _table_callable(path, what):
 
 def build_model(cfg):
     """The CharacteristicsSpec of the config's model section."""
-    model = _mapping(cfg, "model", "model", ("regime", "g", "phi", "kernel"))
-    regime_name = model.get("regime")
-    if regime_name not in _REGIMES:
-        raise ConfigError(f"model.regime must be one of {sorted(_REGIMES)}, "
-                          f"got {regime_name!r}")
-    regime = _REGIMES[regime_name]
+    model = _section(cfg, "model", "model", _MODEL)
+    try:
+        regime = Regime(model["regime"])
+    except ValueError:
+        raise ConfigError("model.regime must be one of "
+                          f"{sorted(r.value for r in Regime)}, "
+                          f"got {model['regime']!r}") from None
 
-    beta = _mapping(model, "g", "model.g", ("beta",)).get("beta")
+    beta = model["g"]["beta"]
+    if regime is Regime.PURE_JUMP and beta is not None:
+        raise ConfigError("model.g is not read in the pure-jump regime (no drift)")
     if regime is not Regime.PURE_JUMP and beta is None:
         raise ConfigError("model.g.beta is required outside the pure-jump regime")
     semiflow = SemiflowSpec(regime=regime,
                             power_beta=None if beta is None else float(beta))
 
-    phi_cfg = _mapping(model, "phi", "model.phi", ("a", "alpha", "table"))
-    if "table" in phi_cfg:
-        rate = RateSpec(phi=_table_callable(phi_cfg["table"], "model.phi"))
+    phi = model["phi"]
+    if phi["table"] is not _UNSET:
+        rate = RateSpec(phi=_table_callable(phi["table"], "model.phi"))
     else:
-        if "a" not in phi_cfg or "alpha" not in phi_cfg:
+        if phi["a"] is _UNSET or phi["alpha"] is _UNSET:
             raise ConfigError("model.phi needs 'a' and 'alpha' (or 'table')")
-        rate = RateSpec(power=(float(phi_cfg["a"]), float(phi_cfg["alpha"])))
+        rate = RateSpec(power=(float(phi["a"]), float(phi["alpha"])))
 
-    k_cfg = _mapping(model, "kernel", "model.kernel", ("family", "nu", "table"))
-    family = k_cfg.get("family", "power")
+    k_cfg = model["kernel"]
+    family = k_cfg["family"]
     if family == "power":
-        kernel = PowerLawKernel(float(k_cfg.get("nu", 0.0)))
+        kernel = PowerLawKernel(float(k_cfg["nu"]))
     elif family in ("homogeneous", "separable"):
-        if "table" not in k_cfg:
+        if k_cfg["table"] is _UNSET:
             raise ConfigError(f"model.kernel family {family!r} needs a 'table'")
         h = _table_callable(k_cfg["table"], "model.kernel")
         kernel = (HomogeneousKernel(h) if family == "homogeneous"
@@ -134,24 +147,11 @@ def build_model(cfg):
     return build_characteristics(semiflow=semiflow, rate=rate, kernel=kernel)
 
 
-def _numeric(cfg, key, default):
-    return (cfg.get("numeric") or {}).get(key, default)
-
-
-def _numeric_mapping(cfg, key, allowed):
-    return _mapping(cfg.get("numeric") or {}, key, f"numeric.{key}", allowed)
-
-
-def _grid_from(cfg):
-    g = _numeric_mapping(cfg, "grid", ("x_min", "x_max", "n_cells"))
-    return LogGrid(float(g.get("x_min", 1e-6)), float(g.get("x_max", 1e2)),
-                   int(g.get("n_cells", 384)))
-
-
-def _u0_from(cfg, grid):
-    u0 = _numeric_mapping(cfg, "u0", ("lo", "hi"))
-    return GridDensity.uniform_in_m(grid, float(u0.get("lo", 1.0)),
-                                    float(u0.get("hi", 2.0)))
+def _initial_density(num):
+    """The numeric.u0 density, uniform in m on [lo, hi], on the numeric.grid."""
+    g, u0 = num["grid"], num["u0"]
+    grid = LogGrid(float(g["x_min"]), float(g["x_max"]), int(g["n_cells"]))
+    return GridDensity.uniform_in_m(grid, float(u0["lo"]), float(u0["hi"]))
 
 
 # -- artifact helpers ----------------------------------------------------------
@@ -203,13 +203,21 @@ def _tau_oracle(spec):
     return TauOracle(nu=spec.kernel.nu, gamma=-power[1], a=power[0])
 
 
+def _oracle_mass(orc, t, u0):
+    """The oracle's exact mass of P(t) u0; nan without an oracle or outside
+    the oracle's regime."""
+    try:
+        return exact_mass(orc, t, u0) if orc is not None else float("nan")
+    except OutOfRegime:
+        return float("nan")
+
+
 # -- actions -------------------------------------------------------------------
 
-def _action_simulate(cfg, spec, out, seed, work):
-    n_paths = int(_numeric(cfg, "n_paths", 10_000))
-    n_max = int(_numeric(cfg, "n_max", 2_000))
-    x0 = float(_numeric(cfg, "x0", 1.0))
-    ts = [float(t) for t in _numeric(cfg, "t_values", [0.25, 0.5, 1.0, 2.0])]
+def _action_simulate(num, spec, out, seed, work):
+    n_paths, n_max = int(num["n_paths"]), int(num["n_max"])
+    x0 = float(num["x0"])
+    ts = [float(t) for t in num["t_values"]]
     files = []
     rows = []
     for k in range(min(n_paths, 10)):
@@ -222,7 +230,7 @@ def _action_simulate(cfg, spec, out, seed, work):
     for t in ts:
         est = estimate_explosion_cdf(spec, x0, t, n_paths, n_max, seed=seed)
         oracle_val = explosion_cdf(orc, t, x0) if orc is not None else float("nan")
-        rows.append((float(t), est.value, est.std_error, oracle_val,
+        rows.append((t, est.value, est.std_error, oracle_val,
                      est.diagnostics["value_at_half_budget"],
                      est.diagnostics["frac_budget_exhausted"]))
     files.append(_write_csv(
@@ -231,16 +239,16 @@ def _action_simulate(cfg, spec, out, seed, work):
     return files
 
 
-def _action_evolve(cfg, spec, out, seed, work):
-    grid = _grid_from(cfg)
-    u0 = _u0_from(cfg, grid)
+def _action_evolve(num, spec, out, seed, work):
+    u0 = _initial_density(num)
+    grid = u0.grid
     if not u0.grid_mass > 0.0:
         raise ConfigError("numeric.u0 puts no mass on the grid "
                           f"[{grid.edges[0]:g}, {grid.edges[-1]:g}]")
-    ts = [float(t) for t in _numeric(cfg, "t_values", [0.25, 0.5, 1.0, 2.0])]
-    dy = _numeric_mapping(cfg, "dyson", ("N", "n_s"))
-    N = int(dy.get("N", 60))
-    tol = float(_numeric(cfg, "tolerance", 0.01))
+    ts = [float(t) for t in num["t_values"]]
+    dyson = num["dyson"]
+    N = int(dyson["N"])
+    tol = float(num["tolerance"])
     files = []
     rows = []
     orc = _tau_oracle(spec)
@@ -248,23 +256,18 @@ def _action_evolve(cfg, spec, out, seed, work):
     # per t: the time steps, the Dyson levels run and the cells they ran on
     work["dyson"] = []
     for t in ts:
-        n_s = int(dy.get("n_s", max(64, int(32 * max(1.0, t)))))
+        n_s = (max(64, int(32 * max(1.0, t))) if dyson["n_s"] is _UNSET
+               else int(dyson["n_s"]))
         res, trace = dyson_phillips(spec, t, u0, N=N, n_s=n_s)
         work["dyson"].append({"t": t, "n_s": n_s,
                               "levels": len(trace.term_norms) - 1,
                               "cells": trace.cells})
         if not trace.converged:
             budget_hit = True
-        oracle_val = float("nan")
-        if orc is not None:
-            try:
-                oracle_val = exact_mass(orc, t, u0)
-            except OutOfRegime:
-                pass
-        rows.append((float(t), res.total_mass, res.grid_mass,
+        rows.append((t, res.total_mass, res.grid_mass,
                      res.sub_grid_mass, res.super_grid_mass,
-                     u0.total_mass - res.total_mass, oracle_val, tol,
-                     len(trace.term_norms), float(trace.term_norms[-1]),
+                     u0.total_mass - res.total_mass, _oracle_mass(orc, t, u0),
+                     tol, len(trace.term_norms), float(trace.term_norms[-1]),
                      int(trace.converged)))
         files.append(_write_csv(
             out, f"density_t{t:g}.csv", "node,cell_mass",
@@ -279,13 +282,11 @@ def _action_evolve(cfg, spec, out, seed, work):
     return files
 
 
-def _action_classify(cfg, spec, out, seed, work):
-    lams = [float(l) for l in _numeric(cfg, "lambdas", [1.0, 0.1, 0.01])]
-    pr = _numeric_mapping(cfg, "probes", ("lo", "hi", "n"))
-    probes = np.geomspace(float(pr.get("lo", 1e-3)), float(pr.get("hi", 1e3)),
-                          int(pr.get("n", 7)))
-    budgets = {"n_paths": int(_numeric(cfg, "n_paths", 400)),
-               "n_iter": int(_numeric(cfg, "n_iter", 400))}
+def _action_classify(num, spec, out, seed, work):
+    lams = [float(l) for l in num["lambdas"]]
+    pr = num["probes"]
+    probes = np.geomspace(float(pr["lo"]), float(pr["hi"]), int(pr["n"]))
+    budgets = {"n_paths": int(num["n_paths"]), "n_iter": int(num["n_iter"])}
     mc = classify(spec, lams, probes, budgets, seed=seed)
     files = []
     ev_path = Path(out) / "evidence.csv"
@@ -300,10 +301,9 @@ def _action_classify(cfg, spec, out, seed, work):
     power, beta, kernel = spec.rate.power, spec.semiflow.power_beta, spec.kernel
     if power is not None and beta is not None and \
             isinstance(kernel, PowerLawKernel):
-        regime = None if spec.regime is Regime.PURE_JUMP else spec.regime.value
         try:
             cf = classify_power_family(power[1], beta, power[0], kernel.h,
-                                       regime=regime)
+                                       regime=spec.regime.value)
             rows.append(("ClosedFormTable", cf.verdict.value, nan, cf.notes))
         except OutOfRegime as exc:
             rows.append(("ClosedFormTable", "OutOfRegime", nan, str(exc)))
@@ -313,8 +313,8 @@ def _action_classify(cfg, spec, out, seed, work):
     return files
 
 
-def _action_audit(cfg, spec, out, seed, work):
-    ys = [float(y) for y in _numeric(cfg, "y_values", [0.5, 1.0, 2.0, 5.0, 10.0])]
+def _action_audit(num, spec, out, seed, work):
+    ys = [float(y) for y in num["y_values"]]
     kernel = spec.kernel
     rows = []
     for y in ys:
@@ -322,7 +322,7 @@ def _action_audit(cfg, spec, out, seed, work):
         val = float(np.sum(gauss_panels(
             lambda x: kernel.b(x, y) * x, edges[:-1], edges[1:])))
         resid = abs(val - y) / y
-        rows.append((float(y), val / y, resid, "pass" if resid < 1e-8 else "FAIL"))
+        rows.append((y, val / y, resid, "pass" if resid < 1e-8 else "FAIL"))
     files = [_write_csv(out, "kernel_normalization.csv",
                         "y,mass_over_y,residual,status", rows)]
     # monotone-map roundtrips for the derived G and Q
@@ -340,36 +340,47 @@ def _action_audit(cfg, spec, out, seed, work):
     return files
 
 
-def _action_oracle(cfg, spec, out, seed, work):
+def _action_oracle(num, spec, out, seed, work):
     orc = _tau_oracle(spec)
     if orc is None:
         raise ModelError("the oracle action needs the pure-fragmentation power "
                          "family: regime pure_jump, phi(x) = a x^alpha with "
                          "alpha < 0 and a power-law kernel")
-    x0 = float(_numeric(cfg, "x0", 1.0))
-    ts = [float(t) for t in _numeric(cfg, "t_values", [0.25, 0.5, 1.0, 2.0, 4.0])]
-    grid = _grid_from(cfg)
-    u0 = _u0_from(cfg, grid)
-    rows = []
-    for t in ts:
-        q = orc.time_scale(x0) * t
-        try:
-            em = exact_mass(orc, t, u0)
-        except OutOfRegime:
-            em = float("nan")
-        rows.append((float(t), float(q), explosion_cdf(orc, t, x0), em))
+    x0 = float(num["x0"])
+    ts = [float(t) for t in num["t_values"]]
+    u0 = _initial_density(num)
+    rows = [(t, float(orc.time_scale(x0) * t), explosion_cdf(orc, t, x0),
+             _oracle_mass(orc, t, u0)) for t in ts]
     return [_write_csv(out, "oracle.csv",
                        "t,q,explosion_cdf_at_x0,exact_mass_u0", rows)]
 
 
-# each action with the numeric keys it reads, besides seed; an action may
-# record work counters in its ``work`` dict, which goes to the manifest
+_T_VALUES = (0.25, 0.5, 1.0, 2.0)
+_DENSITY = {"grid": {"x_min": 1e-6, "x_max": 1e2, "n_cells": 384},
+            "u0": {"lo": 1.0, "hi": 2.0}}
+
+# each action: its function, its subcommand help and the schema of its
+# numeric section besides seed; the function gets the filled section and
+# may record work counters in its ``work`` dict, which goes to the manifest
 _ACTIONS = {
-    "simulate": (_action_simulate, ("n_paths", "n_max", "x0", "t_values")),
-    "evolve": (_action_evolve, ("grid", "u0", "t_values", "dyson", "tolerance")),
-    "classify": (_action_classify, ("lambdas", "probes", "n_paths", "n_iter")),
-    "audit": (_action_audit, ("y_values",)),
-    "oracle": (_action_oracle, ("x0", "t_values", "grid", "u0")),
+    "simulate": (_action_simulate,
+                 "Sample jump chains and explosion-time estimates.",
+                 {"n_paths": 10_000, "n_max": 2_000, "x0": 1.0,
+                  "t_values": _T_VALUES}),
+    "evolve": (_action_evolve,
+               "Evolve a density by the truncated Dyson-Phillips sum.",
+               {**_DENSITY, "t_values": _T_VALUES,
+                "dyson": {"N": 60, "n_s": _UNSET}, "tolerance": 0.01}),
+    "classify": (_action_classify,
+                 "Classify the semigroup (Monte Carlo + closed form).",
+                 {"lambdas": (1.0, 0.1, 0.01),
+                  "probes": {"lo": 1e-3, "hi": 1e3, "n": 7},
+                  "n_paths": 400, "n_iter": 400}),
+    "audit": (_action_audit, "Check kernel normalization and map roundtrips.",
+              {"y_values": (0.5, 1.0, 2.0, 5.0, 10.0)}),
+    "oracle": (_action_oracle,
+               "Tabulate the closed-form gamma-law ground truth.",
+               {"x0": 1.0, "t_values": _T_VALUES + (4.0,), **_DENSITY}),
 }
 
 
@@ -385,14 +396,13 @@ def run(action, config_path, out_dir=None, seed=None):
     if declared is not None and declared != action:
         raise ConfigError(f"config field 'action' says {declared!r} but the "
                           f"{action!r} subcommand was invoked")
-    act, keys = _ACTIONS[action]
-    _mapping(cfg, "numeric", "numeric", ("seed",) + keys)
+    act, _, numeric = _ACTIONS[action]
+    num = _section(cfg, "numeric", "numeric", {"seed": None, **numeric})
+    seed = num["seed"] if seed is None else seed
     if seed is None:
-        seed = _numeric(cfg, "seed", None)
-        if seed is None:
-            raise ConfigError("numeric.seed is required (or pass --seed)")
-    out_cfg = _mapping(cfg, "output", "output", ("dir",))
-    out = Path(out_dir if out_dir is not None else out_cfg.get("dir", "."))
+        raise ConfigError("numeric.seed is required (or pass --seed)")
+    out_cfg = _section(cfg, "output", "output", {"dir": "."})
+    out = Path(out_dir if out_dir is not None else out_cfg["dir"])
     out.mkdir(parents=True, exist_ok=True)
     try:
         seed = int(seed)
@@ -402,7 +412,7 @@ def run(action, config_path, out_dir=None, seed=None):
         spec = build_model(cfg)
         t1 = time.perf_counter()
         work = {}
-        files = act(cfg, spec, out, seed, work)
+        files = act(num, spec, out, seed, work)
         wall_s = {"build_model": t1 - t0, "action": time.perf_counter() - t1}
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad value for {action}: {exc}") from exc
@@ -442,20 +452,9 @@ def _common(fn):
     return fn
 
 
-for _name, _help in (
-        ("simulate", "Sample jump chains and explosion-time estimates."),
-        ("evolve", "Evolve a density by the truncated Dyson-Phillips sum."),
-        ("classify", "Classify the semigroup (Monte Carlo + closed form)."),
-        ("audit", "Check kernel normalization and map roundtrips."),
-        ("oracle", "Tabulate the closed-form gamma-law ground truth.")):
-    def _mk(name):
-        @_common
-        def cmd(config, out, seed):
-            _invoke(name, config, out, seed)
-        cmd.__name__ = name
-        cmd.__doc__ = _help
-        return cmd
-    main.command(name=_name)(_mk(_name))
+for _name, (_, _help, _) in _ACTIONS.items():
+    main.command(name=_name, help=_help)(
+        _common(functools.partial(_invoke, _name)))
 
 
 if __name__ == "__main__":

@@ -80,6 +80,12 @@ def _laplace_weights(spec, lams, x0s, n_iter, *, seed, workers):
     return w
 
 
+def _need_two_paths(n_paths):
+    """The standard error of a mean takes at least two paths."""
+    if n_paths < 2:
+        raise ValueError("need n_paths >= 2 for a standard error")
+
+
 def _probe_estimates(w, lam, probes, n_iter, n_paths):
     """One Estimate per probe from the weights ``w[k, p]`` of one lambda,
     probe i owning paths i*n_paths .. (i+1)*n_paths - 1."""
@@ -106,6 +112,7 @@ def f_lambda_dual(spec, lam, probes, n_iter, n_paths=400, *, seed=0,
     diagnostics carry the last-step decrement and the half-budget
     convergence gap.
     """
+    _need_two_paths(n_paths)
     probes = np.asarray(probes, dtype=float)
     w = _laplace_weights(spec, [lam], np.repeat(probes, n_paths), n_iter,
                          seed=seed, workers=workers)
@@ -137,6 +144,7 @@ def dual_pairing(spec, lam, u, n_iter, n_paths, *, seed=0, workers=1):
     estimate is the u-average of e^{-lambda t_{n_iter}} (an upper bound,
     decreasing to the pairing as n_iter grows).
     """
+    _need_two_paths(n_paths)
     x0s = _stratified_starts(u, n_paths, seed, "pairing")
     w = _laplace_weights(spec, [lam], x0s, n_iter, seed=seed,
                          workers=workers)[0, -1]
@@ -169,6 +177,7 @@ def classify(spec, lam_grid=DEFAULT_LAMBDAS, probe_grid=None, budgets=None,
     budgets = dict(budgets or {})
     n_paths = int(budgets.get("n_paths", 400))
     n_iter = int(budgets.get("n_iter", 400))
+    _need_two_paths(n_paths)
 
     w = _laplace_weights(spec, lam_grid, np.repeat(probe_grid, n_paths),
                          n_iter, seed=seed, workers=workers)

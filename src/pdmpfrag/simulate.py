@@ -404,6 +404,8 @@ def estimate_survival_mass(spec, u0, t, n_paths, n_max=DEFAULT_N_MAX, *,
     truncation bias is upward and bounded by the half-budget sensitivity.  As in ``estimate_explosion_cdf``, a path
     absorbed at 0 counts at its hit time.
     """
+    if n_paths < 100:
+        raise ValueError("need n_paths >= 100")
     total = u0.total_mass
     if abs(total - 1.0) > 1e-6:
         raise NotADensity(f"u0 has mass {total}, expected 1")

@@ -250,6 +250,12 @@ def test_bad_schema_exit_2(tmp_path):
     # malformed tables, sections and values exit 2 too, without a traceback
     (tmp_path / "one_row.csv").write_text("x,phi\n1.0,1.0\n")
     (tmp_path / "text.csv").write_text("x,phi\n1e-9,1.0\n1e9,high\n")
+    # log-x interpolation needs finite entries and x > 0: these ran with
+    # -inf or nan nodes and exit 0
+    tables = {"zero_x": "0.0,1.0", "negative_x": "-1.0,1.0",
+              "nan_x": "nan,1.0", "nan_value": "0.5,nan"}
+    for name, row in tables.items():
+        (tmp_path / f"{name}.csv").write_text(f"x,phi\n{row}\n1.0,1.0\n")
     model = ("model:\n  regime: pure_jump\n  phi: {a: 1.0, alpha: -1.0}\n"
              "  kernel: {family: power, nu: 0.0}\n")
     bad = {
@@ -287,11 +293,23 @@ def test_bad_schema_exit_2(tmp_path):
                          f"outptu: {{dir: {tmp_path / 'wanted'}}}\n", []),
         # the thread count is no longer a knob
         "workers_key": (model + "numeric: {seed: 0, workers: 2}\n", []),
+        # pure fragmentation has no drift; a stray g made classify's
+        # closed-form table read the model as growth and call it stochastic
+        "pure_jump_g": (model + "  g: {beta: 1.0}\nnumeric: {seed: 0}\n", []),
+        **{f"{name}_table": (model.replace(
+            "{a: 1.0, alpha: -1.0}", f"{{table: {tmp_path / name}.csv}}")
+            + "numeric: {seed: 0}\n", []) for name in tables},
+        "kernel_zero_x_table": (model.replace(
+            "{family: power, nu: 0.0}",
+            f"{{family: homogeneous, table: {tmp_path / 'zero_x.csv'}}}")
+            + "numeric: {seed: 0}\n", []),
     }
     unknown = {"numeric_typo": "n_path, t_value", "kernel_typo": "mu",
                "phi_typo": "alfa", "g_typo": "bta", "model_typo": "kernal",
                "other_action_key": "lambdas", "section_typo": "outptu",
-               "workers_key": "workers"}
+               "workers_key": "workers", "pure_jump_g": "model.g",
+               **{f"{name}_table": "model.phi table" for name in tables},
+               "kernel_zero_x_table": "model.kernel table"}
     for name, (text, extra) in bad.items():
         path = tmp_path / f"{name}.yaml"
         path.write_text(text)
@@ -316,6 +334,18 @@ def test_bad_schema_exit_2(tmp_path):
     path.write_text(model + "numeric: {seed: 0}\n")
     res = _run(["simulate", "-c", str(path), "--workers", "2"])
     assert res.exit_code == 2 and "--workers" in res.output, res.output
+
+
+def test_classify_one_path_exit_2(tmp_path):
+    # one path per cell has no standard error: exit 2, not nan confidence
+    # bounds and an Inconclusive verdict
+    cfg = tmp_path / "one.yaml"
+    cfg.write_text((CONFIGS / "classify.yaml").read_text()
+                   .replace("n_paths: 400", "n_paths: 1"))
+    res = _run(["classify", "-c", str(cfg), "-o", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert "config error" in res.output and "n_paths >= 2" in res.output
+    assert not (tmp_path / "o" / "verdict.csv").exists()
 
 
 @pytest.mark.parametrize("x0", [".nan", "-1.0", ".inf"])

@@ -61,6 +61,14 @@ def test_f_lambda_dual_guards(pure_frag):
         f_lambda_dual(pure_frag, -1.0, [1.0], 10)
     with pytest.raises(ValueError):
         f_lambda_dual(pure_frag, 1.0, [1.0], 0)
+    # one path has no standard error (ddof=1 gives nan): refused before any
+    # path runs, here and in the two estimators that share the rule
+    u = GridDensity.uniform_in_m(aligned_grid(), 1.0, 2.0)
+    for estimate in (lambda: f_lambda_dual(pure_frag, 1.0, [1.0], 10, n_paths=1),
+                     lambda: dual_pairing(pure_frag, 1.0, u, 10, 1),
+                     lambda: classify(pure_frag, budgets={"n_paths": 1})):
+        with pytest.raises(ValueError, match="n_paths >= 2"):
+            estimate()
 
 
 def test_f_lambda_dual_absorbed_paths():

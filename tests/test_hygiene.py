@@ -2,8 +2,8 @@
 module level, every random draw goes through one stream, every holding time
 through one rule, only the S operator knows how S is stored, only
 density.py how B and S are stored and which private scipy module multiplies
-S, and the characteristics read the monotone maps through their public
-interface."""
+S, the characteristics read the monotone maps through their public
+interface, and the CLI reads its config through one schema reader."""
 
 import ast
 from pathlib import Path
@@ -123,3 +123,17 @@ def test_characteristics_reads_no_private_map_state():
                    if isinstance(node, ast.Attribute)
                    and node.attr.startswith("_"))
     assert found == []
+
+
+def test_only_section_reads_config():
+    # every config key and default sits in cli's schema tables and is read
+    # by _section; besides it, only run's read of the action calls .get
+    tree = ast.parse((SRC / "cli.py").read_text())
+    reader = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and node.name == "_section")
+    inside = {id(node) for node in ast.walk(reader)}
+    found = sorted(ast.unparse(node) for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "get" and id(node) not in inside)
+    assert found == ["cfg.get('action')"]

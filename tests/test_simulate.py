@@ -322,6 +322,11 @@ def test_survival_mass_estimator(pure_frag, bounded_pure_jump):
         bad = GridDensity.uniform_in_m(grid, 1.0, 2.0)
         bad.masses = bad.masses * 0.5
         estimate_survival_mass(pure_frag, bad, 1.0, 500, 100, seed=0)
+    # too few paths is refused up front, as by estimate_explosion_cdf, not a
+    # RuntimeWarning and a ZeroDivisionError
+    for n_paths in (0, 99):
+        with pytest.raises(ValueError, match="n_paths >= 100"):
+            estimate_survival_mass(pure_frag, u0, 1.0, n_paths, 100, seed=0)
 
 
 def test_survival_mass_vs_oracle(pure_frag):
