@@ -402,9 +402,9 @@ def run(action, config_path, out_dir=None, seed=None):
     if seed is None:
         raise ConfigError("numeric.seed is required (or pass --seed)")
     out_cfg = _section(cfg, "output", "output", {"dir": "."})
-    out = Path(out_dir if out_dir is not None else out_cfg["dir"])
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        out = Path(out_dir if out_dir is not None else out_cfg["dir"])
+        out.mkdir(parents=True, exist_ok=True)
         seed = int(seed)
         if not 0 <= seed < 2 ** 64:
             raise ConfigError(f"the seed must lie in [0, 2**64), got {seed}")

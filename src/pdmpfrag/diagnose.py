@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristics import Regime
+from .characteristics import Regime, _holding
 from .density import _BOperator
 from .errors import NonConvergent, OutOfRegime
-from .monotone import endpoint_integral, gauss_panels
+from .monotone import gauss_panels
 from .oracles import mu0
 from .simulate import _ABSORBED, Estimate, _stratified_starts, run_chains
 
@@ -29,6 +29,10 @@ EPS_SS = 0.05      # strongly stable: all lower CIs above 1 - this
 EPS_CONV = 0.01    # strongly stable additionally needs converged iterates
 DEFAULT_LAMBDAS = (1.0, 0.1, 0.01)
 LYAPUNOV_C_MAX = 0.99  # Lyapunov fit demands c < 1 with margin
+# EmbeddedKernel's rule for E F(e), e ~ Exp(1); a sum whose three largest-node
+# terms carry more than _TAIL_SHARE of it is declared divergent
+_LAG_X, _LAG_W = np.polynomial.laguerre.laggauss(64)
+_TAIL_SHARE = 1e-6
 
 
 class Verdict(enum.Enum):
@@ -211,79 +215,70 @@ def classify(spec, lam_grid=DEFAULT_LAMBDAS, probe_grid=None, budgets=None,
 class EmbeddedKernel:
     """Transition kernel of the post-jump chain X(t_n) w.r.t. m(dx) = x dx.
 
-    k(x, y) = int_{max(x,y)}^inf b(x, z) phi(z) / (z g(z)) e^{Q(y)-Q(z)} dz.
-    All integrals against k swap the order of integration, which turns the
-    inner x-integral into the kernel's own mass condition.
+    k(x, y) = int_{max(x,y)}^inf b(x, z) phi(z) / (z g(z)) e^{Q(y)-Q(z)} dz
+    is one fragmentation of the pre-jump position Z = Q^{<-}(Q(y) + e),
+    e ~ Exp(1), taken from the jump step's rule ``_holding``.  Each method is
+    one expectation E_y[F(Z); Z > s] = e^{Q(y)-Q(s)} E F(Q^{<-}(Q(s) + e))
+    by a fixed 64-node Gauss-Laguerre rule, started at the kink s >= y.  On
+    g = x, phi = x, h = 2 it is within 5e-14 of KV(y) = (2/3)(y + 1), V = x,
+    for y in [0.1, 50], and within 2e-15 of the exact ``cdf`` and ``k`` at
+    y = 50, 3e-8 at y = 0.5 (the error grows as s nears the integrands'
+    singularity at z = 0).  A bounded Q raises ``InfiniteHolding``, an F too
+    large at the rule's last nodes (E F(Z) may be infinite) ``NonConvergent``.
     """
 
     spec: object
 
-    def _w(self, z, qy):
-        z = np.asarray(z, dtype=float)
-        phi = np.asarray(self.spec.phi(z), dtype=float)
-        g = np.asarray(self.spec.g(z), dtype=float)
-        return phi / (z * g) * np.exp(np.minimum(qy - np.asarray(
-            self.spec.Q(z), dtype=float), 0.0))
+    def _expect(self, F, y, s):
+        """(Q(s) - Q(y), E_y[F(Z); Z > s]) for starts ``s >= y``; ``F`` maps
+        the (len(s), nodes) array of pre-jump positions to values."""
+        n = len(_LAG_X)
+        dt, z, _ = _holding(self.spec, np.repeat(s, n),
+                            np.tile(_LAG_X, len(s)))
+        terms = _LAG_W * F(z.reshape(len(s), n))
+        tail = np.abs(terms[:, -3:]).sum(axis=1)
+        # dt is nan where a pre-jump position left the float range
+        if np.isnan(dt).any() or np.any(
+                tail > _TAIL_SHARE * np.abs(terms).sum(axis=1)):
+            raise NonConvergent("Gauss-Laguerre expectation over the pre-jump "
+                                "position does not converge")
+        q = self.spec.Q(np.append(s, y))
+        gap = q[:-1] - q[-1]
+        return gap, np.exp(-gap) * terms.sum(axis=1)
 
     def k(self, x, y):
-        """Pointwise kernel value by z-quadrature on [max(x,y), inf)."""
-        qy = float(self.spec.Q(np.array([float(y)]))[0])
-        lo = max(float(x), float(y))
-
-        def f(z):
-            return self.spec.kernel.b(float(x), z) * self._w(z, qy)
-
-        val, ok = endpoint_integral(f, lo, "inf")
-        if not ok:
-            raise NonConvergent("z-quadrature for k(x,y) failed; Q may be bounded")
-        return val
+        """k(x, y) = E_y[b(x, Z)/Z; Z >= x], elementwise over an array x."""
+        x = np.asarray(x, dtype=float)
+        xs = x.reshape(-1)
+        _, val = self._expect(lambda z: self.spec.kernel.b(xs[:, None], z) / z,
+                              y, np.maximum(xs, y))
+        return val.reshape(x.shape)[()]
 
     def cdf(self, r, y):
-        """int_0^r k(x, y) x dx via the swapped order (exact inner CDF)."""
-        qy = float(self.spec.Q(np.array([float(y)]))[0])
-        kern = self.spec.kernel
-        r = float(r)
-
-        def f(z):
-            z = np.asarray(z, dtype=float)
-            inner = kern.ratio_cdf(z, np.clip(r / z, 0.0, 1.0)) * z
-            return self._w(z, qy) * inner
-
-        lo = float(y)
-        val = 0.0
-        if r > lo:
-            # the integrand has a kink at z = r (every fragment of a parent
-            # z <= r lies below r); integrate the smooth piece separately
-            edges = np.geomspace(lo, r, 129)
-            val += float(np.sum(gauss_panels(f, edges[:-1], edges[1:])))
-            lo = r
-        tail, ok = endpoint_integral(f, lo, "inf")
-        if not ok:
-            raise NonConvergent("z-quadrature for the chain CDF failed")
-        return val + tail
+        """int_0^r k(x, y) x dx = P(Z <= r) + E_y[H_Z(r/Z); Z > r]."""
+        r, y = float(r), float(y)
+        gap, tail = self._expect(
+            lambda z: self.spec.kernel.fragment_cdf(z, r), y,
+            np.array([max(r, y)]))
+        return float(-np.expm1(-gap[0]) + tail[0])
 
     def integrate_against(self, F, y):
-        """int F(x) k(x, y) x dx, F >= 0, by the swapped double quadrature
-        (the inner x-integral over [1e-12 z, z])."""
-        qy = float(self.spec.Q(np.array([float(y)]))[0])
+        """int F(x) k(x, y) x dx = E_y (P*F)(Z), F >= 0, where
+        (P*F)(z) = int_0^z F(x) b(x, z) x dx / z (x over [1e-12 z, z])."""
         kern = self.spec.kernel
 
-        def inner(z_scalar):
-            edges = np.geomspace(z_scalar * 1e-12, z_scalar, 49)
-            vals = gauss_panels(
-                lambda x: kern.b(x, z_scalar) * np.asarray(F(x), float) * x,
-                edges[:-1], edges[1:])
-            return float(np.sum(vals))
+        def pf(z):
+            zc = z.reshape(-1, 1)
+            edges = zc * np.geomspace(1e-12, 1.0, 49)
 
-        def f(z):
-            z = np.atleast_1d(np.asarray(z, dtype=float))
-            inn = np.array([inner(zi) for zi in z])
-            return self._w(z, qy) * inn
+            def f(x):
+                x = x.reshape(len(zc), -1)
+                return kern.b(x, zc) * np.asarray(F(x), dtype=float) * x
 
-        val, ok = endpoint_integral(f, float(y), "inf")
-        if not ok:
-            raise NonConvergent("z-quadrature for the embedded kernel failed")
-        return val
+            inner = gauss_panels(f, edges[:, :-1], edges[:, 1:]).sum(axis=1)
+            return inner.reshape(z.shape) / z
+
+        return float(self._expect(pf, y, np.array([y], dtype=float))[1][0])
 
     def normalization(self, y):
         """int k(x, y) x dx; equals 1 when the chain cannot die."""
@@ -326,7 +321,7 @@ def lyapunov_check(kern: EmbeddedKernel, V, y_probes, r_probes=None):
             ys = np.geomspace(r * 1e-3, r, 6)
             xs_edges = np.geomspace(r * 1e-4, r * 1e2, 41)
             xs = np.sqrt(xs_edges[:-1] * xs_edges[1:])
-            kmin = np.array([min(kern.k(x, y) for y in ys) for x in xs])
+            kmin = np.min([kern.k(xs, y) for y in ys], axis=0)
             mw = 0.5 * (xs_edges[1:] ** 2 - xs_edges[:-1] ** 2)
             lows.append(float(kmin @ mw))
         details["r"] = np.asarray(r_probes, dtype=float)

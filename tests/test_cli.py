@@ -374,6 +374,19 @@ def test_missing_seed_exit_2(tmp_path):
     assert res.exit_code == 0, res.output
 
 
+def test_null_output_dir_exit_2(tmp_path):
+    # output.dir: null is a bad config value (exit 2), not a TypeError
+    # traceback; -o still overrides it
+    cfg = tmp_path / "outnull.yaml"
+    cfg.write_text((CONFIGS / "oracle.yaml").read_text()
+                   .replace("dir: out/oracle", "dir: null"))
+    res = _run(["oracle", "-c", str(cfg)])
+    assert res.exit_code == 2, res.output
+    assert "config error" in res.output
+    res = _run(["oracle", "-c", str(cfg), "-o", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
+
+
 def test_oracle_out_of_family_exit_3(tmp_path):
     # alpha = 0 is outside the gamma family; alpha = -1/2 is inside it, but
     # the growth drift makes the model honest, so the gamma law is not its law

@@ -5,11 +5,19 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import exp1
 
 from pdmpfrag import (
+    InfiniteHolding,
+    NonConvergent,
     OutOfRegime,
+    PowerLawKernel,
+    RateSpec,
+    Regime,
+    SemiflowSpec,
     TrajectoryStatus,
     Verdict,
+    build_characteristics,
     classify,
     classify_power_family,
     dual_pairing,
@@ -251,6 +259,79 @@ def test_embedded_kernel_vs_chain():
         emp = float(np.mean(xi1 <= r))
         band = 3.0 * math.sqrt(model * (1.0 - model) / n) + 1e-4
         assert abs(emp - model) <= band
+
+
+def test_embedded_kernel_exact_on_linear_model():
+    # Z = y + e is linear in e, so KV(y) = (2/3)(y + 1) and the mass are
+    # exact up to rounding, also where Q = x rises fast past y
+    kern = embedded_kernel(_growth_spec())
+    for y in np.geomspace(0.1, 50.0, 9):
+        assert abs(kern.normalization(y) - 1.0) < 1e-10, y
+        kv = kern.integrate_against(lambda x: np.asarray(x, float), y)
+        assert abs(kv / (2.0 / 3.0 * (y + 1.0)) - 1.0) < 1e-10, y
+
+
+def test_embedded_kernel_cdf_at_large_y():
+    # X_1 = theta^{1/2} Z with Z = 50 + e: P(X_1 <= r) = E min(1, (r/Z)^2)
+    kern = embedded_kernel(_growth_spec())
+    y = 50.0
+    for r in (1.0, 20.0, 48.7, 50.0, 51.0, 53.0, 60.0):
+        def f(e):
+            return min(1.0, (r / (y + e)) ** 2) * math.exp(-e)
+        cut = max(r - y, 0.0)
+        want = quad(f, 0.0, cut, epsabs=1e-14)[0] + quad(
+            f, cut, np.inf, epsabs=1e-14, epsrel=1e-13)[0]
+        assert abs(kern.cdf(r, y) - want) < 1e-10, r
+
+
+def test_embedded_kernel_k_closed_form():
+    # k(x, y) = 2 e^y (e^{-m}/m - E1(m)), m = max(x, y), for g = x, phi = x,
+    # h = 2; k takes an array of x
+    kern = embedded_kernel(_growth_spec())
+    xs = np.array([0.3, 1.0, 2.0, 10.0, 40.0, 49.0, 60.0])
+    for y in (1.0, 5.0, 50.0):
+        m = np.maximum(xs, y)
+        want = 2.0 * np.exp(y) * (np.exp(-m) / m - exp1(m))
+        got = kern.k(xs, y)
+        assert got.shape == xs.shape
+        np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
+        assert kern.k(xs[2], y) == got[2]
+
+
+def test_embedded_kernel_bounded_Q_raises():
+    # g = x, phi = 1/(1+x)^2: Q is bounded, so the chain can die; the kernel
+    # raises the jump step's error instead of a dying chain's numbers
+    spec = build_characteristics(
+        SemiflowSpec(regime=Regime.GROWTH, g=lambda x: np.asarray(x, float)),
+        RateSpec(phi=lambda x: 1.0 / (1.0 + np.asarray(x, float)) ** 2),
+        PowerLawKernel(0.0))
+    assert spec.divergence["Q"] == "failed"
+    kern = embedded_kernel(spec)
+    with pytest.raises(InfiniteHolding):
+        kern.integrate_against(lambda x: np.asarray(x, float), 1.0)
+    with pytest.raises(InfiniteHolding):
+        kern.normalization(1.0)
+    with pytest.raises(InfiniteHolding):
+        kern.k(0.5, 1.0)
+    with pytest.raises(InfiniteHolding):
+        kern.cdf(0.5, 1.0)
+
+
+def test_embedded_kernel_divergent_expectation():
+    # g = 1, phi = 1/x: Z = y e^e, so E Z = inf and KV = inf for V = x; for
+    # V = sqrt(x), P*V(z) = sqrt(z)/2 and KV(1) = E sqrt(Z)/2 = 1
+    kern = embedded_kernel(power_model("growth", alpha=-1.0, beta=1.0,
+                                       nu=-1.5))
+    with pytest.raises(NonConvergent):
+        kern.integrate_against(lambda x: np.asarray(x, float), 1.0)
+    kv = kern.integrate_against(lambda x: np.sqrt(np.asarray(x, float)), 1.0)
+    assert abs(kv - 1.0) < 1e-9
+    # g = x, phi = 1e-3 x^0.01: Z = (Z_0^0.01 + 10 e)^100 leaves the float
+    # range at the rule's last nodes, where _holding cannot place it
+    kern = embedded_kernel(power_model("growth", alpha=0.01, beta=0.0,
+                                       a=1e-3))
+    with pytest.raises(NonConvergent):
+        kern.normalization(1.0)
 
 
 def test_lyapunov_check_linear_V():

@@ -1,9 +1,10 @@
 """Source hygiene: every import in the library modules is used and sits at
 module level, every random draw goes through one stream, every holding time
-through one rule, only the S operator knows how S is stored, only
-density.py how B and S are stored and which private scipy module multiplies
-S, the characteristics read the monotone maps through their public
-interface, and the CLI reads its config through one schema reader."""
+and pre-jump position through one rule, only the S operator knows how S is
+stored, only density.py how B and S are stored and which private scipy
+module multiplies S, the characteristics read the monotone maps through
+their public interface, and the CLI reads its config through one schema
+reader."""
 
 import ast
 from pathlib import Path
@@ -75,6 +76,17 @@ def test_one_holding_rule():
                                 getattr(node, "name", None))
                    if name in banned)
     assert found == []
+    # the embedded chain's pre-jump positions come from the same rule: its
+    # kernel neither inverts Q itself nor integrates by endpoint_integral
+    tree = ast.parse((SRC / "diagnose.py").read_text())
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+               and node.name == "EmbeddedKernel")
+    names = [(getattr(node, "attr", None) or getattr(node, "id", None),
+              node.lineno) for node in ast.walk(cls)
+             if isinstance(node, (ast.Attribute, ast.Name))]
+    assert sorted(f"{name} (line {line})" for name, line in names
+                  if name in {"inverse", "endpoint_integral"}) == []
+    assert "_holding" in {name for name, _ in names}
 
 
 def test_dyson_phillips_reads_no_S_storage():
