@@ -218,25 +218,22 @@ def _action_simulate(num, spec, out, seed, work):
     n_paths, n_max = int(num["n_paths"]), int(num["n_max"])
     x0 = float(num["x0"])
     ts = [float(t) for t in num["t_values"]]
-    files = []
     rows = []
     for k in range(min(n_paths, 10)):
         tr = simulate_chain(spec, x0, seed=seed, path_id=k, n_max=min(n_max, 200))
         rows += [(k, n, float(t), float(x)) for n, (t, x) in
                  enumerate(zip(tr.jump_times, tr.positions))]
-    files.append(_write_csv(out, "trajectories.csv", "path_id,n,t_n,xi_n", rows))
+    files = [_write_csv(out, "trajectories.csv", "path_id,n,t_n,xi_n", rows)]
     orc = _tau_oracle(spec)
-    rows = []
-    for t in ts:
-        est = estimate_explosion_cdf(spec, x0, t, n_paths, n_max, seed=seed)
-        oracle_val = explosion_cdf(orc, t, x0) if orc is not None else float("nan")
-        rows.append((t, est.value, est.std_error, oracle_val,
-                     est.diagnostics["value_at_half_budget"],
-                     est.diagnostics["frac_budget_exhausted"]))
-    files.append(_write_csv(
+    ests = estimate_explosion_cdf(spec, x0, ts, n_paths, n_max, seed=seed)
+    rows = [(t, est.value, est.std_error,
+             explosion_cdf(orc, t, x0) if orc is not None else float("nan"),
+             est.diagnostics["value_at_half_budget"],
+             est.diagnostics["frac_budget_exhausted"])
+            for t, est in zip(ts, ests)]
+    return files + [_write_csv(
         out, "explosion_cdf.csv", "t,estimate,se,oracle,value_at_half_budget,"
-        "frac_budget_exhausted", rows))
-    return files
+        "frac_budget_exhausted", rows)]
 
 
 def _action_evolve(num, spec, out, seed, work):

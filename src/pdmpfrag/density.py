@@ -427,8 +427,8 @@ def dyson_phillips(spec, t, u: GridDensity, N=60, n_s=64):
     after one level; if the budget N is reached first the trace is flagged
     unconverged (result still returned).
     """
-    if t < 0 or N < 0 or n_s < 1:
-        raise ValueError("need t >= 0, N >= 0, n_s >= 1")
+    if not 0 <= t < math.inf or N < 0 or n_s < 1:
+        raise ValueError("need t in [0, inf), N >= 0, n_s >= 1")
     if t == 0.0 or N == 0:
         res = apply_S(spec, t, u)
         return res, OperatorTrace(term_norms=[res.total_mass])

@@ -60,7 +60,7 @@ class Classification:
                          "{n_iter},{half_gap:.10g}\n".format(**row))
 
 
-def _laplace_weights(spec, lams, x0s, n_iter, *, seed, workers):
+def _laplace_weights(spec, lams, x0s, n_iter, *, seed):
     """w[l, k, p] = e^{-lams[l] t_n} of path p at n = n_iter//2, n_iter - 1
     and n_iter (k = 0, 1, 2), from one ``run_chains`` batch over ``x0s``.
 
@@ -70,12 +70,13 @@ def _laplace_weights(spec, lams, x0s, n_iter, *, seed, workers):
     that checkpoint on.
     """
     lams = np.asarray(lams, dtype=float)
-    if np.min(lams) <= 0 or n_iter < 1:
-        raise ValueError("need lam > 0 and n_iter >= 1")
+    if not (lams.size and np.all((lams > 0) & (lams < np.inf))) or n_iter < 1:
+        raise ValueError(f"need finite lambdas > 0 (got {lams.tolist()}) and "
+                         f"n_iter >= 1 (got {n_iter})")
     cps = (max(1, n_iter // 2), max(1, n_iter - 1), n_iter)
     times, _, status, cp_list = run_chains(
         spec, x0s, seed=seed, n_max=n_iter, checkpoints=cps,
-        t_stop=745.0 / np.min(lams), workers=workers)
+        t_stop=745.0 / np.min(lams))
     times = times[[cp_list.index(c) for c in cps]]
     w = np.exp(-lams[:, None, None] * times)
     # absorbed at 0: the checkpoints from the absorbing step on repeat the
@@ -106,8 +107,7 @@ def _probe_estimates(w, lam, probes, n_iter, n_paths):
     return out
 
 
-def f_lambda_dual(spec, lam, probes, n_iter, n_paths=400, *, seed=0,
-                  workers=1):
+def f_lambda_dual(spec, lam, probes, n_iter, n_paths=400, *, seed=0):
     """Per-probe dual iterates f_hat(x) = mean of e^{-lambda t_{n_iter}}.
 
     Exact per path: jump times are sampled exactly and e^{-lambda t_n} is
@@ -119,7 +119,7 @@ def f_lambda_dual(spec, lam, probes, n_iter, n_paths=400, *, seed=0,
     _need_two_paths(n_paths)
     probes = np.asarray(probes, dtype=float)
     w = _laplace_weights(spec, [lam], np.repeat(probes, n_paths), n_iter,
-                         seed=seed, workers=workers)
+                         seed=seed)
     return _probe_estimates(w[0], lam, probes, n_iter, n_paths)
 
 
@@ -141,7 +141,7 @@ def f_lambda_grid(spec, lam, grid, n_iter):
     return f
 
 
-def dual_pairing(spec, lam, u, n_iter, n_paths, *, seed=0, workers=1):
+def dual_pairing(spec, lam, u, n_iter, n_paths, *, seed=0):
     """Monte Carlo estimate of <f_lambda, u> = int f_lambda(x) u(x) x dx.
 
     Initial states are drawn from u by stratified inverse-CDF sampling; the
@@ -150,8 +150,7 @@ def dual_pairing(spec, lam, u, n_iter, n_paths, *, seed=0, workers=1):
     """
     _need_two_paths(n_paths)
     x0s = _stratified_starts(u, n_paths, seed, "pairing")
-    w = _laplace_weights(spec, [lam], x0s, n_iter, seed=seed,
-                         workers=workers)[0, -1]
+    w = _laplace_weights(spec, [lam], x0s, n_iter, seed=seed)[0, -1]
     val = float(np.mean(w)) * u.grid_mass
     se = float(np.std(w, ddof=1) / math.sqrt(n_paths)) * u.grid_mass
     return Estimate(val, se, n_paths, {"lambda": float(lam),
@@ -170,21 +169,21 @@ def classify(spec, lam_grid=DEFAULT_LAMBDAS, probe_grid=None, budgets=None,
     Inconclusive.  The smallest-lambda rule is a policy standing in for the
     liminf over lambda -> 0; it is recorded in the notes.  Every cell of
     the table is read off one batch of paths, n_paths per probe, shared by
-    all lambdas.
+    all lambdas.  ``workers`` is ignored.
     """
     lam_grid = sorted(set(float(l) for l in lam_grid), reverse=True)
-    if lam_grid[-1] <= 0:
-        raise ValueError("lambdas must be positive")
     if probe_grid is None:
         probe_grid = np.geomspace(1e-3, 1e3, 7)
     probe_grid = np.asarray(probe_grid, dtype=float)
+    if probe_grid.size == 0:
+        raise ValueError("need at least one probe")
     budgets = dict(budgets or {})
     n_paths = int(budgets.get("n_paths", 400))
     n_iter = int(budgets.get("n_iter", 400))
     _need_two_paths(n_paths)
 
     w = _laplace_weights(spec, lam_grid, np.repeat(probe_grid, n_paths),
-                         n_iter, seed=seed, workers=workers)
+                         n_iter, seed=seed)
     evidence = []
     for lam, w_lam in zip(lam_grid, w):
         last = _probe_estimates(w_lam, lam, probe_grid, n_iter, n_paths)

@@ -70,7 +70,10 @@ def tau_tail(oracle: TauOracle, q) -> float:
 
 def explosion_cdf(oracle: TauOracle, t, x0=1.0):
     """P(t_inf <= t) started from x0 (time rescaled by a x0^{-gamma})."""
-    return 1.0 - tau_tail(oracle, np.asarray(t, dtype=float) * oracle.time_scale(x0))
+    t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0) & (t < np.inf)):
+        raise ValueError("t must lie in [0, inf)")
+    return 1.0 - tau_tail(oracle, t * oracle.time_scale(x0))
 
 
 def _survival_weight(oracle, t, x):
@@ -98,8 +101,8 @@ def exact_mass(oracle: TauOracle, t, u) -> float:
     rho = (oracle.nu + 2.0) / oracle.gamma
     if abs(rho - round(rho)) > 1e-9:
         raise OutOfRegime("exact_mass needs (nu+2)/gamma to be an integer")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ValueError("t must lie in [0, inf)")
     edges = u.grid.edges
     w = gauss_panels(lambda x: _survival_weight(oracle, t, x) * x,
                      edges[:-1], edges[1:])

@@ -19,14 +19,13 @@ jump step reads a contiguous row; the first two of the ten rounds, whose
 counters are constant but for the block index, are folded.
 Step n of a path uses its draws 2n (holding time) and 2n + 1 (daughter
 size), so a path's chain depends only on (seed, path id, start state): not
-on the batch it runs in, how that batch is split or the worker count.
+on the batch it runs in or how that batch is split.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,6 +175,7 @@ _RUNNING, _SETTLED, _PARKED, _ABSORBED = 0, 1, 2, 3
 # running paths, at least one and at most _MAX_REFILL_BLOCKS per path
 _REFILL_BLOCKS = 16384
 _MAX_REFILL_BLOCKS = 32
+_BLOCK = 32_768  # paths per _run_block call
 
 
 def _jump(spec, x, t, u_eps, u_theta, t_stop):
@@ -267,8 +267,8 @@ def state_at(traj, spec, t):
 # -- vectorized chain engine ------------------------------------------------
 
 def _run_block(spec, x0s, seed, path_offset, n_max, checkpoints, t_stop,
-               out_times, out_final_x, out_status, sl):
-    """Advance a contiguous block of paths; writes results into slices.
+               times, final_x, status):
+    """Advance a contiguous block of paths, writing into views of the batch.
 
     Only the running paths' states are carried from step to step, as compact
     arrays.  A path's final state, status and time are written out once,
@@ -282,7 +282,6 @@ def _run_block(spec, x0s, seed, path_offset, n_max, checkpoints, t_stop,
     no path has stopped since the refill, and gathers them by the kept
     columns (one 1-D take each) after one has.
     """
-    times, final_x, status = out_times[:, sl], out_final_x[sl], out_status[sl]
     P = len(x0s)
     ids = np.arange(P, dtype=np.uint64) + np.uint64(path_offset)
     cp_rows = {c: k for k, c in enumerate(checkpoints)}
@@ -326,7 +325,11 @@ def run_chains(spec, x0s, *, seed, n_max=DEFAULT_N_MAX, checkpoints=None,
     time is then only a witness > t_stop).  Path p runs on the stream of
     path id ``path_offset + p``; its draws are computed for the steps it
     runs and nothing is buffered per path, so results are independent of
-    the worker count and of how a batch is split over calls.
+    how a batch is split over calls.
+
+    Paths run serially, ``_BLOCK`` at a time: blocks bound the work arrays
+    and beat one whole-batch block (100,000 pure-jump paths, n_max 400, on
+    a 2-core VM: 0.65-0.81 s against 0.84-0.96 s).  ``workers`` is ignored.
     """
     x0s = np.asarray(x0s, dtype=float)
     P = len(x0s)
@@ -338,44 +341,33 @@ def run_chains(spec, x0s, *, seed, n_max=DEFAULT_N_MAX, checkpoints=None,
     checkpoints = sorted(set(int(c) for c in checkpoints))
     if checkpoints[-1] > n_max or checkpoints[0] < 1:
         raise ValueError("checkpoints must lie in [1, n_max]")
-    out_times = np.full((len(checkpoints), P), np.nan)
-    out_final_x = np.empty(P)
-    out_status = np.empty(P, dtype=np.int8)
-    block = max(1, min(32768, (P + max(1, workers) - 1) // max(1, workers)))
-    slices = [slice(i, min(i + block, P)) for i in range(0, P, block)]
-
-    def work(sl):
-        _run_block(spec, x0s[sl], seed, path_offset + sl.start, n_max,
-                   checkpoints, t_stop, out_times, out_final_x, out_status, sl)
-
-    if workers > 1 and len(slices) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(work, slices))
-    else:
-        for sl in slices:
-            work(sl)
-    return out_times, out_final_x, out_status, checkpoints
+    times = np.full((len(checkpoints), P), np.nan)
+    final_x = np.empty(P)
+    status = np.empty(P, dtype=np.int8)
+    for a in range(0, P, _BLOCK):
+        sl = slice(a, a + _BLOCK)
+        _run_block(spec, x0s[sl], seed, path_offset + a, n_max, checkpoints,
+                   t_stop, times[:, sl], final_x[sl], status[sl])
+    return times, final_x, status, checkpoints
 
 
 # -- estimators -------------------------------------------------------------
 
-def _binomial_se(p, n):
-    return math.sqrt(max(p * (1.0 - p), 0.0) / n)
-
-
-def _truncated_share(spec, x0s, t, n_max, seed, workers, event):
-    """Share of the paths from ``x0s`` with ``event(t_{n_max}, t)``, with its
-    value at n_max/2 and the share of paths whose jump budget ran out."""
-    half = max(1, n_max // 2)
+def _truncated_share(spec, x0s, ts, n_max, seed, event):
+    """One Estimate per t of ``ts`` from one ``run_chains`` batch parked past
+    max(ts), by the rule given in ``estimate_explosion_cdf``."""
+    half, n = max(1, n_max // 2), len(x0s)
     times, _, status, cps = run_chains(
         spec, x0s, seed=seed, n_max=n_max, checkpoints=(half, n_max),
-        t_stop=t, workers=workers)
-    val = float(np.mean(event(times[cps.index(n_max)], t)))
-    return Estimate(val, _binomial_se(val, len(x0s)), len(x0s), {
+        t_stop=np.max(ts, initial=0.0))
+    t_half, t_full = times[cps.index(half)], times[cps.index(n_max)]
+    running = status == _RUNNING
+    vals = [float(np.mean(event(t_full, t))) for t in ts]
+    return [Estimate(v, math.sqrt(max(v * (1.0 - v), 0.0) / n), n, {
         "n_max": n_max,
-        "value_at_half_budget": float(np.mean(event(times[cps.index(half)], t))),
-        "frac_budget_exhausted": float(np.mean(status == _RUNNING)),
-    })
+        "value_at_half_budget": float(np.mean(event(t_half, t))),
+        "frac_budget_exhausted": float(np.mean(running & (t_full <= t)))})
+        for t, v in zip(ts, vals)]
 
 
 def estimate_explosion_cdf(spec, x0, t, n_paths, n_max=DEFAULT_N_MAX, *,
@@ -385,18 +377,25 @@ def estimate_explosion_cdf(spec, x0, t, n_paths, n_max=DEFAULT_N_MAX, *,
     The truncation is monotone: t_{n_max} <= t_infty, so the estimate can
     only overshoot; the value at n_max/2 is reported as sensitivity.  A path
     absorbed at 0 counts at its hit time, so with absorption this is the
-    CDF of the lifetime, not of the explosion time alone.
+    CDF of the lifetime, not of the explosion time alone.  ``t`` is a time
+    (one Estimate) or a 1-D sequence (a list), every t read off one batch
+    parked past the largest: t_{n_max} <= t, t_{n_max/2} <= t, and budget
+    spent by t for paths still running with t_{n_max} <= t.  A path parked
+    past a smaller t has t_{n_max} > t there too, so each Estimate is
+    bitwise that of a batch parked at its own t.  ``workers`` is ignored.
     """
     if n_paths < 100:
         raise ValueError("need n_paths >= 100")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return _truncated_share(spec, np.full(n_paths, float(x0)), t, n_max, seed,
-                            workers, np.less_equal)
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1 or not np.all((ts >= 0) & (ts < np.inf)):
+        raise ValueError("t must lie in [0, inf): a time or a 1-D sequence")
+    est = _truncated_share(spec, np.full(n_paths, float(x0)), ts.reshape(-1),
+                           n_max, seed, np.less_equal)
+    return est[0] if ts.ndim == 0 else est
 
 
 def estimate_survival_mass(spec, u0, t, n_paths, n_max=DEFAULT_N_MAX, *,
-                           seed, workers=1):
+                           seed):
     """||P(t) u0|| estimated as the u0-average of 1{t_{n_max} > t}.
 
     Initial states are drawn by stratified inverse-CDF sampling from the grid
@@ -409,7 +408,7 @@ def estimate_survival_mass(spec, u0, t, n_paths, n_max=DEFAULT_N_MAX, *,
     total = u0.total_mass
     if abs(total - 1.0) > 1e-6:
         raise NotADensity(f"u0 has mass {total}, expected 1")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ValueError("t must lie in [0, inf)")
     x0s = _stratified_starts(u0, n_paths, seed, "survival")
-    return _truncated_share(spec, x0s, t, n_max, seed, workers, np.greater)
+    return _truncated_share(spec, x0s, [t], n_max, seed, np.greater)[0]

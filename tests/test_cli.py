@@ -348,6 +348,45 @@ def test_classify_one_path_exit_2(tmp_path):
     assert not (tmp_path / "o" / "verdict.csv").exists()
 
 
+@pytest.mark.parametrize("numeric", [
+    "lambdas: []", "lambdas: [.inf]", "lambdas: [0.1, .nan]",
+    "probes: {n: 0}"])
+def test_classify_bad_grids_exit_2(tmp_path, numeric):
+    # unchecked: no lambda ended in an IndexError traceback (exit 1),
+    # lambda = inf and a nan lambda exited 0 with a verdict, and no probe
+    # exited 2 with "max() arg is an empty sequence"
+    cfg = tmp_path / "grids.yaml"
+    cfg.write_text("model:\n  regime: pure_jump\n"
+                   "  phi: {a: 1.0, alpha: -1.0}\n"
+                   "  kernel: {family: power, nu: 0.0}\n"
+                   f"numeric: {{seed: 0, n_paths: 10, n_iter: 8, {numeric}}}\n")
+    res = _run(["classify", "-c", str(cfg), "-o", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert "config error" in res.output
+    assert ("at least one probe" if "probes" in numeric
+            else "finite lambdas > 0") in res.output
+    assert not (tmp_path / "o" / "verdict.csv").exists()
+
+
+@pytest.mark.parametrize("action", ["simulate", "evolve", "oracle"])
+@pytest.mark.parametrize("t", [".inf", ".nan"])
+def test_non_finite_time_exit_2(tmp_path, action, t):
+    # unchecked: simulate gave 1.0 +- 0 at t = inf and 0.0 +- 0 at nan,
+    # evolve wrote nan masses and exited 4, oracle wrote a nan row
+    cfg = tmp_path / "t.yaml"
+    cfg.write_text("model:\n  regime: pure_jump\n"
+                   "  phi: {a: 1.0, alpha: -1.0}\n"
+                   "  kernel: {family: power, nu: 0.0}\n"
+                   f"numeric: {{seed: 0, t_values: [1.0, {t}]"
+                   + (", n_paths: 100" if action == "simulate" else "")
+                   + (", dyson: {n_s: 16}" if action == "evolve" else "")
+                   + "}\n")
+    res = _run([action, "-c", str(cfg), "-o", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert "config error" in res.output and "[0, inf)" in res.output
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("x0", [".nan", "-1.0", ".inf"])
 def test_start_outside_domain_exit_2(tmp_path, x0):
     cfg = tmp_path / "x0.yaml"

@@ -77,6 +77,18 @@ def test_f_lambda_dual_guards(pure_frag):
                      lambda: classify(pure_frag, budgets={"n_paths": 1})):
         with pytest.raises(ValueError, match="n_paths >= 2"):
             estimate()
+    # the lambdas are a nonempty set of finite values > 0, and classify
+    # needs a probe: unchecked, no lambda ended in an IndexError, lambda = inf
+    # weighed every path 0 (Stochastic), a nan lambda gave the verdict, and
+    # no probe failed in max() of an empty table
+    for lams in ([], [math.inf], [0.1, math.nan], [1.0, 0.0]):
+        with pytest.raises(ValueError, match="finite lambdas > 0"):
+            classify(pure_frag, lams, budgets={"n_iter": 4, "n_paths": 2})
+    for lam in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite lambdas > 0"):
+            f_lambda_dual(pure_frag, lam, [1.0], 10)
+    with pytest.raises(ValueError, match="at least one probe"):
+        classify(pure_frag, probe_grid=[], budgets={"n_iter": 4})
 
 
 def test_f_lambda_dual_absorbed_paths():

@@ -3,8 +3,8 @@ module level, every random draw goes through one stream, every holding time
 and pre-jump position through one rule, only the S operator knows how S is
 stored, only density.py how B and S are stored and which private scipy
 module multiplies S, the characteristics read the monotone maps through
-their public interface, and the CLI reads its config through one schema
-reader."""
+their public interface, the CLI reads its config through one schema
+reader, and the chains run serially."""
 
 import ast
 from pathlib import Path
@@ -149,3 +149,30 @@ def test_only_section_reads_config():
                    and isinstance(node.func, ast.Attribute)
                    and node.func.attr == "get" and id(node) not in inside)
     assert found == ["cfg.get('action')"]
+
+
+def test_one_serial_chain_engine():
+    # chains run serially: no module starts threads or processes, and
+    # ``workers`` survives only as an ignored keyword of the three calls
+    # that callers still pass it to
+    pools = {"concurrent", "threading", "multiprocessing"}
+    imports, params, loads = [], [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imports += [f"{path.name}: {a.name}" for a in node.names
+                            if a.name.split(".")[0] in pools]
+            elif isinstance(node, ast.ImportFrom) and node.module and \
+                    node.module.split(".")[0] in pools:
+                imports.append(f"{path.name}: {node.module}")
+            elif isinstance(node, ast.FunctionDef):
+                args = node.args.args + node.args.kwonlyargs
+                params += [node.name for a in args if a.arg == "workers"]
+            elif isinstance(node, ast.Name) and node.id == "workers" or \
+                    isinstance(node, ast.keyword) and node.arg == "workers":
+                loads.append(f"{path.name}: line {node.lineno}")
+    assert imports == []
+    assert sorted(params) == ["classify", "estimate_explosion_cdf",
+                              "run_chains"]
+    assert loads == []

@@ -118,19 +118,13 @@ ENGINE_MODELS = {
 
 
 @pytest.mark.parametrize("model", sorted(ENGINE_MODELS))
-def test_run_chains_matches_scalar_and_workers(model):
+def test_run_chains_matches_scalar(model):
     build, x0 = ENGINE_MODELS[model]
     spec = build()
     n_max, t_stop = 30, 3.0
     x0s = np.full(64, x0)
     t1, x1, s1, _ = run_chains(spec, x0s, seed=21, n_max=n_max,
-                               checkpoints=range(1, n_max + 1), t_stop=t_stop,
-                               workers=1)
-    t4, x4, s4, _ = run_chains(spec, x0s, seed=21, n_max=n_max,
-                               checkpoints=range(1, n_max + 1), t_stop=t_stop,
-                               workers=4)
-    assert np.array_equal(t1, t4) and np.array_equal(x1, x4)
-    assert np.array_equal(s1, s4)
+                               checkpoints=range(1, n_max + 1), t_stop=t_stop)
     for pid in range(len(x0s)):
         tr = simulate_chain(spec, x0, seed=21, path_id=pid, n_max=n_max,
                             t_max=t_stop)
@@ -286,6 +280,45 @@ def test_explosion_cdf_estimator(pure_frag):
     want = explosion_cdf(oracle, 1.0, 1.0)
     assert abs(est.value - want) <= 3.0 * est.std_error
     assert "value_at_half_budget" in est.diagnostics
+
+
+@pytest.mark.parametrize("model", sorted(ENGINE_MODELS))
+def test_explosion_cdf_over_times_is_one_batch(model, monkeypatch):
+    # a sequence of t is read off one batch parked past the largest t, and
+    # each Estimate is bitwise the one of a batch parked at its own t
+    build, x0 = ENGINE_MODELS[model]
+    spec = build()
+    ts = [1.0, 0.0, 4.0, 0.25, 10.0]
+    for n_max in (1, 2, 50):
+        single = [estimate_explosion_cdf(spec, x0, t, 200, n_max, seed=3)
+                  for t in ts]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["t_stop"])
+            return run_chains(*args, **kwargs)
+
+        monkeypatch.setattr("pdmpfrag.simulate.run_chains", counted)
+        many = estimate_explosion_cdf(spec, x0, ts, 200, n_max, seed=3)
+        monkeypatch.undo()
+        assert calls == [10.0]
+        assert [(e.value, e.std_error, e.n_paths, e.diagnostics)
+                for e in many] == [(e.value, e.std_error, e.n_paths,
+                                    e.diagnostics) for e in single]
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan, -1.0, [0.5, math.nan]])
+def test_explosion_cdf_refuses_bad_times(pure_frag, bounded_pure_jump,
+                                         monkeypatch, t):
+    # unchecked, t = inf gave 1.0 +- 0 even for phi = 1, which never
+    # explodes, and t = nan 0.0 +- 0
+    monkeypatch.setattr("pdmpfrag.simulate._uniforms", _no_draws)
+    u0 = GridDensity.uniform_in_m(aligned_grid(), 1.0, 2.0)
+    with pytest.raises(ValueError, match=r"\[0, inf\)"):
+        estimate_explosion_cdf(bounded_pure_jump, 1.0, t, 100, seed=0)
+    if np.ndim(t) == 0:
+        with pytest.raises(ValueError, match=r"\[0, inf\)"):
+            estimate_survival_mass(pure_frag, u0, t, 100, seed=0)
 
 
 def test_explosion_cdf_monotone_in_budget(pure_frag):
