@@ -200,7 +200,7 @@ def flow_vec(spec, t, x):
 
 def flow(spec, t, x):
     """pi_t x for scalar t >= 0, x > 0.  Raises DomainExit on 0-absorption."""
-    if t < 0:
+    if not t >= 0:  # NaN too
         raise ValueError("t must be nonnegative")
     if x <= 0:
         raise DomainError("state must be positive")

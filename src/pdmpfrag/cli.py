@@ -253,8 +253,10 @@ def _action_evolve(num, spec, out, seed, work):
     # per t: the time steps, the Dyson levels run and the cells they ran on
     work["dyson"] = []
     for t in ts:
-        n_s = (max(64, int(32 * max(1.0, t))) if dyson["n_s"] is _UNSET
-               else int(dyson["n_s"]))
+        # the default n_s = max(64, 32 t) only for a finite t: any other t
+        # meets dyson_phillips' check
+        n_s = (int(dyson["n_s"]) if dyson["n_s"] is not _UNSET
+               else max(64, int(32 * t)) if 1.0 < t < np.inf else 64)
         res, trace = dyson_phillips(spec, t, u0, N=N, n_s=n_s)
         work["dyson"].append({"t": t, "n_s": n_s,
                               "levels": len(trace.term_norms) - 1,

@@ -281,8 +281,8 @@ class _SOperator:
 
 def apply_S(spec, t, u: GridDensity) -> GridDensity:
     """Explicit substochastic semigroup S(t): survival-weighted transport."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ValueError("t must lie in [0, inf)")
     if t == 0:
         return u.copy()
     m = np.zeros(u.grid.n_cells)
@@ -376,8 +376,8 @@ def _resolvent_transport(spec, grid, lam, masses):
 def resolvent_A(spec, lam, u: GridDensity) -> GridDensity:
     """R(lam, A) u.  Diagonal u/(lam+phi) in the pure-jump regime; explicit
     backward-orbit integral for growth/decay, which needs masses >= 0."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("lam must lie in (0, inf)")
     if spec.regime is Regime.PURE_JUMP:
         phi = np.asarray(spec.phi(u.grid.nodes), dtype=float)
         return GridDensity(u.grid, u.masses / (lam + phi), 0.0, 0.0)
@@ -494,8 +494,8 @@ def resolvent_series(spec, lam, u: GridDensity, N=60):
 
     Mass pushed below the grid by B is treated as absorbing under BR (exact
     in the pure-fragmentation limit x -> 0) and carried in the norms."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("lam must lie in (0, inf)")
     if N < 0:
         raise ValueError("N must be >= 0")
     grid = u.grid

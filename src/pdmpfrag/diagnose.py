@@ -263,7 +263,9 @@ class EmbeddedKernel:
 
     def integrate_against(self, F, y):
         """int F(x) k(x, y) x dx = E_y (P*F)(Z), F >= 0, where
-        (P*F)(z) = int_0^z F(x) b(x, z) x dx / z (x over [1e-12 z, z])."""
+        (P*F)(z) = int_0^z F(x) b(x, z) x dx / z: by Gauss panels over
+        [1e-12 z, z], and below as the kernel's mass there, from its
+        ``fragment_cdf``, times F at 1e-12 z (exact for constant F)."""
         kern = self.spec.kernel
 
         def pf(z):
@@ -275,7 +277,9 @@ class EmbeddedKernel:
                 return kern.b(x, zc) * np.asarray(F(x), dtype=float) * x
 
             inner = gauss_panels(f, edges[:, :-1], edges[:, 1:]).sum(axis=1)
-            return inner.reshape(z.shape) / z
+            low = edges[:, :1]
+            below = kern.fragment_cdf(zc, low) * np.asarray(F(low), float)
+            return inner.reshape(z.shape) / z + below.reshape(z.shape)
 
         return float(self._expect(pf, y, np.array([y], dtype=float))[1][0])
 

@@ -5,10 +5,11 @@ generalized inverse of the cumulative rate) and pre-jump positions (directly
 through Q) from ``characteristics._holding``, the rule behind
 ``inverse_cumulative_rate`` and ``post_flow_position`` too, and draws the
 daughter sizes through the kernel's inverse CDF.  One vectorized step,
-``_jump``, does this for a batch of paths: ``run_chains`` drives it over
-many paths and records checkpoints, ``simulate_chain`` runs it on one path
-and records every jump.  Explosion is never detected, only bracketed:
-estimators expose their truncation sensitivity.
+``_jump``, does this for a batch of paths, and one driver, ``_run_block``,
+runs it, recording each path's time and state at given steps:
+``run_chains`` drives many paths to their checkpoints, ``simulate_chain``
+one path with every step a checkpoint.  Explosion is never detected, only
+bracketed: estimators expose their truncation sensitivity.
 
 Randomness is counter-based (Philox4x64-10, Salmon et al., SC'11), computed
 statelessly by ``_uniforms``: draw k of path p is word k mod 4 of the block
@@ -212,7 +213,8 @@ def simulate_chain(spec, x0, *, seed, path_id=0, n_max=DEFAULT_N_MAX,
                    t_max=DEFAULT_T_MAX):
     """Sample one jump chain.  Bit-identical for identical (seed, path_id, spec).
 
-    The one-path run of ``run_chains``' step, recording every jump.  Stops at
+    One ``_run_block`` call on the path, every step a checkpoint (so its
+    record takes n_max + 1 rows however soon the chain stops).  Stops at
     the first of: t_n > t_max, n = n_max jumps, 0-absorption of the decay
     orbit, or a step whose time no longer advances (not recorded).  Raises
     InfiniteHolding for mis-specified models whose cumulative rate along an
@@ -222,34 +224,27 @@ def simulate_chain(spec, x0, *, seed, path_id=0, n_max=DEFAULT_N_MAX,
         raise ValueError(f"starting state {x0} is not in (0, inf)")
     if n_max < 1 or t_max <= 0:
         raise ValueError("need n_max >= 1 and t_max > 0")
-    times, positions = [0.0], [float(x0)]
-    code = _RUNNING
-    for n in range(n_max):
-        s = n % (2 * _MAX_REFILL_BLOCKS)
-        if s == 0:
-            u = _uniforms(seed, [path_id], 2 * n, 4 * _MAX_REFILL_BLOCKS)[:, 0]
-        t_new, x_new, st = _jump(spec, np.array(positions[-1:]),
-                                 np.array(times[-1:]), u[2 * s:2 * s + 1],
-                                 u[2 * s + 1:2 * s + 2], t_max)
-        code = int(st[0])
-        if code == _SETTLED and t_new[0] == times[-1]:
-            break  # settled in place: nothing to record
-        times.append(float(t_new[0]))
-        positions.append(float(x_new[0]))
-        if code != _RUNNING:
-            break
+    times, xs = np.zeros((n_max + 1, 1)), np.full((n_max + 1, 1), float(x0))
+    stop = np.empty(1, dtype=np.int8)
+    _run_block(spec, xs[0], seed, path_id, range(1, n_max + 1), t_max,
+               times[1:], xs[1:], stop)
+    t, x = times[:, 0], xs[:, 0]
+    # a stopped path repeats its last time and state: keep the steps that
+    # moved, i.e. advanced the time or were absorbed at 0 (as in _jump)
+    keep = np.concatenate(([True], (t[1:] > t[:-1])
+                           | ((x[1:] == 0.0) & (x[:-1] > 0.0))))
+    t, x, code = t[keep], x[keep], int(stop[0])
     if code == _SETTLED:  # stuck in place, or jumped out of (0, inf)
-        code = _RUNNING if 0.0 < positions[-1] < math.inf else _ABSORBED
+        code = _RUNNING if 0.0 < x[-1] < math.inf else _ABSORBED
     status = {_RUNNING: TrajectoryStatus.EXHAUSTED_JUMP_BUDGET,
               _PARKED: TrajectoryStatus.ALIVE_AT_HORIZON,
               _ABSORBED: TrajectoryStatus.DOMAIN_EXIT_AT_ZERO}[code]
-    return Trajectory(np.array(times), np.array(positions), status,
-                      float(t_max), int(seed), int(path_id))
+    return Trajectory(t, x, status, float(t_max), int(seed), int(path_id))
 
 
 def state_at(traj, spec, t):
     """X(t) along a recorded trajectory; CEMETERY past a possible explosion."""
-    if t < 0:
+    if not t >= 0:  # NaN too
         raise ValueError("t must be nonnegative")
     times = traj.jump_times
     if traj.status is TrajectoryStatus.ALIVE_AT_HORIZON and t > traj.horizon:
@@ -266,28 +261,30 @@ def state_at(traj, spec, t):
 
 # -- vectorized chain engine ------------------------------------------------
 
-def _run_block(spec, x0s, seed, path_offset, n_max, checkpoints, t_stop,
-               times, final_x, status):
-    """Advance a contiguous block of paths, writing into views of the batch.
+def _run_block(spec, x0s, seed, path_offset, checkpoints, t_stop, times, xs,
+               status):
+    """Advance a contiguous block of paths to step checkpoints[-1], writing
+    into views of the batch: ``times[k, p]`` and ``xs[k, p]`` are path p's
+    time and state after step checkpoints[k], ``status[p]`` its stop code.
 
     Only the running paths' states are carried from step to step, as compact
-    arrays.  A path's final state, status and time are written out once,
-    when it stops (its time to every later checkpoint: it is exact there),
-    and the running paths' times at each checkpoint; only a step where some
+    arrays.  A path's status, time and state are written out once, when it
+    stops (its time and state to every later checkpoint: they are exact
+    there), and the running paths' at each checkpoint; only a step where some
     paths stop indexes the carried arrays, by one pass for the stopped rows
     and one for the kept.  Draws are made only for the running paths, a
     refill at a time: about ``_REFILL_BLOCKS`` Philox blocks, 1 to
-    ``_MAX_REFILL_BLOCKS`` per path, never for steps past ``n_max``.  The
-    refill is step-major, so a step reads its two draws as row views while
-    no path has stopped since the refill, and gathers them by the kept
-    columns (one 1-D take each) after one has.
+    ``_MAX_REFILL_BLOCKS`` per path, never for steps past the last
+    checkpoint.  The refill is step-major, so a step reads its two draws as
+    row views while no path has stopped since the refill, and gathers them
+    by the kept columns (one 1-D take each) after one has.
     """
-    P = len(x0s)
+    P, n_max = len(x0s), checkpoints[-1]
     ids = np.arange(P, dtype=np.uint64) + np.uint64(path_offset)
-    cp_rows = {c: k for k, c in enumerate(checkpoints)}
     run = np.arange(P)  # the running paths, their states in xr and tr
     xr, tr = np.asarray(x0s, dtype=float).copy(), np.zeros(P)
-    n_done = s = width = 0
+    # k: the row of the first checkpoint at or past the step being run
+    n_done = s = width = k = 0
     while n_done < n_max and len(run):
         if s == width:  # buffer spent: refill the running paths
             blocks = min(max(_REFILL_BLOCKS // len(run), 1), _MAX_REFILL_BLOCKS)
@@ -303,13 +300,14 @@ def _run_block(spec, x0s, seed, path_offset, n_max, checkpoints, t_stop,
         if st.any():  # some paths stopped (_RUNNING is 0): write them out
             stop, keep = np.flatnonzero(st), np.flatnonzero(st == _RUNNING)
             gone = run[stop]
-            final_x[gone], status[gone] = xr[stop], st[stop]
-            times[np.searchsorted(checkpoints, n_done):, gone] = tr[stop]
+            times[k:, gone], xs[k:, gone] = tr[stop], xr[stop]
+            status[gone] = st[stop]
             cols = keep if cols is None else cols[keep]
             run, tr, xr = run[keep], tr[keep], xr[keep]
-        if n_done in cp_rows:
-            times[cp_rows[n_done], run] = tr
-    final_x[run], status[run] = xr, _RUNNING
+        if checkpoints[k] == n_done:
+            times[k, run], xs[k, run] = tr, xr
+            k += 1
+    status[run] = _RUNNING
 
 
 def run_chains(spec, x0s, *, seed, n_max=DEFAULT_N_MAX, checkpoints=None,
@@ -341,14 +339,15 @@ def run_chains(spec, x0s, *, seed, n_max=DEFAULT_N_MAX, checkpoints=None,
     checkpoints = sorted(set(int(c) for c in checkpoints))
     if checkpoints[-1] > n_max or checkpoints[0] < 1:
         raise ValueError("checkpoints must lie in [1, n_max]")
-    times = np.full((len(checkpoints), P), np.nan)
-    final_x = np.empty(P)
+    rows = checkpoints + [n_max] * (checkpoints[-1] < n_max)  # final_x's row
+    times, xs = np.full((len(rows), P), np.nan), np.empty((len(rows), P))
     status = np.empty(P, dtype=np.int8)
     for a in range(0, P, _BLOCK):
         sl = slice(a, a + _BLOCK)
-        _run_block(spec, x0s[sl], seed, path_offset + a, n_max, checkpoints,
-                   t_stop, times[:, sl], final_x[sl], status[sl])
-    return times, final_x, status, checkpoints
+        _run_block(spec, x0s[sl], seed, path_offset + a, rows, t_stop,
+                   times[:, sl], xs[:, sl], status[sl])
+    # copies, so no result keeps the n_max row or the other states alive
+    return times[:len(checkpoints)].copy(), xs[-1].copy(), status, checkpoints
 
 
 # -- estimators -------------------------------------------------------------

@@ -157,6 +157,7 @@ def test_inverse_cumulative_rate_pure_jump():
     pj = power_model("pure_jump", alpha=-1.0)
     assert abs(inverse_cumulative_rate(pj, 2.0, 3.0) - 6.0) < 1e-12
     assert inverse_cumulative_rate(pj, 2.0, 0.0) == 0.0
+    assert cumulative_rate(pj, 2.0, 3.0) == 0.5 * 3.0  # phi(x) t, phi = 1/x
 
 
 def test_inverse_cumulative_rate_constant_rate_growth():

@@ -368,19 +368,20 @@ def test_classify_bad_grids_exit_2(tmp_path, numeric):
     assert not (tmp_path / "o" / "verdict.csv").exists()
 
 
-@pytest.mark.parametrize("action", ["simulate", "evolve", "oracle"])
+@pytest.mark.parametrize("action,numeric", [
+    ("simulate", ", n_paths: 100"), ("evolve", ", dyson: {n_s: 16}"),
+    ("oracle", ""), ("evolve", "")],
+    ids=["simulate", "evolve", "oracle", "evolve_default_n_s"])
 @pytest.mark.parametrize("t", [".inf", ".nan"])
-def test_non_finite_time_exit_2(tmp_path, action, t):
+def test_non_finite_time_exit_2(tmp_path, action, numeric, t):
     # unchecked: simulate gave 1.0 +- 0 at t = inf and 0.0 +- 0 at nan,
-    # evolve wrote nan masses and exited 4, oracle wrote a nan row
+    # evolve wrote nan masses and exited 4, oracle wrote a nan row; without
+    # dyson.n_s, evolve's default n_s failed on t = inf before the check
     cfg = tmp_path / "t.yaml"
     cfg.write_text("model:\n  regime: pure_jump\n"
                    "  phi: {a: 1.0, alpha: -1.0}\n"
                    "  kernel: {family: power, nu: 0.0}\n"
-                   f"numeric: {{seed: 0, t_values: [1.0, {t}]"
-                   + (", n_paths: 100" if action == "simulate" else "")
-                   + (", dyson: {n_s: 16}" if action == "evolve" else "")
-                   + "}\n")
+                   f"numeric: {{seed: 0, t_values: [1.0, {t}]{numeric}}}\n")
     res = _run([action, "-c", str(cfg), "-o", str(tmp_path / "o")])
     assert res.exit_code == 2, res.output
     assert "config error" in res.output and "[0, inf)" in res.output
@@ -483,6 +484,25 @@ def test_u0_empty_interval_exit_2(tmp_path, action):
     res = _run([action, "-c", str(cfg), "-o", str(tmp_path / "o")])
     assert res.exit_code == 2, res.output
     assert "config error" in res.output and "lo < hi" in res.output
+
+
+@pytest.mark.parametrize("family", ["homogeneous", "separable"])
+def test_audit_table_kernel(tmp_path, family):
+    # a kernel table h = 2 (homogeneous h(z), separable beta(x)): both are
+    # the uniform kernel b(x, y) = 2 / y, so every mass check passes
+    table = tmp_path / "h.csv"
+    table.write_text("x,h\n1e-12,2.0\n1e12,2.0\n")
+    cfg = tmp_path / "audit.yaml"
+    cfg.write_text("action: audit\nmodel:\n  regime: pure_jump\n"
+                   "  phi: {a: 1.0, alpha: -1.0}\n"
+                   f"  kernel: {{family: {family}, table: {table}}}\n"
+                   "numeric: {seed: 0}\n")
+    res = _run(["audit", "-c", str(cfg), "-o", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
+    rows = (tmp_path / "o" / "kernel_normalization.csv").read_text()
+    rows = rows.splitlines()
+    assert len(rows) > 1
+    assert {r.split(",")[-1] for r in rows[1:]} == {"pass"}
 
 
 def test_audit_tabulated_decay_rate(tmp_path):

@@ -24,8 +24,11 @@ from pdmpfrag import (
     build_characteristics,
     cumulative_rate,
     dyson_phillips,
+    flow,
     resolvent_A,
     resolvent_series,
+    simulate_chain,
+    state_at,
 )
 from pdmpfrag.density import _BOperator, _SOperator
 from pdmpfrag.oracles import TauOracle, exact_mass
@@ -761,3 +764,29 @@ def test_apply_S_wrong_length_masses_raise(spec, extra):
     u = GridDensity(grid, np.full(grid.n_cells + extra, 1e-2))
     with pytest.raises(ValueError, match="96 cells"):
         apply_S(spec, 1.0, u)
+
+
+# entry point: a call on (spec, u, v), v the time or rate it must refuse
+NON_FINITE_CALLS = {
+    "apply_S": (lambda spec, u, v: apply_S(spec, v, u), (math.nan, math.inf)),
+    "resolvent_A": (lambda spec, u, v: resolvent_A(spec, v, u),
+                    (math.nan, math.inf)),
+    "resolvent_series": (lambda spec, u, v: resolvent_series(spec, v, u, N=2),
+                         (math.nan, math.inf)),
+    "flow": (lambda spec, u, v: flow(spec, v, 1.0), (math.nan,)),
+    "state_at": (lambda spec, u, v: state_at(
+        simulate_chain(spec, 1.0, seed=1, n_max=5), spec, v), (math.nan,)),
+}
+
+
+@pytest.mark.parametrize("regime", ["pure_jump", "growth"])
+@pytest.mark.parametrize("name,v", [(name, v) for name, (_, vs) in
+                                    sorted(NON_FINITE_CALLS.items())
+                                    for v in vs])
+def test_non_finite_time_or_rate_refused(regime, name, v):
+    # unchecked: apply_S gave nan masses, the resolvents nan masses (pure
+    # jump) or a RuntimeWarning (growth), flow and state_at nan states
+    spec = power_model(regime, alpha=-1.0, beta=1.0, nu=-1.5)
+    u = GridDensity.uniform_in_m(LogGrid(1e-2, 1e2, 64), 1.0, 2.0)
+    with pytest.raises(ValueError):
+        NON_FINITE_CALLS[name][0](spec, u, v)

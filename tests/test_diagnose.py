@@ -242,6 +242,16 @@ def test_embedded_kernel_normalization():
         assert abs(kern.normalization(y) - 1.0) < 1e-6
 
 
+def test_embedded_kernel_keeps_mass_below_lowest_panel():
+    # nu = -1.5: the Gauss panels start at 1e-12 z, below which the kernel
+    # holds (1e-12)^{nu+2} = 1e-6 of its mass; without it the mass read
+    # 1 - 1.0e-6
+    kern = embedded_kernel(power_model("growth", alpha=-1.0, beta=1.0,
+                                       nu=-1.5))
+    for y in (0.5, 1.0, 5.0):
+        assert abs(kern.normalization(y) - 1.0) < 1e-12, y
+
+
 def test_embedded_kernel_structure():
     # for y < x the y-dependence is the factor e^{Q(y)} only
     kern = embedded_kernel(_growth_spec())

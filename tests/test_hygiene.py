@@ -4,7 +4,7 @@ and pre-jump position through one rule, only the S operator knows how S is
 stored, only density.py how B and S are stored and which private scipy
 module multiplies S, the characteristics read the monotone maps through
 their public interface, the CLI reads its config through one schema
-reader, and the chains run serially."""
+reader, and the chains run serially, on one driver."""
 
 import ast
 from pathlib import Path
@@ -176,3 +176,23 @@ def test_one_serial_chain_engine():
     assert sorted(params) == ["classify", "estimate_explosion_cdf",
                               "run_chains"]
     assert loads == []
+
+
+
+def test_one_chain_driver():
+    # the jump step has one caller, the block driver behind run_chains and
+    # simulate_chain, so no second driver loop with its own refills and
+    # stop rules comes back
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        fns = [node for node in ast.walk(tree)  # outer before inner
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "_jump" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                owner = [fn.name for fn in fns
+                         if fn.lineno <= node.lineno <= fn.end_lineno]
+                found.append(f"{path.name}: {(owner or ['<module>'])[-1]}")
+    assert found == ["simulate.py: _run_block"]
