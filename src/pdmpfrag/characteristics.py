@@ -210,8 +210,18 @@ def flow(spec, t, x):
     return float(y[0])
 
 
+def _check_states(x):
+    """Refuse states outside (0, inf), NaN included."""
+    if not np.all((np.asarray(x) > 0) & (np.asarray(x) < np.inf)):
+        raise ValueError("states must lie in (0, inf)")
+
+
 def cumulative_rate(spec, x, t):
-    """phi_x(t) = int_0^t phi(pi_s x) ds, via the Q identity."""
+    """phi_x(t) = int_0^t phi(pi_s x) ds, via the Q identity, for states x in
+    (0, inf) and times t >= 0."""
+    _check_states(x)
+    if not np.all(np.asarray(t) >= 0):  # NaN too
+        raise ValueError("t must be nonnegative")
     if spec.regime is Regime.PURE_JUMP:
         return spec.phi(x) * t
     y, absorbed = flow_vec(spec, t, x)
@@ -273,9 +283,10 @@ def _holding(spec, x, eps):
 
 
 def _holding_at(spec, x, q):
-    """Scalar (holding time, pre-jump state) for x > 0, q >= 0; q = 0 is
-    (0, x) whatever the rate."""
-    if q < 0:
+    """Scalar (holding time, pre-jump state) for x in (0, inf), q >= 0; q = 0
+    is (0, x) whatever the rate."""
+    _check_states(x)
+    if not q >= 0:  # NaN too
         raise ValueError("q must be nonnegative")
     if q == 0:
         return 0.0, float(x)

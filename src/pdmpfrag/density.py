@@ -2,8 +2,9 @@
 
 Densities are stored as per-cell masses w.r.t. m(dx) = x dx on a log-spaced
 grid (conservative discretization).  Mass leaving the grid is tracked in
-sub/super-grid buckets, never renormalized away; transport S(t) holds them
-as two more rows of its CSC arrays.  The sub-grid bucket holds
+sub/super-grid buckets, never renormalized away: two more rows of transport
+S(t)'s CSC arrays, and the last two columns of the arrays S adds into, each
+Dyson-Phillips level among them.  The sub-grid bucket holds
 what transport carries below x_min and what B sends there; it is not the
 mass shattered to zero size.  Under the grid generator exp(tM) of pure
 jump it would be, but the truncated Dyson-Phillips sum drains the stiff
@@ -46,6 +47,9 @@ class LogGrid:
     """Log-spaced cell grid on [x_min, x_max] with geometric midpoints."""
 
     def __init__(self, x_min=1e-4, x_max=1e4, n_cells=512):
+        if not (0 < x_min < x_max < math.inf and n_cells >= 1):
+            raise ValueError("a grid needs 0 < x_min < x_max < inf and n_cells"
+                             f" >= 1, got {x_min}, {x_max}, {n_cells}")
         self.edges = np.geomspace(x_min, x_max, n_cells + 1)
         self.nodes = np.sqrt(self.edges[:-1] * self.edges[1:])
         self.m_weights = 0.5 * (self.edges[1:] ** 2 - self.edges[:-1] ** 2)
@@ -182,10 +186,12 @@ def _transport(spec, grid, ts):
 class _SOperator:
     """S(t) at each time of the 1-D array ``ts`` on cell masses along the
     trailing axis, with out-of-grid accounting; row r of every array below
-    belongs to ts[r].  Callers go through ``add`` and ``convolve``.
+    belongs to ts[r].  Callers go through ``add`` and ``convolve``, which
+    add into one (..., n + 2) array: cells, super- and sub-grid buckets.
 
-    A pure-jump S(t) is the diagonal ``factor`` (T, n) = e^{-phi(node) t},
-    the nodal survival, so that S takes out of each cell the phi(node)
+    A pure-jump S(t) is the diagonal ``factor`` (T, n + 2), e^{-phi(node) t}
+    in the cells and 0 in the buckets, where S deposits nothing: the nodal
+    survival, so that S takes out of each cell the phi(node)
     share that B redistributes; a cell-averaged survival took less, and the
     Dyson-Phillips sum created mass (3.5e-4 for phi = 1/x).  Transport is
     ``mats``, one (n + 2, n) CSC triple (data, row indices, column
@@ -200,24 +206,22 @@ class _SOperator:
         ts = np.asarray(ts, dtype=float)
         self.mats = None
         if spec.regime is Regime.PURE_JUMP:
-            self.factor = np.exp(
+            self.factor = np.zeros((len(ts), grid.n_cells + 2))
+            self.factor[:, :-2] = np.exp(
                 -ts[:, None] * np.asarray(spec.phi(grid.nodes), dtype=float))
             return
         step = max(1, 8192 // grid.n_cells)
         self.mats = [m for r in range(0, len(ts), step)
                      for m in _transport(spec, grid, ts[r:r + step])]
 
-    def add(self, r, masses, out, sub, sup):
+    def add(self, r, masses, out):
         """Add S(ts[r]) of one density (n,) or a stack (..., n) into ``out``
-        and its sub- and super-grid deposits, one per density, into ``sub``
-        and ``sup``, from one sparse product; a diagonal S deposits nothing."""
+        (..., n + 2), whose last two columns are the super- and sub-grid
+        buckets, from one sparse product; a diagonal S deposits nothing."""
         if self.mats is None:
-            out += masses * self.factor[r]
-            return
-        res = self._product(r, masses)
-        out += res[..., :-2]
-        sup += res[..., -2]
-        sub += res[..., -1]
+            out[..., :-2] += masses * self.factor[r, :-2]
+        else:
+            out += self._product(r, masses)
 
     def _product(self, r, masses):
         """Transport S(ts[r]) of one density (n,) or a stack (..., n), as a
@@ -239,26 +243,28 @@ class _SOperator:
                                  res.ravel())
         return res.T.reshape(masses.shape[:-1] + (n + 2,))
 
-    def convolve(self, wm, out, sub, sup):
+    def convolve(self, wm, out):
         """Add sum_{j<k} S((k-j-1/2) h) wm[j] into out[k-1], k = 1..len(wm),
-        with its deposits into sub[k-1] / sup[k-1], for ts the half steps
-        j h/2, j = 1, ..., 2 len(wm).  A diagonal S is e^{-phi t} per cell,
-        so the sum is the recurrence v[k] = e^{-phi h} v[k-1] +
-        e^{-phi h/2} wm[k], run as a blocked scan (Blelloch 1990): blocks of
-        b = round(sqrt(n_s)) rows scan all at once, then each block's last
-        row carries into the next.  That is O(n n_s) work in about
-        4 sqrt(n_s) array operations.  Transport adds each lag d = k-j-1,
-        grid cells and both deposits in one add, to a block of rows of one
-        (n_s, n + 2) work array that starts from ``out``, ``sup`` and
-        ``sub`` and is copied back once."""
+        its deposits into the last two columns of ``out`` (n_s, n + 2), for
+        ts the half steps j h/2, j = 1, ..., 2 len(wm).  A diagonal S is
+        e^{-phi t} per cell, so the sum is the recurrence v[k] =
+        e^{-phi h} v[k-1] + e^{-phi h/2} wm[k], run as a blocked scan
+        (Blelloch 1990): blocks of b = round(sqrt(n_s)) rows scan all at
+        once, then each block's last row carries into the next.  That is
+        O(n n_s) work in about 4 sqrt(n_s) array operations.  Transport adds
+        each lag d = k-j-1, grid cells and both deposits in one add, to the
+        rows out[d:]."""
         n_s = len(wm)
         if self.mats is None:
             # row 2m+1 of factor, e^{-phi (m+1) h}, carries a block's last
-            # row into row m of the next; the zero-padded rows are dropped
+            # row into row m of the next; the zero-padded rows are dropped.
+            # v spans out's whole rows, as the zero bucket columns of factor
+            # do, since a 2-D add on a strided view is ~5x slower in numpy 2.4
             b = round(math.sqrt(n_s))
             nb = -(-n_s // b)
-            v = np.zeros((nb * b, wm.shape[1]))
-            np.multiply(wm, self.factor[0], out=v[:n_s])
+            v = np.zeros((nb * b, out.shape[1]))
+            v[:n_s, :-2] = wm
+            v[:n_s] *= self.factor[0]
             vb = v.reshape(nb, b, -1)
             for m in range(1, b):
                 vb[:, m] += vb[:, m - 1] * self.factor[1]
@@ -270,13 +276,9 @@ class _SOperator:
         # lags in decreasing order add each row's sources j = 0, 1, ... in
         # turn; the products copy each block wm[:n_s-d].T, whose rows F
         # order keeps contiguous (6% of a level at n = 256)
-        n = wm.shape[1]
-        work = np.empty((n_s, n + 2))
-        work[:, :n], work[:, n], work[:, n + 1] = out, sup, sub
         wm = np.asfortranarray(wm)
         for d in range(n_s - 1, -1, -1):
-            work[d:] += self._product(2 * d, wm[:n_s - d])
-        out[...], sup[...], sub[...] = work[:, :n], work[:, n], work[:, n + 1]
+            out[d:] += self._product(2 * d, wm[:n_s - d])
 
 
 def apply_S(spec, t, u: GridDensity) -> GridDensity:
@@ -285,10 +287,10 @@ def apply_S(spec, t, u: GridDensity) -> GridDensity:
         raise ValueError("t must lie in [0, inf)")
     if t == 0:
         return u.copy()
-    m = np.zeros(u.grid.n_cells)
-    sub, sup = np.array([u.sub_grid_mass]), np.array([u.super_grid_mass])
-    _SOperator(spec, u.grid, [t]).add(0, u.masses, m, sub, sup)
-    return GridDensity(u.grid, m, float(sub[0]), float(sup[0]))
+    m = np.zeros(u.grid.n_cells + 2)
+    m[-2:] = u.super_grid_mass, u.sub_grid_mass
+    _SOperator(spec, u.grid, [t]).add(0, u.masses, m)
+    return GridDensity(u.grid, m[:-2], float(m[-1]), float(m[-2]))
 
 
 # -- perturbation B = P(phi .) ------------------------------------------------
@@ -393,9 +395,10 @@ def dyson_phillips(spec, t, u: GridDensity, N=60, n_s=64):
     """Truncated expansion sum_{n<=N} S_n(t) u with
     S_{n+1}(t) u = int_0^t S(t-s) B S_n(s) u ds.
 
-    Each term is held on the time grid s_k = k h, h = t / n_s, as an
-    (n_s+1, n) stack of cell masses plus one sub- and one super-grid bucket
-    per row.  The convolution uses a midpoint Volterra rule:
+    Each term is held on the time grid s_k = k h, h = t / n_s, as one
+    (n_s+1, n+2) array: row k is the term at s_k, its n cell masses then
+    its super- and sub-grid buckets, the layout ``_SOperator`` adds into.
+    The convolution uses a midpoint Volterra rule:
     S_{n+1}(k h) u = h sum_{j<k} S((k-j-1/2) h) Wbar_j, with Wbar_j the
     average of B S_n u over [s_j, s_{j+1}].  Every S factor acts over a time
     >= h/2, which keeps the recursion stable where the jump rate is stiff
@@ -418,8 +421,8 @@ def dyson_phillips(spec, t, u: GridDensity, N=60, n_s=64):
     In the pure-jump regime every term lives on the first J cells, J = 1 +
     the index of u's highest nonzero cell: S is diagonal and B sends mass
     only to smaller cells (b(x, y) = 0 for x >= y, so ``frac`` is upper
-    triangular).  S, B and the level stacks are built on those J cells, the
-    head of u's grid, and the cells above hold exactly 0; transport moves
+    triangular).  S, B and the levels are built on those J cells, the head
+    of u's grid, and the cells above hold exactly 0; transport moves
     mass up, so it runs on all n cells.  ``trace.cells`` is that J or n.
 
     Returns (GridDensity, OperatorTrace).  Stops early once a term's total
@@ -443,46 +446,41 @@ def dyson_phillips(spec, t, u: GridDensity, N=60, n_s=64):
     s_op = _SOperator(spec, grid, np.arange(1, 2 * n_s + 1) * (0.5 * h))
     b_op = _BOperator(spec, grid)
     eps_tail = EPS_TAIL_FACTOR * u.total_mass
-    # a term's norm sums its last row padded to n cells: zeros added at the
-    # end keep the bits of the sum over the whole grid
-    row = np.zeros(n)
 
-    def norm(V, sub, sup):
-        row[:J] = V[-1]
-        return float(row.sum() + sub[-1] + sup[-1])
+    def last(V):
+        # a level's last row padded to n cells, and its norm: zeros added at
+        # the end keep the bits of a sum over the whole grid, then sub, sup
+        row = np.zeros(n + 2)
+        row[:J], row[n:] = V[-1, :J], V[-1, J:]
+        return row, float(row[:n].sum() + row[n + 1] + row[n])
 
     # term 0 on the time grid: row k is S(k h) u, its buckets include u's own
-    V = np.zeros((n_s + 1, J))
-    sub = np.full(n_s + 1, u.sub_grid_mass)
-    sup = np.full(n_s + 1, u.super_grid_mass)
-    V[0] = u.masses[:J]
+    V = np.zeros((n_s + 1, J + 2))
+    V[:, J:] = u.super_grid_mass, u.sub_grid_mass
+    V[0, :J] = u.masses[:J]
     for k in range(1, n_s + 1):
-        s_op.add(2 * k - 1, V[0], V[k], sub[k:k + 1], sup[k:k + 1])
+        s_op.add(2 * k - 1, V[0, :J], V[k])
 
-    acc = np.zeros(n)
-    acc[:J] = V[-1]
-    acc_sub, acc_sup = sub[-1], sup[-1]
-    trace = OperatorTrace(term_norms=[norm(V, sub, sup)], cells=J)
+    acc, tn = last(V)
+    trace = OperatorTrace(term_norms=[tn], cells=J)
     for _level in range(1, N + 1):
-        bm, bsub = b_op.apply(V)
+        bm, bsub = b_op.apply(V[:, :J])
         # h times the midpoint values of B S_n(s) u on each subinterval
         wm = (0.5 * h) * (bm[:-1] + bm[1:])
         V = np.zeros_like(V)
-        sub = np.zeros(n_s + 1)
-        sup = np.zeros(n_s + 1)
-        sub[1:] = np.cumsum((0.5 * h) * (bsub[:-1] + bsub[1:]))
-        s_op.convolve(wm, V[1:], sub[1:], sup[1:])
-        tn = norm(V, sub, sup)
+        # B's sub-grid deposits go in before convolve adds S's: the order
+        # of the two adds fixes the bucket's bits
+        V[1:, -1] = np.cumsum((0.5 * h) * (bsub[:-1] + bsub[1:]))
+        s_op.convolve(wm, V[1:])
+        row, tn = last(V)
         trace.term_norms.append(tn)
-        acc[:J] += V[-1]
-        acc_sub += sub[-1]
-        acc_sup += sup[-1]
+        acc += row
         if tn <= eps_tail:
             break
     else:
         trace.converged = False
         trace.note = f"tail {trace.term_norms[-1]:.3e} above {eps_tail:.3e} at N={N}"
-    return GridDensity(u.grid, acc, float(acc_sub), float(acc_sup)), trace
+    return GridDensity(u.grid, acc[:n], float(acc[n + 1]), float(acc[n])), trace
 
 
 # -- resolvent series for R(lam, C) --------------------------------------------

@@ -132,6 +132,8 @@ def f_lambda_grid(spec, lam, grid, n_iter):
     """
     if spec.regime is not Regime.PURE_JUMP:
         raise OutOfRegime("grid dual iteration is a pure-jump cross-check only")
+    if not 0 < lam < math.inf or n_iter < 0:
+        raise ValueError("need lam in (0, inf) and n_iter >= 0")
     b_op = _BOperator(spec, grid)
     phi = np.asarray(spec.phi(grid.nodes), dtype=float)
     damp = phi / (lam + phi)

@@ -117,6 +117,8 @@ def mass_upper_bound(oracle: TauOracle, t, u) -> float:
     Upper bound for the semigroup mass under phi(x) <= a x^{-gamma}, with
     equality when phi(x) = a x^{-gamma}; independent route from exact_mass.
     """
+    if not 0 <= t < math.inf:
+        raise ValueError("t must lie in [0, inf)")
     edges = u.grid.edges
 
     def wfun(x):
@@ -139,32 +141,34 @@ def sample_tau(params, rng, K_max=100_000, x0=1.0) -> float:
     has drift beta/a - beta/(nu+2) >= 0 diverges almost surely: +inf (no
     explosion) is returned without drawing.
     """
+    # per family: the exponent of H^{<-}(theta) in the product, the final
+    # scale x0^power / div, and a step eps -> (increment, growth factor)
     if isinstance(params, TauOracle):
         inv_pow = params.gamma / (params.nu + 2.0)
-        total = 0.0
-        prod = 1.0
-        for _ in range(K_max):
-            eps = rng.standard_exponential()
-            total += eps * prod
-            if prod < _PROD_FLOOR:
-                return total * x0 ** params.gamma / params.a
-            prod *= rng.random() ** inv_pow
-        raise NonConvergent("tau series did not truncate within K_max")
-    if isinstance(params, GrowthTauParams):
+        power, div = params.gamma, params.a
+
+        def step(eps):
+            return eps, 1.0
+    elif isinstance(params, GrowthTauParams):
         inv_pow = params.beta / (params.nu + 2.0)
         if params.beta / params.a - inv_pow >= 0:
             return math.inf  # log product drifts up: the series diverges a.s.
-        total = 0.0
-        prod = 1.0
-        for _ in range(K_max):
-            eps = rng.standard_exponential()
+        power, div = params.beta, params.beta
+
+        def step(eps):
             grow = math.exp(params.beta * eps / params.a)
-            total += (grow - 1.0) * prod
-            if prod < _PROD_FLOOR:
-                return total * x0 ** params.beta / params.beta
-            prod *= grow * rng.random() ** inv_pow
-        raise NonConvergent("tau series did not truncate within K_max")
-    raise TypeError("params must be a TauOracle or GrowthTauParams")
+            return grow - 1.0, grow
+    else:
+        raise TypeError("params must be a TauOracle or GrowthTauParams")
+    total = 0.0
+    prod = 1.0
+    for _ in range(K_max):
+        inc, grow = step(rng.standard_exponential())
+        total += inc * prod
+        if prod < _PROD_FLOOR:
+            return total * x0 ** power / div
+        prod *= grow * rng.random() ** inv_pow
+    raise NonConvergent("tau series did not truncate within K_max")
 
 
 def mu0(h) -> float:

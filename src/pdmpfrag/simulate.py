@@ -222,7 +222,7 @@ def simulate_chain(spec, x0, *, seed, path_id=0, n_max=DEFAULT_N_MAX,
     """
     if not 0.0 < x0 < math.inf:
         raise ValueError(f"starting state {x0} is not in (0, inf)")
-    if n_max < 1 or t_max <= 0:
+    if n_max < 1 or not t_max > 0:  # NaN too
         raise ValueError("need n_max >= 1 and t_max > 0")
     times, xs = np.zeros((n_max + 1, 1)), np.full((n_max + 1, 1), float(x0))
     stop = np.empty(1, dtype=np.int8)
@@ -334,6 +334,8 @@ def run_chains(spec, x0s, *, seed, n_max=DEFAULT_N_MAX, checkpoints=None,
     ok = (x0s > 0) & (x0s < np.inf)
     if not ok.all():
         raise ValueError(f"starting state {x0s[~ok][0]} is not in (0, inf)")
+    if t_stop is not None and not t_stop >= 0:  # NaN too
+        raise ValueError("t_stop must be nonnegative")
     if checkpoints is None:
         checkpoints = (n_max,)
     checkpoints = sorted(set(int(c) for c in checkpoints))

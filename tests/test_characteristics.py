@@ -260,3 +260,32 @@ def test_holding_time_short_segment(tabulated):
     for x in (1.0, 1.0 + 1e-9, 1e4, 1e8):
         for q in (1e-12, 1e-9):
             assert abs(inverse_cumulative_rate(spec, x, q) - q) <= 1e-12 * q
+
+
+# (function, x, t or q) calls that must refuse their input
+BAD_RATE_CALLS = [
+    (cumulative_rate, 1.0, -1.0), (cumulative_rate, 1.0, math.nan),
+    (cumulative_rate, np.array([1.0, 2.0]), np.array([0.5, math.nan])),
+    (cumulative_rate, -1.0, 1.0), (cumulative_rate, 0.0, 1.0),
+    (cumulative_rate, math.inf, 1.0), (cumulative_rate, math.nan, 1.0),
+    (cumulative_rate, np.array([1.0, -1.0]), 1.0),
+    (inverse_cumulative_rate, 1.0, math.nan),
+    (post_flow_position, 1.0, math.nan),
+    (inverse_cumulative_rate, -1.0, 0.5), (post_flow_position, -1.0, 0.5),
+    (inverse_cumulative_rate, math.inf, 0.5), (post_flow_position, 0.0, 0.5),
+]
+
+
+@pytest.mark.parametrize("regime,alpha,beta", [
+    ("pure_jump", -1.0, None), ("decay", 0.0, -1.0), ("growth", -1.0, 1.0)])
+@pytest.mark.parametrize("fn,x,v", BAD_RATE_CALLS,
+                         ids=[f"{fn.__name__}-{i}"
+                              for i, (fn, _, _) in enumerate(BAD_RATE_CALLS)])
+def test_rate_views_refuse_invalid_input(regime, alpha, beta, fn, x, v):
+    # unchecked: cumulative_rate gave -1.0 at t = -1 (pure jump), inf at
+    # t = nan or -1 (decay) or a RuntimeWarning (growth); the holding views
+    # gave nan at q = nan, and at x = -1 nan (decay), InfiniteHolding (pure
+    # jump) or a RuntimeWarning (growth)
+    spec = power_model(regime, alpha=alpha, beta=beta)
+    with pytest.raises(ValueError):
+        fn(spec, x, v)

@@ -519,3 +519,19 @@ def test_audit_tabulated_decay_rate(tmp_path):
     assert res.exit_code == 0, res.output
     rows = (tmp_path / "o" / "map_roundtrip.csv").read_text().splitlines()
     assert [r.split(",")[-1] for r in rows[1:]] == ["pass", "pass"]
+
+
+@pytest.mark.parametrize("grid", [
+    "{x_min: 100.0, x_max: 1.0e-6, n_cells: 256}",
+    "{x_min: 1.0e-6, x_max: 100.0, n_cells: 0}"], ids=["reversed", "empty"])
+def test_non_grid_exit_2(tmp_path, grid):
+    # unchecked: the reversed grid exited 0 with exact_mass_u0 the negative
+    # of the correct column
+    cfg = tmp_path / "grid.yaml"
+    cfg.write_text((CONFIGS / "oracle.yaml").read_text().replace(
+        "{x_min: 1.0e-6, x_max: 1.0e+2, n_cells: 256}", grid))
+    assert grid in cfg.read_text()
+    res = _run(["oracle", "-c", str(cfg), "-o", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert "config error" in res.output and "x_min < x_max" in res.output
+    assert not (tmp_path / "o" / "oracle.csv").exists()

@@ -80,6 +80,15 @@ def test_uniform_in_m_needs_lo_below_hi(lo, hi):
         GridDensity.uniform_in_m(LogGrid(1e-2, 1e2, 64), lo, hi)
 
 
+@pytest.mark.parametrize("x_min,x_max,n_cells", [
+    (1.0, 0.5, 8), (1e-3, 1.0, 0), (1.0, 1.0, 8), (0.0, 1.0, 8),
+    (-1.0, 1.0, 8), (1e-3, math.inf, 8), (math.nan, 1.0, 8), (1e-3, 1.0, -1)])
+def test_log_grid_refuses_non_grids(x_min, x_max, n_cells):
+    # unchecked: a reversed grid had decreasing edges, n_cells = 0 no cells
+    with pytest.raises(ValueError, match="0 < x_min < x_max < inf"):
+        LogGrid(x_min, x_max, n_cells)
+
+
 def test_apply_S_identity_and_diag(pure_frag):
     grid = LogGrid(1e-3, 1e3, 512)
     u = GridDensity.uniform_in_m(grid, 1.0, 2.0)
@@ -565,31 +574,32 @@ def test_transport_S_columns_carry_survival(spec, t):
 
 
 @pytest.mark.parametrize("spec,k", [
-    (power_model("growth", alpha=0.0, beta=0.0), 2),
-    (power_model("decay", alpha=0.0, beta=-1.0), 1),
+    (power_model("growth", alpha=0.0, beta=0.0), -2),
+    (power_model("decay", alpha=0.0, beta=-1.0), -1),
 ], ids=["growth", "decay"])
 def test_transport_S_add_stack_is_rows(spec, k):
     # add on a (3, n) stack, in C or F order as the lag loop passes it, is
     # three 1-D adds, as apply_S and the term-0 rows make them, bit for bit:
     # grid and both buckets.  One S(t) moves every cell the same way in w,
-    # so growth deposits above the grid (sup, output k = 2) and decay below
-    # (sub, k = 1)
+    # so growth deposits above the grid (sup, column k = -2) and decay below
+    # (sub, k = -1)
     grid = LogGrid(1e-1, 1e2, 96)
     op = _SOperator(spec, grid, [4.0])
     x = np.random.default_rng(7).random((3, grid.n_cells))
 
     def start():
-        return np.ones_like(x), np.full(3, 0.5), np.full(3, 0.25)
+        out = np.ones((3, grid.n_cells + 2))
+        out[:, -2:] = 0.25, 0.5
+        return out
 
     want = start()
     for i in range(3):
-        op.add(0, x[i], want[0][i], want[1][i:i + 1], want[2][i:i + 1])
-    assert np.all(want[k] > start()[k])
+        op.add(0, x[i], want[i])
+    assert np.all(want[:, k] > start()[:, k])
     for stack in (x, np.asfortranarray(x)):
         got = start()
-        op.add(0, stack, *got)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+        op.add(0, stack, got)
+        assert np.array_equal(got, want)
 
 
 def test_diagonal_S_adds_any_stack(pure_frag):
@@ -597,26 +607,27 @@ def test_diagonal_S_adds_any_stack(pure_frag):
     grid = LogGrid(1e-4, 1e2, 64)
     op = _SOperator(pure_frag, grid, [0.5])
     x = np.random.default_rng(5).random((3, 64))
-    out, none = np.ones_like(x), np.zeros(3)
-    op.add(0, x, out, none, none)
-    assert np.array_equal(out, 1.0 + x * op.factor[0])
-    assert np.array_equal(none, np.zeros(3))
+    out = np.ones((3, 66))
+    out[:, -2:] = 0.0
+    op.add(0, x, out)
+    assert np.array_equal(out[:, :-2], 1.0 + x * op.factor[0, :-2])
+    assert not out[:, -2:].any()
 
 
 def _lag_sum(op, wm):
     # the direct convolution: sum_{j<k} S((k-j-1/2) h) wm[j] into row k-1,
     # one add per lag d = k-j-1, on ts the half steps j h/2
     n_s = len(wm)
-    out, sub, sup = np.zeros_like(wm), np.zeros(n_s), np.zeros(n_s)
+    out = np.zeros((n_s, wm.shape[1] + 2))
     for d in range(n_s - 1, -1, -1):
-        op.add(2 * d, wm[:n_s - d], out[d:], sub[d:], sup[d:])
-    return out, sub, sup
+        op.add(2 * d, wm[:n_s - d], out[d:])
+    return out
 
 
 def _convolved(op, wm):
-    out, sub, sup = np.zeros_like(wm), np.zeros(len(wm)), np.zeros(len(wm))
-    op.convolve(wm, out, sub, sup)
-    return out, sub, sup
+    out = np.zeros((len(wm), wm.shape[1] + 2))
+    op.convolve(wm, out)
+    return out
 
 
 @pytest.mark.parametrize("n_s", [1, 2, 5, 64, 127, 128])
@@ -631,13 +642,13 @@ def test_diagonal_S_convolve_matches_lag_sum(pure_frag, n_s):
     rng = np.random.default_rng(11)
     wm = rng.random((n_s, grid.n_cells))
     wm[:, rng.random(grid.n_cells) < 0.2] = 0.0
-    want, _, _ = _lag_sum(op, wm)
-    got, sub, sup = _convolved(op, wm)
+    want = _lag_sum(op, wm)[:, :-2]
+    got, buckets = np.split(_convolved(op, wm), [-2], axis=1)
     assert np.array_equal(got == 0.0, want == 0.0)
     assert np.all(got >= 0.0)
     nz = want != 0.0
     assert np.max(np.abs(got[nz] - want[nz]) / want[nz]) <= 1e-12
-    assert not sub.any() and not sup.any()
+    assert not buckets.any()
 
 
 def test_transport_S_convolve_is_lag_sum():
@@ -649,9 +660,7 @@ def test_transport_S_convolve_is_lag_sum():
     # convolve runs the lag loop on wm in F order, where the sparse products
     # read contiguous rows; one sparse product, buckets included, has the
     # same bits in either layout, so the reference runs on the C-order wm
-    want = _lag_sum(op, wm)
-    for got, want in zip(_convolved(op, wm), want):
-        assert np.array_equal(got, want)
+    assert np.array_equal(_convolved(op, wm), _lag_sum(op, wm))
 
 
 def _b_columns(spec, grid):
@@ -717,10 +726,9 @@ def test_transport_S_degenerate_cells(monkeypatch):
     for j in range(6):
         want += mat[:, j] * x[:, j:j + 1]
     for masses, expect in ((x, want), (x[0], want[0])):
-        out = np.zeros_like(masses)
-        op.add(0, masses, out, np.zeros(masses.shape[:-1]),
-               np.zeros(masses.shape[:-1]))
-        assert np.array_equal(out, expect)
+        out = np.zeros(masses.shape[:-1] + (8,))
+        op.add(0, masses, out)
+        assert np.array_equal(out[..., :-2], expect)
 
 
 @pytest.mark.parametrize("spec", [
@@ -742,13 +750,11 @@ def test_transport_S_add_matches_scipy(spec, monkeypatch):
     x3 = rng.random((3, n))
     for masses in (rng.random(n), x3, np.asfortranarray(x3),
                    np.asfortranarray(rng.random((64, n)))[:48]):
+        # grid cells, then the super- and sub-grid rows of S(t), as one array
         want = (mat @ masses.T).T
-        out = np.zeros(masses.shape)
-        sub, sup = np.zeros(masses.shape[:-1]), np.zeros(masses.shape[:-1])
-        op.add(0, masses, out, sub, sup)
-        assert np.array_equal(out, want[..., :-2])
-        assert np.array_equal(sup, want[..., -2])
-        assert np.array_equal(sub, want[..., -1])
+        out = np.zeros(masses.shape[:-1] + (n + 2,))
+        op.add(0, masses, out)
+        assert np.array_equal(out, want)
 
 
 @pytest.mark.parametrize("spec", [

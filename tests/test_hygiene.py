@@ -101,6 +101,24 @@ def test_dyson_phillips_reads_no_S_storage():
     assert found == []
 
 
+def test_one_array_per_dyson_level():
+    # S adds into one output array whose last two columns are the super-
+    # and sub-grid buckets, and a Dyson-Phillips level is such an array:
+    # no bucket arguments, no work array, no bucket stacks or accumulators
+    tree = ast.parse((SRC / "density.py").read_text())
+    fns = {node.name: node for node in ast.walk(tree)
+           if isinstance(node, ast.FunctionDef)}
+    assert [a.arg for a in fns["add"].args.args] == [
+        "self", "r", "masses", "out"]
+    assert [a.arg for a in fns["convolve"].args.args] == ["self", "wm", "out"]
+    found = sorted(f"{name}: {node.id} (line {node.lineno})"
+                   for name in ("convolve", "dyson_phillips")
+                   for node in ast.walk(fns[name])
+                   if isinstance(node, ast.Name)
+                   and node.id in {"sub", "sup", "acc_sub", "acc_sup", "work"})
+    assert found == []
+
+
 def test_only_density_reads_operator_storage():
     # other modules reach B and S through the operators' methods, so a
     # change to how either is stored stays inside density.py

@@ -8,6 +8,7 @@ from scipy import stats
 
 from pdmpfrag import (
     CEMETERY,
+    LogGrid,
     HorizonExceeded,
     NotADensity,
     PowerLawKernel,
@@ -20,6 +21,8 @@ from pdmpfrag import (
     estimate_explosion_cdf,
     estimate_survival_mass,
     f_lambda_dual,
+    f_lambda_grid,
+    mass_upper_bound,
     path_rng,
     run_chains,
     simulate_chain,
@@ -378,3 +381,28 @@ def test_golden_chain_gamma_distribution(pure_frag):
                                 n_max=2000)
     res = stats.kstest(times[0], stats.gamma(3.0).cdf)
     assert res.statistic < 1.63 / math.sqrt(4000)
+
+
+# a call on the pure-fragmentation model phi = 1/x that must refuse its value
+BAD_STOP_CALLS = {
+    "run_chains_t_stop_nan": lambda spec: run_chains(
+        spec, np.ones(8), seed=0, n_max=20, t_stop=math.nan),
+    "simulate_chain_t_max_nan": lambda spec: simulate_chain(
+        spec, 1.0, seed=0, n_max=20, t_max=math.nan),
+    "f_lambda_grid_negative_lambda": lambda spec: f_lambda_grid(
+        spec, -1.0, LogGrid(1e-4, 1e2, 64), 10),
+    "f_lambda_grid_negative_n_iter": lambda spec: f_lambda_grid(
+        spec, 1.0, LogGrid(1e-4, 1e2, 64), -1),
+    "mass_upper_bound_t_nan": lambda spec: mass_upper_bound(
+        TauOracle(), math.nan,
+        GridDensity.uniform_in_m(LogGrid(1e-4, 1e2, 64), 1.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_STOP_CALLS))
+def test_bad_stop_times_and_parameters_refused(name):
+    # unchecked: t_stop = nan parked no path (every status 0), t_max = nan
+    # ran to the jump budget, lambda = -1 gave iterates above 1 (1.0036),
+    # n_iter = -1 gave ones and mass_upper_bound(t = nan) gave nan
+    with pytest.raises(ValueError):
+        BAD_STOP_CALLS[name](power_model("pure_jump", alpha=-1.0))
