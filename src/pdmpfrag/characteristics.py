@@ -199,11 +199,11 @@ def flow_vec(spec, t, x):
 
 
 def flow(spec, t, x):
-    """pi_t x for scalar t >= 0, x > 0.  Raises DomainExit on 0-absorption."""
+    """pi_t x for scalar t >= 0, x in (0, inf); DomainExit on 0-absorption."""
     if not t >= 0:  # NaN too
         raise ValueError("t must be nonnegative")
-    if x <= 0:
-        raise DomainError("state must be positive")
+    if not 0 < x < np.inf:  # NaN too
+        raise DomainError("state must lie in (0, inf)")
     y, absorbed = flow_vec(spec, t, np.array([x], dtype=float))
     if absorbed[0]:  # at the hit time G(0+) - G(x)
         raise DomainExit(float(spec.G.limit_zero - spec.G(np.array([x]))[0]))

@@ -1,9 +1,11 @@
-"""Jump distributions and their sampling maps.
+"""Jump kernels as three maps.
 
-The built-in family is the fragmentation kernel
-J(x, B) = (1/x) int_0^x 1_B(y) b(y, x) y dy with daughter-size density b
-mass-normalized by int_0^y b(x, y) x dx = y.  Sampling goes through the
-per-parent CDF H_x and its generalized inverse: kappa(q, x) = H_x^{<-}(q) x.
+J(x, .), the law of the daughter of a parent of size x, is a probability on
+(0, x): J(x, B) = (1/x) int_0^x 1_B(y) b(y, x) y dy, with the daughter-size
+density b mass-normalized by int_0^y b(x, y) x dx = y.  The simulation
+draws from it through kappa(q, x) (``sample``), B = P(phi .) reads its CDF
+(``fragment_cdf``), and the embedded chain and the mass condition read b.
+Each kernel gives ``_kappa``, ``fragment_cdf`` and ``b``.
 """
 
 from __future__ import annotations
@@ -21,16 +23,57 @@ def _clamp_q(q):
 
 
 class JumpKernel:
-    """Base class; subclasses provide the per-parent fragment-fraction CDF
-    and either the fraction density h of a homogeneous kernel or b."""
+    """Base class: the guarded sampling map and p = b / y over a
+    subclass's ``_kappa`` and ``b``."""
+
+    def sample(self, q, x):
+        """kappa(q, x): daughter size for uniform variate q, parent x."""
+        x = np.asarray(x, dtype=float)
+        if (x <= 0).any():
+            raise KernelDomain("parent size must be positive")
+        return self._kappa(_clamp_q(q), x)
+
+    def transition_density(self, x, y):
+        """Kernel p(x,y) = b(x,y)/y of the transition operator w.r.t. m(dx)=x dx."""
+        y = np.asarray(y, dtype=float)
+        return self.b(x, y) / y
+
+    def fragment_cdf(self, x, r):
+        """J(x, (0, r]) for absolute daughter size r."""
+        raise NoDensity(f"{type(self).__name__} gives no fragment CDF")
+
+
+class HomogeneousKernel(JumpKernel):
+    """Homogeneous kernel b(x,y) = h(x/y)/y for a general normalized h.
+
+    The three maps come from the fraction density h, its CDF
+    H(r) = int_0^r h(z) z dz (``ratio_cdf``) and H^{<-} (``ratio_inverse``):
+    kappa(q, x) = H^{<-}(q) x and J(x, (0, r]) = H(r / x).
+    """
+
+    def __init__(self, h):
+        self.h_fn = h
+        self.H = TabulatedIntegralMap(lambda z: h(z) * z, orientation="from_below",
+                                      anchor=0.0, domain=(1e-12, 1.0))
+
+    def h(self, z):
+        return self.h_fn(np.asarray(z, dtype=float))
 
     def ratio_cdf(self, x, r):
         """H_x(r): probability that a daughter is below r*x, r in [0,1]."""
-        raise NotImplementedError
+        return self.H(np.asarray(r, dtype=float))
 
     def ratio_inverse(self, x, q):
         """H_x^{<-}(q), generalized inverse of the fraction CDF."""
-        raise NotImplementedError
+        return self.H.inverse(q)
+
+    def _kappa(self, q, x):
+        return self.ratio_inverse(x, q) * x
+
+    def fragment_cdf(self, x, r):
+        x = np.asarray(x, dtype=float)
+        r = np.asarray(r, dtype=float)
+        return self.ratio_cdf(x, np.clip(r / x, 0.0, 1.0))
 
     def b(self, x, y):
         """Daughter-size density b(x, y) = h(x/y)/y (zero for x >= y)."""
@@ -40,31 +83,10 @@ class JumpKernel:
             val = self.h(np.where(x < y, x / y, 0.5)) / y
         return np.where(x < y, val, 0.0)
 
-    def sample(self, q, x):
-        """kappa(q, x): daughter size for uniform variate q, parent x."""
-        x = np.asarray(x, dtype=float)
-        if (x <= 0).any():
-            raise KernelDomain("parent size must be positive")
-        return self._kappa(_clamp_q(q), x)
 
-    def _kappa(self, q, x):
-        """The sampling map on checked parents x > 0 and clamped q."""
-        return self.ratio_inverse(x, q) * x
-
-    def transition_density(self, x, y):
-        """Kernel p(x,y) = b(x,y)/y of the transition operator w.r.t. m(dx)=x dx."""
-        y = np.asarray(y, dtype=float)
-        return self.b(x, y) / y
-
-    def fragment_cdf(self, x, r):
-        """J(x, (0, r]) for absolute daughter size r."""
-        x = np.asarray(x, dtype=float)
-        r = np.asarray(r, dtype=float)
-        return self.ratio_cdf(x, np.clip(r / x, 0.0, 1.0))
-
-
-class PowerLawKernel(JumpKernel):
-    """Homogeneous kernel with h(z) = (nu + 2) z**nu, nu > -2 (closed forms)."""
+class PowerLawKernel(HomogeneousKernel):
+    """Homogeneous kernel with h(z) = (nu + 2) z**nu, nu > -2: H(r) = r**(nu+2)
+    and its inverse in closed form, no table."""
 
     def __init__(self, nu=0.0):
         if nu <= -2:
@@ -79,24 +101,6 @@ class PowerLawKernel(JumpKernel):
 
     def ratio_inverse(self, x, q):
         return np.asarray(q, dtype=float) ** (1.0 / (self.nu + 2.0))
-
-
-class HomogeneousKernel(JumpKernel):
-    """Homogeneous kernel b(x,y) = h(x/y)/y for a general normalized h."""
-
-    def __init__(self, h):
-        self.h_fn = h
-        self.H = TabulatedIntegralMap(lambda z: h(z) * z, orientation="from_below",
-                                      anchor=0.0, domain=(1e-12, 1.0))
-
-    def h(self, z):
-        return self.h_fn(np.asarray(z, dtype=float))
-
-    def ratio_cdf(self, x, r):
-        return self.H(np.asarray(r, dtype=float))
-
-    def ratio_inverse(self, x, q):
-        return self.H.inverse(q)
 
 
 class SeparableKernel(JumpKernel):
@@ -114,17 +118,13 @@ class SeparableKernel(JumpKernel):
     def beta(self, x):
         return self.beta_fn(np.asarray(x, dtype=float))
 
-    def ratio_cdf(self, x, r):
-        x = np.asarray(x, dtype=float)
-        r = np.asarray(r, dtype=float)
-        return self.Lam(r * x) / self.Lam(x)
-
-    def ratio_inverse(self, x, q):
-        x = np.asarray(x, dtype=float)
-        return self._kappa(np.asarray(q, dtype=float), x) / x
-
     def _kappa(self, q, x):
         return self.Lam.inverse(q * self.Lam(x))
+
+    def fragment_cdf(self, x, r):
+        x = np.asarray(x, dtype=float)
+        r = np.asarray(r, dtype=float)
+        return self.Lam(np.clip(r / x, 0.0, 1.0) * x) / self.Lam(x)
 
     def b(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -133,14 +133,11 @@ class SeparableKernel(JumpKernel):
             val = self.beta(x) * y / self.Lam(y)
         return np.where(x < y, val, 0.0)
 
-    def transition_density(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.where(x < y, self.beta(x) / self.Lam(y), 0.0)
-
 
 class CustomKernel(JumpKernel):
-    """User-supplied sampling map kappa(q, x); optional transition density p."""
+    """User-supplied sampling map kappa(q, x); optional transition density p.
+
+    It has no fragment CDF, so B and the embedded chain raise NoDensity."""
 
     def __init__(self, kappa, p=None):
         self.kappa = kappa
@@ -149,10 +146,8 @@ class CustomKernel(JumpKernel):
     def _kappa(self, q, x):
         return self.kappa(q, x)
 
-    def transition_density(self, x, y):
+    def b(self, x, y):
         if self.p is None:
             raise NoDensity("custom kernel lacks a transition density")
-        return self.p(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-
-    def b(self, x, y):
-        return self.transition_density(x, y) * np.asarray(y, dtype=float)
+        y = np.asarray(y, dtype=float)
+        return self.p(np.asarray(x, dtype=float), y) * y

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .characteristics import _check_states
 from .errors import NonConvergent, OutOfRegime
 from .monotone import endpoint_integral, gauss_panels
 
@@ -69,7 +70,8 @@ def tau_tail(oracle: TauOracle, q) -> float:
 
 
 def explosion_cdf(oracle: TauOracle, t, x0=1.0):
-    """P(t_inf <= t) started from x0 (time rescaled by a x0^{-gamma})."""
+    """P(t_inf <= t) from x0 in (0, inf) (time rescaled by a x0^{-gamma})."""
+    _check_states(x0)
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0) & (t < np.inf)):
         raise ValueError("t must lie in [0, inf)")
@@ -139,8 +141,9 @@ def sample_tau(params, rng, K_max=100_000, x0=1.0) -> float:
     Truncates once the running product drops below 1e-16; raises NonConvergent
     if the budget K_max is exhausted first.  A growth series whose log product
     has drift beta/a - beta/(nu+2) >= 0 diverges almost surely: +inf (no
-    explosion) is returned without drawing.
+    explosion) is returned without drawing.  x0 must lie in (0, inf).
     """
+    _check_states(x0)
     # per family: the exponent of H^{<-}(theta) in the product, the final
     # scale x0^power / div, and a step eps -> (increment, growth factor)
     if isinstance(params, TauOracle):

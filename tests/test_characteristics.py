@@ -145,6 +145,16 @@ def test_flow_examples():
     assert abs(exc.value.hitting_time - 2.0) < 1e-6
 
 
+@pytest.mark.parametrize("regime,alpha,beta", [
+    ("pure_jump", -1.0, None), ("growth", -1.0, 1.0), ("decay", 0.0, -1.0)])
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_flow_refuses_states_outside_domain(regime, alpha, beta, x):
+    # unchecked, x = nan flows to nan (pure jump, growth) or 0.0 (decay),
+    # and x = inf to inf or 1.0
+    with pytest.raises(DomainError):
+        flow(power_model(regime, alpha=alpha, beta=beta), 1.0, x)
+
+
 def test_flow_semigroup_law_spot():
     growth = power_model("growth", alpha=0.5, beta=0.5)
     x, t, s = 0.7, 0.4, 1.1

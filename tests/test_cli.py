@@ -64,15 +64,19 @@ def test_example_configs_run(tmp_path, action, expected):
 
 
 def test_rerun_is_byte_identical(tmp_path):
-    outs = []
-    for tag in ("a", "b"):
-        out = tmp_path / tag
-        res = _run(["simulate", "-c", str(CONFIGS / "simulate.yaml"),
-                    "-o", str(out)])
-        assert res.exit_code == 0, res.output
-        outs.append(out)
-    for name in ("trajectories.csv", "explosion_cdf.csv"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    # timings live in the manifest alone, so every CSV body of every shipped
+    # config repeats exactly
+    for action in ("simulate", "evolve", "classify", "audit", "oracle"):
+        outs = [tmp_path / f"{action}_{tag}" for tag in ("a", "b")]
+        for out in outs:
+            res = _run([action, "-c", str(CONFIGS / f"{action}.yaml"),
+                        "-o", str(out)])
+            assert res.exit_code == 0, res.output
+        names = sorted(p.name for p in outs[0].glob("*.csv"))
+        assert names == sorted(p.name for p in outs[1].glob("*.csv")) != []
+        for name in names:
+            assert (outs[0] / name).read_bytes() == \
+                (outs[1] / name).read_bytes(), f"{action}: {name}"
 
 
 def test_trajectory_times_strictly_increase(tmp_path):

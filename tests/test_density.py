@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.sparse import csc_matrix
+from scipy.stats import poisson
 
 from pdmpfrag import (
+    CustomKernel,
     GridDensity,
     HomogeneousKernel,
     LogGrid,
@@ -372,6 +374,39 @@ def test_series_need_a_jump_kernel():
         resolvent_series(spec, 1.0, u, N=2)
     with pytest.raises(NoDensity):
         dyson_phillips(spec, 1.0, u, N=2, n_s=4)
+
+
+def test_custom_kernel_has_no_B():
+    # a sampling map alone gives no fragment CDF for B to read
+    spec = build_characteristics(SemiflowSpec(regime=Regime.PURE_JUMP),
+                                 RateSpec(power=(1.0, 0.0)),
+                                 CustomKernel(kappa=lambda q, x: q * x))
+    u = GridDensity.uniform_in_m(aligned_grid(), 1.0, 2.0)
+    with pytest.raises(NoDensity):
+        apply_B(spec, u)
+    with pytest.raises(NoDensity):
+        dyson_phillips(spec, 1.0, u, N=2, n_s=4)
+
+
+@pytest.mark.parametrize("regime,beta", [
+    ("pure_jump", None), ("growth", 1.0), ("decay", -1.0)])
+def test_dyson_terms_are_the_jump_count_law(regime, beta):
+    # phi = 1: the jump count N(t) is Poisson(t) whatever the flow, and term
+    # n of the sum is P(N(t) = n).  At t = 5 the gap was 1.3386e-5 at
+    # n_s = 320 and 5.3537e-5 at n_s = 160 in each regime: second order in h
+    grid = LogGrid(1e-8, 1e4, 384)
+    u0 = GridDensity.uniform_in_m(grid, 1.0, 2.0)
+    spec = power_model(regime, alpha=0.0, beta=beta)
+
+    def gap(n_s):
+        _, trace = dyson_phillips(spec, 5.0, u0, N=60, n_s=n_s)
+        norms = np.asarray(trace.term_norms)
+        return np.max(np.abs(norms - poisson.pmf(np.arange(len(norms)), 5.0)))
+
+    fine = gap(320)
+    assert fine <= 2e-5
+    if regime == "pure_jump":
+        assert 3.5 <= gap(160) / fine <= 4.5
 
 
 def test_dyson_honest_conservation(bounded_pure_jump):

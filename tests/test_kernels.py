@@ -6,6 +6,7 @@ import pytest
 from pdmpfrag import (
     CustomKernel,
     HomogeneousKernel,
+    JumpKernel,
     KernelDomain,
     NoDensity,
     PowerLawKernel,
@@ -99,3 +100,20 @@ def test_kernel_domain_and_no_density_errors():
     assert custom.sample(0.5, 2.0) == 1.0
     with pytest.raises(NoDensity):
         custom.transition_density(1.0, 2.0)
+
+
+def test_kernels_are_three_maps():
+    # the base holds the guarded sample, p = b / y and a fragment_cdf that
+    # raises NoDensity; the ratio maps and the h-based b belong to the
+    # homogeneous kernels, and no other kernel overrides p
+    assert {"sample", "transition_density", "fragment_cdf"} <= set(vars(JumpKernel))
+    assert not {"ratio_cdf", "ratio_inverse", "b", "h"} & set(vars(JumpKernel))
+    for cls in (SeparableKernel, CustomKernel):
+        assert not {"ratio_cdf", "ratio_inverse",
+                    "transition_density"} & set(vars(cls))
+    for cls in (HomogeneousKernel, SeparableKernel, CustomKernel):
+        assert {"_kappa", "b"} <= set(vars(cls))
+    assert PowerLawKernel.b is HomogeneousKernel.b
+    assert PowerLawKernel.fragment_cdf is HomogeneousKernel.fragment_cdf
+    with pytest.raises(NoDensity):
+        CustomKernel(kappa=lambda q, x: 0.5 * x).fragment_cdf(2.0, 1.0)

@@ -139,6 +139,19 @@ def test_sample_tau_type_guard():
         sample_tau("not-params", np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("x0", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda x0: sample_tau(TauOracle(), np.random.default_rng(0), x0=x0),
+    lambda x0: sample_tau(GrowthTauParams(), np.random.default_rng(0), x0=x0),
+    lambda x0: explosion_cdf(TauOracle(), 1.0, x0=x0),
+], ids=["sample_tau-power", "sample_tau-growth", "explosion_cdf"])
+def test_start_outside_domain_refused(call, x0):
+    # unchecked, sample_tau returns -1.104 at x0 = -1, 0.0 at 0, nan and
+    # inf, and explosion_cdf a ZeroDivisionError at 0, nan and 0.0 at inf
+    with pytest.raises(ValueError):
+        call(x0)
+
+
 def test_mu0_values():
     assert abs(mu0(lambda z: 2.0 * np.ones_like(np.asarray(z, float)))
                + 0.5) < 1e-10
