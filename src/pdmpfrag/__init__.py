@@ -10,7 +10,6 @@ from .errors import (
     ConfigError,
     DomainError,
     DomainExit,
-    HorizonExceeded,
     InfiniteHolding,
     KernelDomain,
     ModelError,
@@ -42,7 +41,6 @@ from .kernels import (
     SeparableKernel,
 )
 from .simulate import (
-    CEMETERY,
     Estimate,
     Trajectory,
     TrajectoryStatus,
@@ -50,8 +48,8 @@ from .simulate import (
     estimate_survival_mass,
     path_rng,
     run_chains,
+    sample_state,
     simulate_chain,
-    state_at,
 )
 from .density import (
     GridDensity,
@@ -88,19 +86,18 @@ from .diagnose import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "DomainError", "DomainExit", "HorizonExceeded",
-    "InfiniteHolding", "KernelDomain", "ModelError", "NoDensity",
-    "NonConvergent", "NonIntegrableRate", "NotADensity", "NumericalError",
-    "OutOfRegime",
+    "ConfigError", "DomainError", "DomainExit", "InfiniteHolding",
+    "KernelDomain", "ModelError", "NoDensity", "NonConvergent",
+    "NonIntegrableRate", "NotADensity", "NumericalError", "OutOfRegime",
     "ClosedFormMap", "MonotoneMap", "TabulatedIntegralMap",
     "CharacteristicsSpec", "RateSpec", "Regime", "SemiflowSpec",
     "build_characteristics", "build_gq", "cumulative_rate", "flow",
     "inverse_cumulative_rate", "post_flow_position",
     "CustomKernel", "HomogeneousKernel", "JumpKernel", "PowerLawKernel",
     "SeparableKernel",
-    "CEMETERY", "Estimate", "Trajectory", "TrajectoryStatus",
-    "estimate_explosion_cdf", "estimate_survival_mass", "path_rng",
-    "run_chains", "simulate_chain", "state_at",
+    "Estimate", "Trajectory", "TrajectoryStatus", "estimate_explosion_cdf",
+    "estimate_survival_mass", "path_rng", "run_chains", "sample_state",
+    "simulate_chain",
     "GridDensity", "LogGrid", "OperatorTrace", "apply_B", "apply_S",
     "dyson_phillips", "resolvent_A", "resolvent_series",
     "GrowthTauParams", "TauOracle", "exact_mass", "explosion_cdf",

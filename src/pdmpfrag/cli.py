@@ -313,29 +313,28 @@ def _action_classify(num, spec, out, seed, work):
 
 
 def _action_audit(num, spec, out, seed, work):
-    ys = [float(y) for y in num["y_values"]]
-    kernel = spec.kernel
     rows = []
-    for y in ys:
+    for y in map(float, num["y_values"]):
         edges = np.geomspace(y * 1e-12, y, 2049)
         val = float(np.sum(gauss_panels(
-            lambda x: kernel.b(x, y) * x, edges[:-1], edges[1:])))
+            lambda x: spec.kernel.b(x, y) * x, edges[:-1], edges[1:]))
+            + y * spec.kernel.fragment_cdf(y, edges[0]))  # the mass below
         resid = abs(val - y) / y
         rows.append((y, val / y, resid, "pass" if resid < 1e-8 else "FAIL"))
     files = [_write_csv(out, "kernel_normalization.csv",
                         "y,mass_over_y,residual,status", rows)]
     # monotone-map roundtrips for the derived G and Q
     probes = np.geomspace(spec.domain[0] * 1e2, spec.domain[1] * 1e-2, 31)
-    rows = []
+    trips = []
     for name, m in (("G", spec.G), ("Q", spec.Q)):
         if m is None:
             continue
         err = m.roundtrip_error(probes)
-        rows.append((name, float(err), "pass" if err < 1e-8 else "FAIL"))
+        trips.append((name, float(err), "pass" if err < 1e-8 else "FAIL"))
     files.append(_write_csv(out, "map_roundtrip.csv",
-                            "map,roundtrip_error,status", rows))
-    if any(r[-1] == "FAIL" for r in rows):
-        raise NumericalError("map roundtrip accuracy below tolerance")
+                            "map,roundtrip_error,status", trips))
+    if any(r[-1] == "FAIL" for r in rows + trips):
+        raise NumericalError("kernel mass or map roundtrip off tolerance")
     return files
 
 

@@ -37,10 +37,6 @@ class NotADensity(ModelError):
     """Input mass deviates from 1 beyond tolerance."""
 
 
-class HorizonExceeded(ModelError):
-    """A trajectory was queried beyond the time span it can answer for."""
-
-
 class NumericalError(Exception):
     """Base class for numerical non-convergence (distinct from model errors)."""
 

@@ -8,8 +8,9 @@ daughter sizes through the kernel's inverse CDF.  One vectorized step,
 ``_jump``, does this for a batch of paths, and one driver, ``_run_block``,
 runs it, recording each path's time and state at given steps:
 ``run_chains`` drives many paths to their checkpoints, ``simulate_chain``
-one path with every step a checkpoint.  Explosion is never detected, only
-bracketed: estimators expose their truncation sensitivity.
+one path with every step a checkpoint, and ``sample_state`` reads X(t) and
+N(t) off each path's state before the step past t.  Explosion is never
+detected, only bracketed: estimators expose their truncation sensitivity.
 
 Randomness is counter-based (Philox4x64-10, Salmon et al., SC'11), computed
 statelessly by ``_uniforms``: draw k of path p is word k mod 4 of the block
@@ -31,13 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristics import _holding, flow
-from .errors import HorizonExceeded, NotADensity
+from .characteristics import _holding, flow_vec
+from .errors import NotADensity
 
 DEFAULT_N_MAX = 10_000
 DEFAULT_T_MAX = 1_000.0
-
-CEMETERY = object()  # sentinel returned by state_at past a possible explosion
 
 
 class TrajectoryStatus(enum.Enum):
@@ -214,58 +213,40 @@ def simulate_chain(spec, x0, *, seed, path_id=0, n_max=DEFAULT_N_MAX,
     """Sample one jump chain.  Bit-identical for identical (seed, path_id, spec).
 
     One ``_run_block`` call on the path, every step a checkpoint (so its
-    record takes n_max + 1 rows however soon the chain stops).  Stops at
-    the first of: t_n > t_max, n = n_max jumps, 0-absorption of the decay
-    orbit, or a step whose time no longer advances (not recorded).  Raises
-    InfiniteHolding for mis-specified models whose cumulative rate along an
-    orbit stays bounded.
+    record takes n_max + 1 rows however soon the chain stops), trimmed at
+    the stop step.  Stops at the first of: t_n > t_max, n = n_max jumps,
+    0-absorption of the decay orbit, or a step whose time no longer
+    advances (not recorded).  Raises InfiniteHolding for mis-specified
+    models whose cumulative rate along an orbit stays bounded.
     """
     if not 0.0 < x0 < math.inf:
         raise ValueError(f"starting state {x0} is not in (0, inf)")
     if n_max < 1 or not t_max > 0:  # NaN too
         raise ValueError("need n_max >= 1 and t_max > 0")
     times, xs = np.zeros((n_max + 1, 1)), np.full((n_max + 1, 1), float(x0))
-    stop = np.empty(1, dtype=np.int8)
+    stop, last = np.empty(1, dtype=np.int8), np.empty((3, 1))
     _run_block(spec, xs[0], seed, path_id, range(1, n_max + 1), t_max,
-               times[1:], xs[1:], stop)
-    t, x = times[:, 0], xs[:, 0]
-    # a stopped path repeats its last time and state: keep the steps that
-    # moved, i.e. advanced the time or were absorbed at 0 (as in _jump)
-    keep = np.concatenate(([True], (t[1:] > t[:-1])
-                           | ((x[1:] == 0.0) & (x[:-1] > 0.0))))
-    t, x, code = t[keep], x[keep], int(stop[0])
+               times[1:], xs[1:], stop, last)
+    n, code = int(last[2, 0]), int(stop[0])
     if code == _SETTLED:  # stuck in place, or jumped out of (0, inf)
-        code = _RUNNING if 0.0 < x[-1] < math.inf else _ABSORBED
+        code = _RUNNING if 0.0 < xs[n + 1, 0] < math.inf else _ABSORBED
+    end = n + 1 + (code != _RUNNING)  # rows 0..n, and a stop step that moved
     status = {_RUNNING: TrajectoryStatus.EXHAUSTED_JUMP_BUDGET,
               _PARKED: TrajectoryStatus.ALIVE_AT_HORIZON,
               _ABSORBED: TrajectoryStatus.DOMAIN_EXIT_AT_ZERO}[code]
-    return Trajectory(t, x, status, float(t_max), int(seed), int(path_id))
-
-
-def state_at(traj, spec, t):
-    """X(t) along a recorded trajectory; CEMETERY past a possible explosion."""
-    if not t >= 0:  # NaN too
-        raise ValueError("t must be nonnegative")
-    times = traj.jump_times
-    if traj.status is TrajectoryStatus.ALIVE_AT_HORIZON and t > traj.horizon:
-        raise HorizonExceeded(f"trajectory answers only up to t={traj.horizon}")
-    if t > times[-1]:
-        if traj.status is TrajectoryStatus.EXHAUSTED_JUMP_BUDGET:
-            return CEMETERY  # possibly exploded; conservative
-        if traj.status is TrajectoryStatus.DOMAIN_EXIT_AT_ZERO:
-            return 0.0
-        raise HorizonExceeded("time beyond the recorded jump chain")
-    n = int(np.searchsorted(times, t, side="right") - 1)
-    return flow(spec, t - times[n], traj.positions[n])
+    return Trajectory(times[:end, 0].copy(), xs[:end, 0].copy(), status,
+                      float(t_max), int(seed), int(path_id))
 
 
 # -- vectorized chain engine ------------------------------------------------
 
 def _run_block(spec, x0s, seed, path_offset, checkpoints, t_stop, times, xs,
-               status):
+               status, last=None):
     """Advance a contiguous block of paths to step checkpoints[-1], writing
     into views of the batch: ``times[k, p]`` and ``xs[k, p]`` are path p's
     time and state after step checkpoints[k], ``status[p]`` its stop code.
+    ``last``, if given, a (3, P) array, gets each path's time, state and
+    step count before its stop step, or at the end if still running there.
 
     Only the running paths' states are carried from step to step, as compact
     arrays.  A path's status, time and state are written out once, when it
@@ -294,7 +275,8 @@ def _run_block(spec, x0s, seed, path_offset, checkpoints, t_stop, times, xs,
         u_eps, u_theta = draws[2 * s], draws[2 * s + 1]
         if cols is not None:
             u_eps, u_theta = u_eps[cols], u_theta[cols]
-        tr, xr, st = _jump(spec, xr, tr, u_eps, u_theta, t_stop)
+        t_pre, x_pre = tr, xr
+        tr, xr, st = _jump(spec, x_pre, t_pre, u_eps, u_theta, t_stop)
         s += 1
         n_done += 1
         if st.any():  # some paths stopped (_RUNNING is 0): write them out
@@ -302,12 +284,43 @@ def _run_block(spec, x0s, seed, path_offset, checkpoints, t_stop, times, xs,
             gone = run[stop]
             times[k:, gone], xs[k:, gone] = tr[stop], xr[stop]
             status[gone] = st[stop]
+            if last is not None:
+                last[:, gone] = (t_pre[stop], x_pre[stop],
+                                 np.full(len(stop), n_done - 1))
             cols = keep if cols is None else cols[keep]
             run, tr, xr = run[keep], tr[keep], xr[keep]
         if checkpoints[k] == n_done:
             times[k, run], xs[k, run] = tr, xr
             k += 1
     status[run] = _RUNNING
+    if last is not None:
+        last[:, run] = tr, xr, np.full(len(run), n_done)
+
+
+def _run_batch(spec, x0s, seed, n_max, checkpoints, t_stop, offset, last=None):
+    """``run_chains`` on a ``last`` record of the batch (see ``_run_block``)."""
+    x0s = np.asarray(x0s, dtype=float)
+    P = len(x0s)
+    ok = (x0s > 0) & (x0s < np.inf)
+    if not ok.all():
+        raise ValueError(f"starting state {x0s[~ok][0]} is not in (0, inf)")
+    if t_stop is not None and not t_stop >= 0:  # NaN too
+        raise ValueError("t_stop must be nonnegative")
+    if checkpoints is None:
+        checkpoints = (n_max,)
+    checkpoints = sorted(set(int(c) for c in checkpoints))
+    if checkpoints[-1] > n_max or checkpoints[0] < 1:
+        raise ValueError("checkpoints must lie in [1, n_max]")
+    rows = checkpoints + [n_max] * (checkpoints[-1] < n_max)  # final_x's row
+    times, xs = np.full((len(rows), P), np.nan), np.empty((len(rows), P))
+    status = np.empty(P, dtype=np.int8)
+    for a in range(0, P, _BLOCK):
+        sl = slice(a, a + _BLOCK)
+        _run_block(spec, x0s[sl], seed, offset + a, rows, t_stop,
+                   times[:, sl], xs[:, sl], status[sl],
+                   None if last is None else last[:, sl])
+    # copies, so no result keeps the n_max row or the other states alive
+    return times[:len(checkpoints)].copy(), xs[-1].copy(), status, checkpoints
 
 
 def run_chains(spec, x0s, *, seed, n_max=DEFAULT_N_MAX, checkpoints=None,
@@ -329,27 +342,25 @@ def run_chains(spec, x0s, *, seed, n_max=DEFAULT_N_MAX, checkpoints=None,
     and beat one whole-batch block (100,000 pure-jump paths, n_max 400, on
     a 2-core VM: 0.65-0.81 s against 0.84-0.96 s).  ``workers`` is ignored.
     """
-    x0s = np.asarray(x0s, dtype=float)
-    P = len(x0s)
-    ok = (x0s > 0) & (x0s < np.inf)
-    if not ok.all():
-        raise ValueError(f"starting state {x0s[~ok][0]} is not in (0, inf)")
-    if t_stop is not None and not t_stop >= 0:  # NaN too
-        raise ValueError("t_stop must be nonnegative")
-    if checkpoints is None:
-        checkpoints = (n_max,)
-    checkpoints = sorted(set(int(c) for c in checkpoints))
-    if checkpoints[-1] > n_max or checkpoints[0] < 1:
-        raise ValueError("checkpoints must lie in [1, n_max]")
-    rows = checkpoints + [n_max] * (checkpoints[-1] < n_max)  # final_x's row
-    times, xs = np.full((len(rows), P), np.nan), np.empty((len(rows), P))
-    status = np.empty(P, dtype=np.int8)
-    for a in range(0, P, _BLOCK):
-        sl = slice(a, a + _BLOCK)
-        _run_block(spec, x0s[sl], seed, path_offset + a, rows, t_stop,
-                   times[:, sl], xs[:, sl], status[sl])
-    # copies, so no result keeps the n_max row or the other states alive
-    return times[:len(checkpoints)].copy(), xs[-1].copy(), status, checkpoints
+    return _run_batch(spec, x0s, seed, n_max, checkpoints, t_stop, path_offset)
+
+
+def sample_state(spec, x0s, t, *, seed, n_max=DEFAULT_N_MAX):
+    """X(t) and N(t) of paths from ``x0s``: (x_t, n_t, ``run_chains``' status).
+
+    Path p runs on stream p, parked past t.  It is alive at t when its time
+    lies past t, the event ``estimate_survival_mass`` counts (parked, or
+    absorbed at 0 after t); then x_t is the flow from its last state before
+    t, and n_t its jumps by t.  Otherwise x_t is nan and n_t its jumps.
+    """
+    if not 0 <= t < math.inf:
+        raise ValueError("t must lie in [0, inf)")
+    last = t_prev, x_prev, n_t = np.empty((3, len(x0s)))
+    times, _, status, _ = _run_batch(spec, x0s, seed, n_max, None, t, 0, last)
+    alive = times[0] > t
+    x_t = np.full_like(t_prev, np.nan)
+    x_t[alive] = flow_vec(spec, t - t_prev[alive], x_prev[alive])[0]
+    return x_t, n_t.astype(np.int64), status
 
 
 # -- estimators -------------------------------------------------------------
@@ -358,6 +369,8 @@ def _truncated_share(spec, x0s, ts, n_max, seed, event):
     """One Estimate per t of ``ts`` from one ``run_chains`` batch parked past
     max(ts), by the rule given in ``estimate_explosion_cdf``."""
     half, n = max(1, n_max // 2), len(x0s)
+    if n < 100:
+        raise ValueError("need n_paths >= 100")
     times, _, status, cps = run_chains(
         spec, x0s, seed=seed, n_max=n_max, checkpoints=(half, n_max),
         t_stop=np.max(ts, initial=0.0))
@@ -385,8 +398,6 @@ def estimate_explosion_cdf(spec, x0, t, n_paths, n_max=DEFAULT_N_MAX, *,
     past a smaller t has t_{n_max} > t there too, so each Estimate is
     bitwise that of a batch parked at its own t.  ``workers`` is ignored.
     """
-    if n_paths < 100:
-        raise ValueError("need n_paths >= 100")
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1 or not np.all((ts >= 0) & (ts < np.inf)):
         raise ValueError("t must lie in [0, inf): a time or a 1-D sequence")
@@ -401,14 +412,11 @@ def estimate_survival_mass(spec, u0, t, n_paths, n_max=DEFAULT_N_MAX, *,
 
     Initial states are drawn by stratified inverse-CDF sampling from the grid
     density (one stratum per path), whose mass must be 1 to within 1e-6; the
-    truncation bias is upward and bounded by the half-budget sensitivity.  As in ``estimate_explosion_cdf``, a path
-    absorbed at 0 counts at its hit time.
+    truncation bias is upward and bounded by the half-budget sensitivity.
+    An absorbed path counts at its hit time, as in ``estimate_explosion_cdf``.
     """
-    if n_paths < 100:
-        raise ValueError("need n_paths >= 100")
-    total = u0.total_mass
-    if abs(total - 1.0) > 1e-6:
-        raise NotADensity(f"u0 has mass {total}, expected 1")
+    if abs(u0.total_mass - 1.0) > 1e-6:
+        raise NotADensity(f"u0 has mass {u0.total_mass}, expected 1")
     if not 0 <= t < math.inf:
         raise ValueError("t must lie in [0, inf)")
     x0s = _stratified_starts(u0, n_paths, seed, "survival")

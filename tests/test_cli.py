@@ -509,6 +509,38 @@ def test_audit_table_kernel(tmp_path, family):
     assert {r.split(",")[-1] for r in rows[1:]} == {"pass"}
 
 
+def test_audit_counts_the_kernel_mass_below_the_panels(tmp_path):
+    # nu = -1.5 puts (1e-12)^0.5 = 1e-6 of the mass below the panels'
+    # lower edge 1e-12 y; without it every row read FAIL (and exited 0)
+    cfg = tmp_path / "audit.yaml"
+    cfg.write_text((CONFIGS / "audit.yaml").read_text().replace(
+        "nu: 0.0", "nu: -1.5"))
+    assert "nu: -1.5" in cfg.read_text()
+    res = _run(["audit", "-c", str(cfg), "-o", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
+    rows = (tmp_path / "o" / "kernel_normalization.csv").read_text()
+    assert {r.split(",")[-1] for r in rows.splitlines()[1:]} == {"pass"}
+
+
+def test_audit_kernel_fail_exits_4(tmp_path):
+    # h = 2.02 carries 1% too much mass: the kernel table fails, and a FAIL
+    # in either table is a numerical error, not exit 0
+    table = tmp_path / "h.csv"
+    table.write_text("x,h\n1e-12,2.02\n1e12,2.02\n")
+    cfg = tmp_path / "audit.yaml"
+    cfg.write_text("action: audit\nmodel:\n  regime: pure_jump\n"
+                   "  phi: {a: 1.0, alpha: -1.0}\n"
+                   f"  kernel: {{family: homogeneous, table: {table}}}\n"
+                   "numeric: {seed: 0}\n")
+    res = _run(["audit", "-c", str(cfg), "-o", str(tmp_path / "o")])
+    assert res.exit_code == 4, res.output
+    assert "kernel mass" in res.output
+    rows = (tmp_path / "o" / "kernel_normalization.csv").read_text()
+    rows = [r.split(",") for r in rows.splitlines()[1:]]
+    assert {r[-1] for r in rows} == {"FAIL"}
+    assert all(abs(float(r[1]) - 1.01) < 1e-9 for r in rows)
+
+
 def test_audit_tabulated_decay_rate(tmp_path):
     # decay g(x) = x^2 with phi = 1 given as a table: Q(x) = 1/x is a
     # tabulated map anchored at +inf whose roundtrip must hold out to 1e7

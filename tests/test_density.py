@@ -29,8 +29,7 @@ from pdmpfrag import (
     flow,
     resolvent_A,
     resolvent_series,
-    simulate_chain,
-    state_at,
+    sample_state,
 )
 from pdmpfrag.density import _BOperator, _SOperator
 from pdmpfrag.oracles import TauOracle, exact_mass
@@ -815,8 +814,8 @@ NON_FINITE_CALLS = {
     "resolvent_series": (lambda spec, u, v: resolvent_series(spec, v, u, N=2),
                          (math.nan, math.inf)),
     "flow": (lambda spec, u, v: flow(spec, v, 1.0), (math.nan,)),
-    "state_at": (lambda spec, u, v: state_at(
-        simulate_chain(spec, 1.0, seed=1, n_max=5), spec, v), (math.nan,)),
+    "sample_state": (lambda spec, u, v: sample_state(
+        spec, [1.0], v, seed=1, n_max=5), (math.nan, math.inf)),
 }
 
 
@@ -826,7 +825,8 @@ NON_FINITE_CALLS = {
                                     for v in vs])
 def test_non_finite_time_or_rate_refused(regime, name, v):
     # unchecked: apply_S gave nan masses, the resolvents nan masses (pure
-    # jump) or a RuntimeWarning (growth), flow and state_at nan states
+    # jump) or a RuntimeWarning (growth), flow a nan state; sample_state
+    # reads a state at a finite t only
     spec = power_model(regime, alpha=-1.0, beta=1.0, nu=-1.5)
     u = GridDensity.uniform_in_m(LogGrid(1e-2, 1e2, 64), 1.0, 2.0)
     with pytest.raises(ValueError):

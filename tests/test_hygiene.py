@@ -4,12 +4,15 @@ and pre-jump position through one rule, only the S operator knows how S is
 stored, only density.py how B and S are stored and which private scipy
 module multiplies S, the characteristics read the monotone maps through
 their public interface, the CLI reads its config through one schema
-reader, and the chains run serially, on one driver."""
+reader, the chains run serially, on one driver, and the package exports
+exactly the public names it imports."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import pdmpfrag
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "pdmpfrag"
@@ -197,20 +200,43 @@ def test_one_serial_chain_engine():
 
 
 
-def test_one_chain_driver():
-    # the jump step has one caller, the block driver behind run_chains and
-    # simulate_chain, so no second driver loop with its own refills and
-    # stop rules comes back
+def _callers(name):
+    """'module: function' of every call to ``name`` in the library."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         fns = [node for node in ast.walk(tree)  # outer before inner
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and "_jump" in (
+            if isinstance(node, ast.Call) and name in (
                     getattr(node.func, "id", None),
                     getattr(node.func, "attr", None)):
                 owner = [fn.name for fn in fns
                          if fn.lineno <= node.lineno <= fn.end_lineno]
                 found.append(f"{path.name}: {(owner or ['<module>'])[-1]}")
-    assert found == ["simulate.py: _run_block"]
+    return sorted(found)
+
+
+def test_one_chain_driver():
+    # the jump step has one caller, the block driver behind run_chains,
+    # sample_state and simulate_chain, so no second driver loop with its
+    # own refills and stop rules comes back; run_chains and sample_state
+    # share one loop over the blocks
+    assert _callers("_jump") == ["simulate.py: _run_block"]
+    assert _callers("_run_block") == ["simulate.py: _run_batch",
+                                      "simulate.py: simulate_chain"]
+    assert _callers("_run_batch") == ["simulate.py: run_chains",
+                                      "simulate.py: sample_state"]
+
+
+def test_public_api_matches_all():
+    # every exported name resolves, and every public name __init__.py
+    # imports is exported, so a removed name leaves no stale export
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names if not alias.name.startswith("_")}
+    assert sorted(n for n in pdmpfrag.__all__
+                  if not hasattr(pdmpfrag, n)) == []
+    assert sorted(imported - set(pdmpfrag.__all__)) == []
+    assert len(pdmpfrag.__all__) == len(set(pdmpfrag.__all__))

@@ -7,9 +7,7 @@ import pytest
 from scipy import stats
 
 from pdmpfrag import (
-    CEMETERY,
     LogGrid,
-    HorizonExceeded,
     NotADensity,
     PowerLawKernel,
     RateSpec,
@@ -18,6 +16,7 @@ from pdmpfrag import (
     TauOracle,
     TrajectoryStatus,
     build_characteristics,
+    dyson_phillips,
     estimate_explosion_cdf,
     estimate_survival_mass,
     f_lambda_dual,
@@ -25,12 +24,18 @@ from pdmpfrag import (
     mass_upper_bound,
     path_rng,
     run_chains,
+    sample_state,
     simulate_chain,
-    state_at,
 )
 from pdmpfrag.density import GridDensity
 from pdmpfrag.oracles import explosion_cdf
-from pdmpfrag.simulate import _uniforms
+from pdmpfrag.simulate import (
+    _ABSORBED,
+    _PARKED,
+    _RUNNING,
+    _stratified_starts,
+    _uniforms,
+)
 from conftest import aligned_grid, power_model, unit_decay_model
 
 # Golden jump chain, frozen from a straight-line reference implementation of
@@ -242,32 +247,112 @@ def test_domain_exit_at_zero():
     # total elapsed time equals x0 plus nothing: the state travels at unit
     # speed and jumps are instantaneous, so exit happens exactly at t = x0...
     # jumps only shorten the remaining distance, hence t_exit <= x0
-    assert tr.jump_times[-1] <= 0.5 + 1e-12
-    assert state_at(tr, spec, tr.jump_times[-1] + 1.0) == 0.0
+    t_exit = tr.jump_times[-1]
+    assert t_exit <= 0.5 + 1e-12
+    # absorbed before t the path is dead; absorbed after t, alive at t on
+    # the orbit from its last jump
+    x_t, n_t, status = sample_state(spec, [0.5], t_exit + 1.0, seed=2)
+    assert np.isnan(x_t[0]) and status[0] == _ABSORBED
+    assert n_t[0] == len(tr.jump_times) - 2
+    t = 0.5 * (tr.jump_times[-2] + t_exit)
+    x_t, n_t, status = sample_state(spec, [0.5], t, seed=2)
+    assert status[0] == _ABSORBED and n_t[0] == len(tr.jump_times) - 2
+    assert abs(x_t[0] - (tr.positions[-2] - (t - tr.jump_times[-2]))) < 1e-12
 
 
-def test_state_at(pure_frag):
-    tr = simulate_chain(pure_frag, 1.0, seed=42, path_id=0, n_max=10)
-    assert state_at(tr, pure_frag, 0.0) == 1.0
-    # pure jump: constant between jumps
-    tmid = 0.5 * (tr.jump_times[1] + tr.jump_times[2])
-    assert state_at(tr, pure_frag, tmid) == tr.positions[1]
-    # past the recorded budget: possibly exploded
-    assert state_at(tr, pure_frag, tr.jump_times[-1] + 1.0) is CEMETERY
-    # growth g = x: exponential flow between jumps
-    spec = power_model("growth", alpha=0.0, beta=0.0, a=1.0)
-    trg = simulate_chain(spec, 1.0, seed=5, path_id=0, n_max=6)
-    t = 0.5 * (trg.jump_times[2] + trg.jump_times[3])
-    want = trg.positions[2] * math.exp(t - trg.jump_times[2])
-    assert abs(state_at(trg, spec, t) - want) < 1e-9 * want
+def test_sample_state(pure_frag):
+    # X(t) and N(t) are the chain's state between its jumps around t
+    x0s = np.full(20, 1.0)
+    assert np.array_equal(sample_state(pure_frag, x0s, 0.0, seed=42)[0], x0s)
+    for spec, t in ((pure_frag, 2.0),
+                    (power_model("growth", alpha=0.0, beta=0.0), 1.5)):
+        x_t, n_t, status = sample_state(spec, x0s, t, seed=42, n_max=50)
+        for p in range(len(x0s)):
+            tr = simulate_chain(spec, 1.0, seed=42, path_id=p, n_max=50,
+                                t_max=t)
+            n = n_t[p]
+            if np.isnan(x_t[p]):  # 50 jumps by t: possibly exploded
+                assert status[p] == _RUNNING and n == 50
+                assert tr.jump_times[n] <= t
+                continue
+            assert status[p] == _PARKED
+            assert tr.jump_times[n] <= t < tr.jump_times[n + 1]
+            # pure jump: constant between jumps; growth g = x: exponential
+            want = tr.positions[n] * (math.exp(t - tr.jump_times[n])
+                                      if spec is not pure_frag else 1.0)
+            assert abs(x_t[p] - want) <= 1e-12 * want
+    # past the jump budget a path may have exploded: no state, n_max jumps
+    x_t, n_t, status = sample_state(pure_frag, x0s, 100.0, seed=42, n_max=10)
+    assert np.all(np.isnan(x_t)) and np.all(n_t == 10)
+    assert np.all(status == _RUNNING)
 
 
-def test_state_at_horizon_guard(pure_frag):
+def test_sample_state_stops_at_t(pure_frag):
+    # a chain run to t_max = t ends in the step that takes it past t, and
+    # sample_state reads X(t) off the state before that step
     tr = simulate_chain(pure_frag, 1.0, seed=1, path_id=0, n_max=10_000,
                         t_max=0.5)
     assert tr.status is TrajectoryStatus.ALIVE_AT_HORIZON
-    with pytest.raises(HorizonExceeded):
-        state_at(tr, pure_frag, 2.0)
+    x_t, n_t, status = sample_state(pure_frag, [1.0], 0.5, seed=1)
+    assert status[0] == _PARKED and n_t[0] == len(tr.jump_times) - 2
+    assert x_t[0] == tr.positions[-2]
+    for t in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="t must lie"):
+            sample_state(pure_frag, [1.0], t, seed=1)
+
+
+# the law of X(t) and N(t) on g = x, phi = 1 from u0 uniform in m on [1, 2]:
+# stratified starts, seed 7, t = 4, against a Dyson-Phillips grid
+LAW_PATHS, LAW_SEED, LAW_T = 50_000, 7, 4.0
+
+
+@pytest.fixture(scope="module")
+def growth_law():
+    spec = power_model("growth", alpha=0.0, beta=0.0)
+    u0 = GridDensity.uniform_in_m(LogGrid(1e-6, 1e2, 256), 1.0, 2.0)
+    x0s = _stratified_starts(u0, LAW_PATHS, LAW_SEED, "survival")
+    return spec, u0, sample_state(spec, x0s, LAW_T, seed=LAW_SEED)
+
+
+def _z(share, p, n):
+    """(share - p) over the binomial SE of p, floored at 1/n."""
+    return (share - p) / np.maximum(np.sqrt(p * (1.0 - p) / n), 1.0 / n)
+
+
+def test_law_of_x_t_matches_the_grid(growth_law):
+    # P(t)u0 is the law of X(t) on {t < t_inf}: the share of paths in each
+    # group of 16 cells against the grid's mass there.  Only grid bins are
+    # compared: mass above x_max can fragment back onto the grid.  The bound
+    # was fixed before the run; seed 7 read 1.73
+    spec, u0, (x_t, _, _) = growth_law
+    grid = u0.grid
+    res, _ = dyson_phillips(spec, LAW_T, u0, N=60, n_s=64)
+    mc = np.histogram(x_t[~np.isnan(x_t)], bins=grid.edges[::16])[0]
+    z = _z(mc / LAW_PATHS, res.masses.reshape(16, 16).sum(axis=1), LAW_PATHS)
+    assert np.max(np.abs(z)) <= 4.0
+
+
+def test_law_of_n_t_is_poisson(growth_law):
+    # phi = 1: N(t) is Poisson(t) whatever the drift, the law the Dyson
+    # terms match (test_dyson_terms_are_the_jump_count_law); seed 7 read 3.25
+    _, _, (_, n_t, _) = growth_law
+    k = np.arange(20)
+    share = np.bincount(n_t, minlength=len(k))[:len(k)] / LAW_PATHS
+    z = _z(share, stats.poisson.pmf(k, LAW_T), LAW_PATHS)
+    assert np.max(np.abs(z)) <= 4.0
+
+
+@pytest.mark.parametrize("regime,alpha,beta", [
+    ("growth", 0.0, 0.0), ("pure_jump", -1.0, None)])
+def test_alive_share_is_the_survival_estimate(regime, alpha, beta):
+    # the same starts, seed and budget: sample_state's alive paths are the
+    # event estimate_survival_mass counts, bit for bit (1.0 and 0.50915)
+    spec = power_model(regime, alpha=alpha, beta=beta)
+    u0 = GridDensity.uniform_in_m(LogGrid(1e-6, 1e2, 256), 1.0, 2.0)
+    est = estimate_survival_mass(spec, u0, 4.0, 20_000, 2000, seed=7)
+    x0s = _stratified_starts(u0, 20_000, 7, "survival")
+    x_t, _, _ = sample_state(spec, x0s, 4.0, seed=7, n_max=2000)
+    assert float(np.mean(~np.isnan(x_t))) == est.value
 
 
 def test_explosion_cdf_estimator(pure_frag):
