@@ -27,7 +27,6 @@ from .characteristics import (
     Regime,
     SemiflowSpec,
     build_characteristics,
-    build_gq,
     cumulative_rate,
     flow,
     inverse_cumulative_rate,
@@ -91,7 +90,7 @@ __all__ = [
     "NonIntegrableRate", "NotADensity", "NumericalError", "OutOfRegime",
     "ClosedFormMap", "MonotoneMap", "TabulatedIntegralMap",
     "CharacteristicsSpec", "RateSpec", "Regime", "SemiflowSpec",
-    "build_characteristics", "build_gq", "cumulative_rate", "flow",
+    "build_characteristics", "cumulative_rate", "flow",
     "inverse_cumulative_rate", "post_flow_position",
     "CustomKernel", "HomogeneousKernel", "JumpKernel", "PowerLawKernel",
     "SeparableKernel",

@@ -28,33 +28,40 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class SemiflowSpec:
-    """Drift description.  ``g`` is the positive drift magnitude.
-
-    ``power_beta`` declares the closed-form family g(x) = x**(1 - beta)
-    (beta >= 0 growth, beta <= 0 decay); ``closed_form`` is an optional
-    (G, G_inverse) pair of callables overriding numeric construction.
-    """
+    """Drift: the positive magnitude ``g`` or ``power_beta`` for the family
+    g(x) = x**(1 - beta) (beta >= 0 growth, beta <= 0 decay), exactly one of
+    them, the one G comes from; pure jump takes neither."""
 
     regime: Regime
     g: object = None
     power_beta: float | None = None
-    closed_form: tuple | None = None
+
+    def __post_init__(self):
+        given = (self.g is not None) + (self.power_beta is not None)
+        if given != (self.regime is not Regime.PURE_JUMP):
+            raise ValueError("growth and decay take exactly one of g and "
+                             "power_beta, pure jump neither")
 
     def g_eval(self, x):
-        if self.power_beta is not None and self.g is None:
+        if self.g is None:
             return np.asarray(x, dtype=float) ** (1.0 - self.power_beta)
         return self.g(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
 class RateSpec:
-    """Jump rate phi >= 0; ``power`` tags the family phi(x) = a * x**alpha."""
+    """Jump rate phi >= 0: a callable ``phi``, or ``power`` for the family
+    phi(x) = a * x**alpha; exactly one, the one Q comes from."""
 
     phi: object = None
     power: tuple | None = None  # (a, alpha)
 
+    def __post_init__(self):
+        if (self.phi is None) == (self.power is None):
+            raise ValueError("a rate takes exactly one of phi and power")
+
     def phi_eval(self, x):
-        if self.power is not None and self.phi is None:
+        if self.phi is None:
             a, alpha = self.power
             return a * np.asarray(x, dtype=float) ** alpha
         return self.phi(np.asarray(x, dtype=float))
@@ -115,36 +122,34 @@ class CharacteristicsSpec:
 
 def _divergence_flag(vmap, regime):
     """asGQ/asGQd: the map's integral must diverge where the orbit heads
-    (+inf for growth, 0 for decay); "declared" when the map has no limits."""
+    (+inf for growth, 0 for decay)."""
     far = vmap.limit_inf if regime is Regime.GROWTH else vmap.limit_zero
-    if far is None:
-        return "declared"
     return "failed" if np.isfinite(far) else "verified"
 
 
-def build_gq(semiflow: SemiflowSpec, rate: RateSpec, *, domain=DEFAULT_DOMAIN):
-    """Construct the monotone maps G (of 1/g) and Q (of phi/g).
+def build_characteristics(semiflow, rate, kernel=None, *, domain=DEFAULT_DOMAIN):
+    """Assemble a CharacteristicsSpec with the maps G (of 1/g) and Q (of phi/g).
 
-    Closed forms where the model declares them, tabulations otherwise.
-    Anchors follow the orbit's direction: the endpoint (0 for growth, +inf
-    for decay) when the integral converges there, otherwise 1.
+    The power map where the model gives power families, tabulations
+    otherwise.  Anchors follow the orbit's direction: the endpoint (0 for
+    growth, +inf for decay) when the integral converges there, otherwise 1.
     """
     regime = semiflow.regime
-    if regime is Regime.PURE_JUMP:
-        raise ValueError("build_gq applies to growth/decay regimes only")
-    orientation = "from_below" if regime is Regime.GROWTH else "from_above"
-
-    # sanity: g > 0 at sample points
     xs = np.geomspace(domain[0], domain[1], 64)
+    if regime is Regime.PURE_JUMP:
+        phis = rate.phi_eval(xs)
+        if np.any(phis < 0):
+            raise DomainError("phi must be nonnegative")
+        flag = "verified" if np.all(phis > 0) else "failed"
+        return CharacteristicsSpec(semiflow, rate, kernel, None, None,
+                                   domain, {"phi_positive": flag})
+    orientation = "from_below" if regime is Regime.GROWTH else "from_above"
     gx = semiflow.g_eval(xs)
     if np.any(~np.isfinite(gx)) or np.any(gx <= 0):
         raise DomainError("g must be positive on the working domain")
 
     beta = semiflow.power_beta
-    if semiflow.closed_form is not None:
-        G = ClosedFormMap(*semiflow.closed_form,
-                          direction=+1 if regime is Regime.GROWTH else -1)
-    elif beta is not None:
+    if beta is not None:
         G = _power_map(1.0, beta, orientation)
     else:
         G = TabulatedIntegralMap(lambda x: 1.0 / semiflow.g_eval(x),
@@ -160,22 +165,9 @@ def build_gq(semiflow: SemiflowSpec, rate: RateSpec, *, domain=DEFAULT_DOMAIN):
             lambda x: rate.phi_eval(x) / semiflow.g_eval(x),
             orientation=orientation, domain=domain)
 
-    return G, Q, {"G": _divergence_flag(G, regime),
-                  "Q": _divergence_flag(Q, regime)}
-
-
-def build_characteristics(semiflow, rate, kernel=None, *, domain=DEFAULT_DOMAIN):
-    """Assemble a CharacteristicsSpec, tabulating G and Q when needed."""
-    if semiflow.regime is Regime.PURE_JUMP:
-        xs = np.geomspace(domain[0], domain[1], 64)
-        phis = rate.phi_eval(xs)
-        if np.any(phis < 0):
-            raise DomainError("phi must be nonnegative")
-        flag = "verified" if np.all(phis > 0) else "failed"
-        return CharacteristicsSpec(semiflow, rate, kernel, None, None,
-                                   domain, {"phi_positive": flag})
-    G, Q, divergence = build_gq(semiflow, rate, domain=domain)
-    return CharacteristicsSpec(semiflow, rate, kernel, G, Q, domain, divergence)
+    return CharacteristicsSpec(semiflow, rate, kernel, G, Q, domain,
+                               {"G": _divergence_flag(G, regime),
+                                "Q": _divergence_flag(Q, regime)})
 
 
 # -- flow and holding-time machinery ---------------------------------------
@@ -191,10 +183,9 @@ def flow_vec(spec, t, x):
         return np.broadcast_to(x, np.broadcast(x, t).shape).copy(), \
             np.zeros(np.broadcast(x, t).shape, dtype=bool)
     gx = spec.G(x) + t
-    g0 = spec.G.limit_zero if spec.regime is Regime.DECAY else None
-    absorbed = np.zeros(np.shape(gx), dtype=bool)
-    if g0 is not None and np.isfinite(g0):
-        absorbed = np.asarray(gx > g0)
+    # a growth orbit never reaches 0, nor does a decay one with G(0+) = inf
+    g0 = spec.G.limit_zero if spec.regime is Regime.DECAY else np.inf
+    absorbed = np.asarray(gx > g0)
     return np.where(absorbed, 0.0, spec.G.inverse(gx)), absorbed
 
 
@@ -253,8 +244,7 @@ def _holding(spec, x, eps):
     qx = spec.Q(x)
     absorbed = eps > (lim - qx) if lim < np.inf else np.zeros(len(x), bool)
     any_absorbed, g0 = absorbed.any(), spec.G.limit_zero
-    if any_absorbed and (regime is Regime.GROWTH or g0 is None
-                         or not np.isfinite(g0)):
+    if any_absorbed and (regime is Regime.GROWTH or not np.isfinite(g0)):
         raise InfiniteHolding(
             "cumulative rate along the orbit is bounded; check asGQ/asGQd")
     x_pre = spec.Q.inverse(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import KernelDomain, NoDensity
-from .monotone import TabulatedIntegralMap
+from .monotone import ClosedFormMap, TabulatedIntegralMap
 
 Q_MIN = 2.0 ** -53  # clamp for uniform variates: measure-zero endpoints
 
@@ -46,9 +46,9 @@ class JumpKernel:
 class HomogeneousKernel(JumpKernel):
     """Homogeneous kernel b(x,y) = h(x/y)/y for a general normalized h.
 
-    The three maps come from the fraction density h, its CDF
-    H(r) = int_0^r h(z) z dz (``ratio_cdf``) and H^{<-} (``ratio_inverse``):
-    kappa(q, x) = H^{<-}(q) x and J(x, (0, r]) = H(r / x).
+    The three maps come from the fraction density h and the monotone map
+    ``H`` of its CDF H(r) = int_0^r h(z) z dz: kappa(q, x) = H^{<-}(q) x
+    and J(x, (0, r]) = H(r / x).
     """
 
     def __init__(self, h):
@@ -59,21 +59,13 @@ class HomogeneousKernel(JumpKernel):
     def h(self, z):
         return self.h_fn(np.asarray(z, dtype=float))
 
-    def ratio_cdf(self, x, r):
-        """H_x(r): probability that a daughter is below r*x, r in [0,1]."""
-        return self.H(np.asarray(r, dtype=float))
-
-    def ratio_inverse(self, x, q):
-        """H_x^{<-}(q), generalized inverse of the fraction CDF."""
-        return self.H.inverse(q)
-
     def _kappa(self, q, x):
-        return self.ratio_inverse(x, q) * x
+        return self.H.inverse(q) * x
 
     def fragment_cdf(self, x, r):
         x = np.asarray(x, dtype=float)
         r = np.asarray(r, dtype=float)
-        return self.ratio_cdf(x, np.clip(r / x, 0.0, 1.0))
+        return self.H(np.clip(r / x, 0.0, 1.0))
 
     def b(self, x, y):
         """Daughter-size density b(x, y) = h(x/y)/y (zero for x >= y)."""
@@ -92,15 +84,12 @@ class PowerLawKernel(HomogeneousKernel):
         if nu <= -2:
             raise ValueError("need nu > -2 for a normalizable kernel")
         self.nu = float(nu)
+        p = self.nu + 2.0
+        self.H = ClosedFormMap(lambda r: r ** p, lambda q: q ** (1.0 / p),
+                               direction=+1, limit_zero=0.0, limit_inf=np.inf)
 
     def h(self, z):
         return (self.nu + 2.0) * np.asarray(z, dtype=float) ** self.nu
-
-    def ratio_cdf(self, x, r):
-        return np.asarray(r, dtype=float) ** (self.nu + 2.0)
-
-    def ratio_inverse(self, x, q):
-        return np.asarray(q, dtype=float) ** (1.0 / (self.nu + 2.0))
 
 
 class SeparableKernel(JumpKernel):

@@ -69,14 +69,10 @@ def endpoint_integral(f, x0, side):
 class MonotoneMap:
     """Common interface: vectorized forward map and generalized inverse.
 
-    ``direction`` is +1 for increasing, -1 for decreasing maps.
-    ``limit_zero`` / ``limit_inf`` are the values approached at the
-    endpoints of (0, inf) (possibly +-inf).
+    Every map states ``direction``, +1 for increasing and -1 for decreasing
+    maps, and the floats ``limit_zero`` / ``limit_inf``, the values
+    approached at the endpoints of (0, inf) (possibly +-inf).
     """
-
-    direction = +1
-    limit_zero = None
-    limit_inf = None
 
     def __call__(self, x):
         raise NotImplementedError
@@ -94,13 +90,12 @@ class MonotoneMap:
 class ClosedFormMap(MonotoneMap):
     """Monotone map given by explicit forward/inverse callables."""
 
-    def __init__(self, forward, inverse, direction=+1, limit_zero=None,
-                 limit_inf=None):
+    def __init__(self, forward, inverse, *, direction, limit_zero, limit_inf):
         self._forward = forward
         self._inverse = inverse
         self.direction = int(direction)
-        self.limit_zero = limit_zero
-        self.limit_inf = limit_inf
+        self.limit_zero = float(limit_zero)
+        self.limit_inf = float(limit_inf)
 
     def __call__(self, x):
         return self._forward(np.asarray(x, dtype=float))

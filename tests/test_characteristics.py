@@ -6,17 +6,20 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import pdmpfrag
 from pdmpfrag import (
+    ClosedFormMap,
     DomainError,
     DomainExit,
+    HomogeneousKernel,
     InfiniteHolding,
     NonIntegrableRate,
     PowerLawKernel,
     RateSpec,
     Regime,
     SemiflowSpec,
+    SeparableKernel,
     build_characteristics,
-    build_gq,
     cumulative_rate,
     flow,
     inverse_cumulative_rate,
@@ -67,17 +70,18 @@ def test_build_gq_decay_closed_q():
 
 def test_build_gq_rejects_nonpositive_g():
     with pytest.raises(DomainError):
-        build_gq(SemiflowSpec(regime=Regime.GROWTH,
-                              g=lambda x: -np.ones_like(np.asarray(x, float))),
-                 RateSpec(power=(1.0, 0.0)))
+        build_characteristics(
+            SemiflowSpec(regime=Regime.GROWTH,
+                         g=lambda x: -np.ones_like(np.asarray(x, float))),
+            RateSpec(power=(1.0, 0.0)))
 
 
 def test_build_gq_rejects_wrong_sign_power():
     # decay with g = x^{1-beta}, beta = 1 means 1/g integrand x^{-0} ... the
     # from-above power map diverges at 0 only for p < 0; p > 0 is rejected
     with pytest.raises(NonIntegrableRate):
-        build_gq(SemiflowSpec(regime=Regime.DECAY, power_beta=1.0),
-                 RateSpec(power=(1.0, -1.0)))
+        build_characteristics(SemiflowSpec(regime=Regime.DECAY, power_beta=1.0),
+                              RateSpec(power=(1.0, -1.0)))
 
 
 def test_divergence_flags():
@@ -85,15 +89,73 @@ def test_divergence_flags():
     assert growth_ok.divergence == {"G": "verified", "Q": "verified"}
     pj = power_model("pure_jump", alpha=-1.0)
     assert pj.divergence == {"phi_positive": "verified"}
-    # a user closed form states no limits, so its flag is only declared; Q
-    # of phi/g = 1/x is tabulated and diverges at infinity
-    declared = build_characteristics(
-        SemiflowSpec(regime=Regime.GROWTH, g=lambda x: np.asarray(x, float),
-                     closed_form=(np.log, np.exp)),
-        RateSpec(power=(1.0, 0.0)), PowerLawKernel(0.0))
-    assert declared.divergence == {"G": "declared", "Q": "verified"}
     # unit-speed decay reaches 0: both integrals converge there
     assert unit_decay_model().divergence == {"G": "failed", "Q": "failed"}
+
+
+def _x(x):
+    return np.asarray(x, float)
+
+
+def _one(x):
+    return np.ones_like(_x(x))
+
+
+# each characteristic from exactly one source: both or neither is refused
+TWO_SOURCES = {
+    "growth-g-and-beta": lambda: SemiflowSpec(
+        regime=Regime.GROWTH, g=lambda x: 2 * x, power_beta=0.0),
+    "decay-g-and-beta": lambda: SemiflowSpec(
+        regime=Regime.DECAY, g=_one, power_beta=-1.0),
+    "growth-neither": lambda: SemiflowSpec(regime=Regime.GROWTH),
+    "decay-neither": lambda: SemiflowSpec(regime=Regime.DECAY),
+    "pure-jump-g": lambda: SemiflowSpec(regime=Regime.PURE_JUMP, g=_one),
+    "pure-jump-beta": lambda: SemiflowSpec(regime=Regime.PURE_JUMP,
+                                           power_beta=0.0),
+    "rate-phi-and-power": lambda: RateSpec(phi=lambda x: 2 * x,
+                                           power=(1.0, 1.0)),
+    "rate-neither": lambda: RateSpec(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_SOURCES))
+def test_one_source_per_characteristic(name):
+    # unrefused, G and Q came from the power tags while g and phi evaluated
+    # the callables: phi(1) = 2 but Q(2) - Q(1) = 1, g(1) = 2 but
+    # G(e) - G(1) = 1
+    with pytest.raises(ValueError, match="exactly one"):
+        TWO_SOURCES[name]()
+
+
+def test_every_model_map_states_its_limits():
+    # G, Q and each kernel's H or Lam state float limits at 0 and inf, so
+    # every asGQ/asGQd flag is read off a limit: verified or failed
+    specs = [power_model("pure_jump", alpha=-1.0),
+             power_model("pure_jump", alpha=0.0),
+             power_model("growth", alpha=0.5, beta=0.5),
+             power_model("growth", alpha=-1.0, beta=1.0, nu=-1.5),
+             power_model("decay", alpha=-1.0, beta=0.0, nu=1.0),
+             power_model("decay", alpha=0.0, beta=-1.0),
+             unit_decay_model(),
+             _tabulated_model(Regime.GROWTH, _x, _one),
+             _tabulated_model(Regime.GROWTH, lambda x: _x(x) ** 0.5,
+                              lambda x: 2.0 * _x(x) ** 0.5),
+             _tabulated_model(Regime.GROWTH, _x, lambda x: np.exp(-_x(x))),
+             _tabulated_model(Regime.DECAY, _one, lambda x: 2.0 / _x(x))]
+    maps = [HomogeneousKernel(lambda z: 2.0 * _one(z)).H,
+            SeparableKernel(_one).Lam]
+    for spec in specs:
+        assert set(spec.divergence.values()) <= {"verified", "failed"}
+        maps.append(spec.kernel.H)
+        if spec.G is not None:
+            maps += [spec.G, spec.Q]
+    for vmap in maps:
+        assert isinstance(vmap.limit_zero, float)
+        assert isinstance(vmap.limit_inf, float)
+    with pytest.raises(TypeError):
+        ClosedFormMap(np.log, np.exp)
+    assert not hasattr(pdmpfrag, "build_gq")
+    assert "build_gq" not in pdmpfrag.__all__
 
 
 @pytest.mark.parametrize("p", [-1.5, -1.0, 0.0, 0.5, 1.0])
@@ -178,16 +240,12 @@ def test_inverse_cumulative_rate_constant_rate_growth():
 
 
 def test_inverse_cumulative_rate_decay_closed_form():
-    # unit-drift decay (g = 1 via closed-form G), phi = a/x:
-    # Q(x) = -a log x, so the holding time is x (1 - e^{-q/a})
+    # unit-drift decay (g = 1, tabulated G), phi = a/x: Q(x) = -a log x, so
+    # the holding time is x (1 - e^{-q/a})
     a = 2.0
-    semiflow = SemiflowSpec(
-        regime=Regime.DECAY, g=lambda x: np.ones_like(np.asarray(x, float)),
-        closed_form=(lambda x: -np.asarray(x, float),
-                     lambda q: -np.asarray(q, float)))
-    spec = build_characteristics(semiflow,
-                                 RateSpec(phi=lambda x: a / np.asarray(x, float)),
-                                 PowerLawKernel(0.0))
+    spec = _tabulated_model(Regime.DECAY,
+                            lambda x: np.ones_like(np.asarray(x, float)),
+                            lambda x: a / np.asarray(x, float))
     got = inverse_cumulative_rate(spec, 1.0, 1.0)
     assert abs(got - (1.0 - math.exp(-1.0 / a))) < 1e-8
 

@@ -16,7 +16,6 @@ from pdmpfrag import (
     TabulatedIntegralMap,
     TauOracle,
     build_characteristics,
-    build_gq,
     embedded_kernel,
     resolvent_series,
     run_chains,
@@ -53,11 +52,9 @@ CALLS = {
     "tabulated-anchor-0-from-above": (ValueError, lambda: TabulatedIntegralMap(
         lambda x: np.asarray(x, float) ** -2, orientation="from_above",
         anchor=0.0, domain=(0.5, 2.0), n_nodes=16)),
-    "build_gq-pure-jump": (ValueError, lambda: build_gq(
-        SemiflowSpec(regime=Regime.PURE_JUMP), RateSpec(power=(1.0, 0.0)))),
-    "power-rate-a-0": (DomainError, lambda: build_gq(
+    "power-rate-a-0": (DomainError, lambda: build_characteristics(
         GROWTH, RateSpec(power=(0.0, 0.0)))),
-    "power-rate-a-negative": (DomainError, lambda: build_gq(
+    "power-rate-a-negative": (DomainError, lambda: build_characteristics(
         GROWTH, RateSpec(power=(-1.0, 0.0)))),
     "pure-jump-negative-phi": (DomainError, lambda: build_characteristics(
         SemiflowSpec(regime=Regime.PURE_JUMP), RateSpec(phi=lambda x: -_one(x)))),

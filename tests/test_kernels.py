@@ -65,7 +65,7 @@ def test_homogeneous_tabulated_matches_power():
     k = HomogeneousKernel(lambda z: 2.0 * np.ones_like(np.asarray(z, float)))
     assert abs(float(k.H(np.array([1.0]))[0]) - 1.0) < 1e-10
     qs = np.array([0.1, 0.25, 0.5, 0.9])
-    got = k.ratio_inverse(1.0, qs)
+    got = k.H.inverse(qs)
     assert np.max(np.abs(got - np.sqrt(qs))) < 1e-9
 
 
@@ -104,13 +104,16 @@ def test_kernel_domain_and_no_density_errors():
 
 def test_kernels_are_three_maps():
     # the base holds the guarded sample, p = b / y and a fragment_cdf that
-    # raises NoDensity; the ratio maps and the h-based b belong to the
-    # homogeneous kernels, and no other kernel overrides p
+    # raises NoDensity; the h-based b belongs to the homogeneous kernels,
+    # which read their ratio CDF only through the map H, and no other kernel
+    # overrides p
     assert {"sample", "transition_density", "fragment_cdf"} <= set(vars(JumpKernel))
-    assert not {"ratio_cdf", "ratio_inverse", "b", "h"} & set(vars(JumpKernel))
+    assert not {"b", "h"} & set(vars(JumpKernel))
+    for cls in (JumpKernel, HomogeneousKernel, PowerLawKernel, SeparableKernel,
+                CustomKernel):
+        assert not hasattr(cls, "ratio_cdf") and not hasattr(cls, "ratio_inverse")
     for cls in (SeparableKernel, CustomKernel):
-        assert not {"ratio_cdf", "ratio_inverse",
-                    "transition_density"} & set(vars(cls))
+        assert "transition_density" not in vars(cls)
     for cls in (HomogeneousKernel, SeparableKernel, CustomKernel):
         assert {"_kappa", "b"} <= set(vars(cls))
     assert PowerLawKernel.b is HomogeneousKernel.b

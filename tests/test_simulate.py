@@ -342,6 +342,25 @@ def test_law_of_n_t_is_poisson(growth_law):
     assert np.max(np.abs(z)) <= 4.0
 
 
+def test_jump_count_law_matches_the_dyson_terms(pure_frag):
+    # phi = 1/x shatters: term k of the Dyson sum is the mass alive at t
+    # with N(t) = k.  The bound, fixed before the run, is 4 SE plus the
+    # change of term k from n_s = 64 to 128; seed 7 read 0.49 of it
+    u0 = GridDensity.uniform_in_m(LogGrid(1e-6, 1e2, 256), 1.0, 2.0)
+    x0s = _stratified_starts(u0, LAW_PATHS, LAW_SEED, "survival")
+    x_t, n_t, _ = sample_state(pure_frag, x0s, LAW_T, seed=LAW_SEED,
+                               n_max=10_000)
+    k = np.arange(12)
+    share = np.bincount(n_t[~np.isnan(x_t)], minlength=len(k))[k] / LAW_PATHS
+    terms = {n_s: np.asarray(dyson_phillips(pure_frag, LAW_T, u0, N=60,
+                                            n_s=n_s)[1].term_norms)[k]
+             for n_s in (64, 128)}
+    se = np.maximum(np.sqrt(terms[128] * (1.0 - terms[128]) / LAW_PATHS),
+                    1.0 / LAW_PATHS)
+    bound = 4.0 * se + np.abs(terms[128] - terms[64])
+    assert np.all(np.abs(share - terms[128]) <= bound)
+
+
 @pytest.mark.parametrize("regime,alpha,beta", [
     ("growth", 0.0, 0.0), ("pure_jump", -1.0, None)])
 def test_alive_share_is_the_survival_estimate(regime, alpha, beta):
