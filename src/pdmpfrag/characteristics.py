@@ -59,6 +59,8 @@ class RateSpec:
     def __post_init__(self):
         if (self.phi is None) == (self.power is None):
             raise ValueError("a rate takes exactly one of phi and power")
+        if self.power is not None and not np.all(np.isfinite(self.power)):
+            raise ValueError(f"power (a, alpha) must be finite: {self.power}")
 
     def phi_eval(self, x):
         if self.phi is None:
@@ -138,7 +140,7 @@ def build_characteristics(semiflow, rate, kernel=None, *, domain=DEFAULT_DOMAIN)
     xs = np.geomspace(domain[0], domain[1], 64)
     if regime is Regime.PURE_JUMP:
         phis = rate.phi_eval(xs)
-        if np.any(phis < 0):
+        if not np.all(phis >= 0):  # NaN too
             raise DomainError("phi must be nonnegative")
         flag = "verified" if np.all(phis > 0) else "failed"
         return CharacteristicsSpec(semiflow, rate, kernel, None, None,

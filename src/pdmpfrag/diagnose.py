@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristics import Regime, _holding
+from .characteristics import Regime, _check_states, _holding
 from .density import _BOperator
 from .errors import NonConvergent, OutOfRegime
 from .monotone import gauss_panels
@@ -60,51 +60,37 @@ class Classification:
                          "{n_iter},{half_gap:.10g}\n".format(**row))
 
 
-def _laplace_weights(spec, lams, x0s, n_iter, *, seed):
-    """w[l, k, p] = e^{-lams[l] t_n} of path p at n = n_iter//2, n_iter - 1
-    and n_iter (k = 0, 1, 2), from one ``run_chains`` batch over ``x0s``.
+def _laplace_table(spec, lams, x0s, n_paths, n_iter, *, seed):
+    """(f_hat, se, decrement, half_gap), each (len(lams), len(x0s)), of the
+    weights e^{-lams[l] t_n} at n = n_iter//2, n_iter - 1 and n_iter, from
+    one ``run_chains`` batch.  A row of ``x0s``, one start run n_paths times
+    or n_paths starts, is a group: f_hat and se are the mean and standard
+    error of its last weights, decrement and half_gap the means of their
+    drop from the previous and the half-budget checkpoint.
 
     Path p keeps path id p, so its stream does not depend on the lambdas.
     Paths are parked past 745 / min(lams), where every weight underflows.
-    A path absorbed at 0 by its n-th step has t_n = inf and weighs 0 from
-    that checkpoint on.
     """
+    if n_paths < 2:  # the standard error of a mean takes two paths
+        raise ValueError("need n_paths >= 2 for a standard error")
     lams = np.asarray(lams, dtype=float)
     if not (lams.size and np.all((lams > 0) & (lams < np.inf))) or n_iter < 1:
         raise ValueError(f"need finite lambdas > 0 (got {lams.tolist()}) and "
                          f"n_iter >= 1 (got {n_iter})")
     cps = (max(1, n_iter // 2), max(1, n_iter - 1), n_iter)
     times, _, status, cp_list = run_chains(
-        spec, x0s, seed=seed, n_max=n_iter, checkpoints=cps,
-        t_stop=745.0 / np.min(lams))
+        spec, np.broadcast_to(x0s, (len(x0s), n_paths)).ravel(), seed=seed,
+        n_max=n_iter, checkpoints=cps, t_stop=745.0 / np.min(lams))
     times = times[[cp_list.index(c) for c in cps]]
-    w = np.exp(-lams[:, None, None] * times)
-    # absorbed at 0: the checkpoints from the absorbing step on repeat the
-    # absorption time; earlier ones lie below it
-    w[:, (status == _ABSORBED) & (times == times[-1])] = 0.0
-    return w
-
-
-def _need_two_paths(n_paths):
-    """The standard error of a mean takes at least two paths."""
-    if n_paths < 2:
-        raise ValueError("need n_paths >= 2 for a standard error")
-
-
-def _probe_estimates(w, lam, probes, n_iter, n_paths):
-    """One Estimate per probe from the weights ``w[k, p]`` of one lambda,
-    probe i owning paths i*n_paths .. (i+1)*n_paths - 1."""
-    out = []
-    for i, x0 in enumerate(probes):
-        w_half, w_prev, w_full = w[:, i * n_paths:(i + 1) * n_paths]
-        out.append(Estimate(
-            float(np.mean(w_full)),
-            float(np.std(w_full, ddof=1) / math.sqrt(n_paths)), n_paths, {
-                "x": float(x0), "lambda": float(lam), "n_iter": int(n_iter),
-                "decrement": float(np.mean(w_prev - w_full)),
-                "half_gap": float(np.mean(w_half - w_full)),
-            }))
-    return out
+    # a path absorbed at 0 by its n-th step has t_n = inf: the checkpoints
+    # from that step on repeat the absorption time, earlier ones lie below it
+    times[(status == _ABSORBED) & (times == times[-1])] = np.inf
+    w_half, w_prev, w_full = np.exp(-lams[:, None, None]
+                                    * times.reshape(3, 1, -1, n_paths))
+    return (np.mean(w_full, axis=-1),
+            np.std(w_full, axis=-1, ddof=1) / math.sqrt(n_paths),
+            np.mean(w_prev - w_full, axis=-1),
+            np.mean(w_half - w_full, axis=-1))
 
 
 def f_lambda_dual(spec, lam, probes, n_iter, n_paths=400, *, seed=0):
@@ -116,11 +102,13 @@ def f_lambda_dual(spec, lam, probes, n_iter, n_paths=400, *, seed=0):
     diagnostics carry the last-step decrement and the half-budget
     convergence gap.
     """
-    _need_two_paths(n_paths)
     probes = np.asarray(probes, dtype=float)
-    w = _laplace_weights(spec, [lam], np.repeat(probes, n_paths), n_iter,
-                         seed=seed)
-    return _probe_estimates(w[0], lam, probes, n_iter, n_paths)
+    f_hat, se, dec, gap = _laplace_table(
+        spec, [lam], probes.reshape(-1, 1), n_paths, n_iter, seed=seed)
+    return [Estimate(float(f_hat[0, i]), float(se[0, i]), n_paths, {
+        "x": float(x0), "lambda": float(lam), "n_iter": int(n_iter),
+        "decrement": float(dec[0, i]), "half_gap": float(gap[0, i])})
+        for i, x0 in enumerate(probes)]
 
 
 def f_lambda_grid(spec, lam, grid, n_iter):
@@ -150,13 +138,12 @@ def dual_pairing(spec, lam, u, n_iter, n_paths, *, seed=0):
     estimate is the u-average of e^{-lambda t_{n_iter}} (an upper bound,
     decreasing to the pairing as n_iter grows).
     """
-    _need_two_paths(n_paths)
     x0s = _stratified_starts(u, n_paths, seed, "pairing")
-    w = _laplace_weights(spec, [lam], x0s, n_iter, seed=seed)[0, -1]
-    val = float(np.mean(w)) * u.grid_mass
-    se = float(np.std(w, ddof=1) / math.sqrt(n_paths)) * u.grid_mass
-    return Estimate(val, se, n_paths, {"lambda": float(lam),
-                                       "n_iter": int(n_iter)})
+    f_hat, se, _, _ = _laplace_table(spec, [lam], x0s[None], n_paths,
+                                     n_iter, seed=seed)
+    return Estimate(float(f_hat[0, 0]) * u.grid_mass,
+                    float(se[0, 0]) * u.grid_mass, n_paths,
+                    {"lambda": float(lam), "n_iter": int(n_iter)})
 
 
 def classify(spec, lam_grid=DEFAULT_LAMBDAS, probe_grid=None, budgets=None,
@@ -180,23 +167,23 @@ def classify(spec, lam_grid=DEFAULT_LAMBDAS, probe_grid=None, budgets=None,
     if probe_grid.size == 0:
         raise ValueError("need at least one probe")
     budgets = dict(budgets or {})
+    unknown = sorted(map(str, set(budgets) - {"n_iter", "n_paths"}))
+    if unknown:
+        raise ValueError(f"unknown budgets {unknown}; allowed: n_iter, n_paths")
     n_paths = int(budgets.get("n_paths", 400))
     n_iter = int(budgets.get("n_iter", 400))
-    _need_two_paths(n_paths)
-
-    w = _laplace_weights(spec, lam_grid, np.repeat(probe_grid, n_paths),
-                         n_iter, seed=seed)
-    evidence = []
-    for lam, w_lam in zip(lam_grid, w):
-        last = _probe_estimates(w_lam, lam, probe_grid, n_iter, n_paths)
-        evidence += [{"lam": e.diagnostics["lambda"], "x": e.diagnostics["x"],
-                      "f_hat": e.value, "se": e.std_error, "n_iter": n_iter,
-                      "half_gap": e.diagnostics["half_gap"]} for e in last]
+    f_hat, se, _, gap = _laplace_table(
+        spec, lam_grid, probe_grid.reshape(-1, 1), n_paths, n_iter, seed=seed)
+    evidence = [{"lam": lam, "x": float(x), "f_hat": float(f_hat[j, i]),
+                 "se": float(se[j, i]), "n_iter": n_iter,
+                 "half_gap": float(gap[j, i])}
+                for j, lam in enumerate(lam_grid)
+                for i, x in enumerate(probe_grid)]
     decision = {
         "eps_s": EPS_S, "eps_ss": EPS_SS, "eps_conv": EPS_CONV,
-        "max_upper_ci": max(e.value + 3.0 * e.std_error for e in last),
-        "min_lower_ci": min(e.value - 3.0 * e.std_error for e in last),
-        "max_half_gap": max(e.diagnostics["half_gap"] for e in last)}
+        "max_upper_ci": float(np.max(f_hat[-1] + 3.0 * se[-1])),
+        "min_lower_ci": float(np.min(f_hat[-1] - 3.0 * se[-1])),
+        "max_half_gap": float(np.max(gap[-1]))}
     if decision["max_upper_ci"] < EPS_S:
         verdict = Verdict.STOCHASTIC
     elif decision["min_lower_ci"] > 1.0 - EPS_SS and \
@@ -233,6 +220,7 @@ class EmbeddedKernel:
     def _expect(self, F, y, s):
         """(Q(s) - Q(y), E_y[F(Z); Z > s]) for starts ``s >= y``; ``F`` maps
         the (len(s), nodes) array of pre-jump positions to values."""
+        _check_states(y)
         n = len(_LAG_X)
         dt, z, _ = _holding(self.spec, np.repeat(s, n),
                             np.tile(_LAG_X, len(s)))
@@ -348,8 +336,8 @@ def classify_power_family(alpha, beta, a, h, regime=None) -> Classification:
     fail for (alpha, beta).
     """
     alpha, beta, a = float(alpha), float(beta), float(a)
-    if a <= 0:
-        raise OutOfRegime("need a > 0")
+    if not (math.isfinite(alpha) and math.isfinite(beta) and 0 < a < math.inf):
+        raise OutOfRegime("need finite alpha, beta and a > 0")
     if regime is None:
         regime = "growth" if (beta > 0 or (beta == 0 and alpha >= 0)) else "decay"
     if regime not in ("growth", "decay"):

@@ -81,8 +81,8 @@ class PowerLawKernel(HomogeneousKernel):
     and its inverse in closed form, no table."""
 
     def __init__(self, nu=0.0):
-        if nu <= -2:
-            raise ValueError("need nu > -2 for a normalizable kernel")
+        if not -2 < nu < np.inf:  # NaN too
+            raise ValueError(f"need finite nu > -2 (got nu = {nu})")
         self.nu = float(nu)
         p = self.nu + 2.0
         self.H = ClosedFormMap(lambda r: r ** p, lambda q: q ** (1.0 / p),

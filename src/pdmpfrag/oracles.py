@@ -22,6 +22,14 @@ from .monotone import endpoint_integral, gauss_panels
 _PROD_FLOOR = 1e-16  # series truncation: remaining factors below this are noise
 
 
+def _check_family(params, rate_power):
+    """Refuse nu outside (-2, inf), or ``rate_power`` or a outside (0, inf)."""
+    for name, low in (("nu", -2.0), (rate_power, 0.0), ("a", 0.0)):
+        if not low < getattr(params, name) < math.inf:  # NaN too
+            raise OutOfRegime(f"need finite {name} > {low:g} "
+                              f"(got {name} = {getattr(params, name)})")
+
+
 @dataclass(frozen=True)
 class TauOracle:
     """Pure-fragmentation power family: h(z)=(nu+2)z^nu, phi(x)=a x^{-gamma}."""
@@ -31,10 +39,7 @@ class TauOracle:
     a: float = 1.0
 
     def __post_init__(self):
-        if self.nu <= -2:
-            raise OutOfRegime("need nu > -2")
-        if self.gamma <= 0 or self.a <= 0:
-            raise OutOfRegime("need gamma > 0 and a > 0")
+        _check_family(self, "gamma")
 
     @property
     def shape(self):
@@ -58,6 +63,9 @@ class GrowthTauParams:
     nu: float = 0.0
     beta: float = 1.0
     a: float = 1.0
+
+    def __post_init__(self):
+        _check_family(self, "beta")
 
 
 def tau_tail(oracle: TauOracle, q) -> float:

@@ -352,6 +352,23 @@ def test_classify_one_path_exit_2(tmp_path):
     assert not (tmp_path / "o" / "verdict.csv").exists()
 
 
+@pytest.mark.parametrize("action,old,new", [
+    ("classify", "nu: 0.0}", "nu: .nan}"),
+    ("simulate", "a: 1.0, alpha: -1.0}", "a: .nan, alpha: -1.0}")],
+    ids=["classify-nu", "simulate-a"])
+def test_non_finite_model_parameter_exit_2(tmp_path, action, old, new):
+    # unchecked, classify wrote StronglyStable from Monte Carlo beside
+    # Stochastic from the table, and simulate an explosion CDF of 1.0 +- 0
+    cfg = tmp_path / "nan.yaml"
+    text = (CONFIGS / f"{action}.yaml").read_text()
+    assert text.count(old) == 1
+    cfg.write_text(text.replace(old, new))
+    res = _run([action, "-c", str(cfg), "-o", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert "config error" in res.output and "finite" in res.output
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("numeric", [
     "lambdas: []", "lambdas: [.inf]", "lambdas: [0.1, .nan]",
     "probes: {n: 0}"])

@@ -120,6 +120,39 @@ def test_f_lambda_dual_absorbed_paths():
                                np.mean(w_prev - w_full), rtol=1e-12)
 
 
+def test_laplace_table_is_the_per_probe_reduction(pure_frag):
+    # classify reduces the weights of every lambda and probe at once; each
+    # row is bit for bit the 1-D mean, standard error and half-budget gap of
+    # its own probe's paths, and the decision the extremes of the last rows
+    lams, probes, n_iter, n_paths = (1.0, 0.1), [0.5, 2.0, 9.0], 12, 300
+    res = classify(pure_frag, lams, probes,
+                   {"n_iter": n_iter, "n_paths": n_paths}, seed=3)
+    times, _, _, cps = run_chains(pure_frag, np.repeat(probes, n_paths),
+                                  seed=3, n_max=n_iter, checkpoints=[6, 11, 12],
+                                  t_stop=745.0 / 0.1)
+    assert cps == [6, 11, 12]
+    want = []
+    for lam in lams:
+        for i, x in enumerate(probes):
+            cell = times[:, i * n_paths:(i + 1) * n_paths]
+            half, _, full = np.exp(-lam * cell)
+            want.append({"lam": lam, "x": x, "f_hat": float(np.mean(full)),
+                         "se": float(np.std(full, ddof=1) / math.sqrt(n_paths)),
+                         "n_iter": n_iter,
+                         "half_gap": float(np.mean(half - full))})
+    assert res.evidence == want
+    assert [{k: type(v) for k, v in row.items()} for row in res.evidence] == \
+        [{k: type(v) for k, v in row.items()} for row in want]
+    last = want[-len(probes):]
+    assert res.decision == {
+        "eps_s": diagnose.EPS_S, "eps_ss": diagnose.EPS_SS,
+        "eps_conv": diagnose.EPS_CONV,
+        "max_upper_ci": max(r["f_hat"] + 3.0 * r["se"] for r in last),
+        "min_lower_ci": min(r["f_hat"] - 3.0 * r["se"] for r in last),
+        "max_half_gap": max(r["half_gap"] for r in last)}
+    assert all(type(v) is float for v in res.decision.values())
+
+
 def test_f_lambda_grid_cross_check(pure_frag):
     # grid dual iterate vs the closed form (1 + x)^{-3} at interior nodes
     grid = LogGrid(1e-6, 1e2, 256)
@@ -160,6 +193,12 @@ def test_classify_runs_one_batch(monkeypatch, bounded_pure_jump):
                    seed=0)
     assert len(res.evidence) == 21
     assert calls == [7 * 50]
+
+
+def test_classify_refuses_unknown_budgets(bounded_pure_jump):
+    # unchecked, a typo such as n_path ran with the default budgets
+    with pytest.raises(ValueError, match=r"\['n_path'\].*n_iter, n_paths"):
+        classify(bounded_pure_jump, budgets={"n_path": 3, "n_iter": 4})
 
 
 def test_classification_csv(tmp_path, bounded_pure_jump):
@@ -354,6 +393,19 @@ def test_embedded_kernel_divergent_expectation():
                                        a=1e-3))
     with pytest.raises(NonConvergent):
         kern.normalization(1.0)
+
+
+@pytest.mark.parametrize("method", ["cdf", "k", "normalization"])
+@pytest.mark.parametrize("y", [0.0, -1.0, math.nan, math.inf])
+def test_embedded_kernel_refuses_states_outside_domain(method, y):
+    # unchecked, cdf and k returned numbers at y = 0 and y = -1 and nan at
+    # y = nan, and normalization ended in a RuntimeWarning or NonConvergent
+    kern = embedded_kernel(_growth_spec())
+    call = {"cdf": lambda: kern.cdf(0.5, y),
+            "k": lambda: kern.k(np.array([0.5, 2.0]), y),
+            "normalization": lambda: kern.normalization(y)}[method]
+    with pytest.raises(ValueError, match=r"\(0, inf\)"):
+        call()
 
 
 def test_lyapunov_check_linear_V():

@@ -8,14 +8,17 @@ import pytest
 from pdmpfrag import (
     DomainError,
     GridDensity,
+    GrowthTauParams,
     LogGrid,
     OutOfRegime,
+    PowerLawKernel,
     RateSpec,
     Regime,
     SemiflowSpec,
     TabulatedIntegralMap,
     TauOracle,
     build_characteristics,
+    classify_power_family,
     embedded_kernel,
     resolvent_series,
     run_chains,
@@ -61,6 +64,32 @@ CALLS = {
     "tau_tail-negative-q": (ValueError, lambda: tau_tail(TauOracle(), -0.5)),
     "embedded_kernel-no-kernel": (OutOfRegime, lambda: embedded_kernel(
         build_characteristics(GROWTH, RateSpec(power=(1.0, 0.0))))),
+    # NaN and inf model parameters are refused where they enter: unchecked,
+    # a nan nu or power ran a config to exit 0 with a wrong verdict or CDF,
+    # a nan alpha read Stochastic off the closed-form table, and a nan beta
+    # made sample_tau fail with NonConvergent after 100,000 draws
+    "power-kernel-nu-nan": (ValueError, lambda: PowerLawKernel(math.nan)),
+    "power-kernel-nu-inf": (ValueError, lambda: PowerLawKernel(math.inf)),
+    "power-rate-a-nan": (ValueError, lambda: RateSpec(power=(math.nan, 0.0))),
+    "power-rate-alpha-inf": (ValueError, lambda: RateSpec(
+        power=(1.0, math.inf))),
+    "pure-jump-nan-phi": (DomainError, lambda: build_characteristics(
+        SemiflowSpec(regime=Regime.PURE_JUMP),
+        RateSpec(phi=lambda x: math.nan * _one(x)))),
+    "tau-oracle-nu-nan": (OutOfRegime, lambda: TauOracle(nu=math.nan)),
+    "tau-oracle-gamma-inf": (OutOfRegime, lambda: TauOracle(gamma=math.inf)),
+    "tau-oracle-a-nan": (OutOfRegime, lambda: TauOracle(a=math.nan)),
+    "growth-tau-nu-inf": (OutOfRegime, lambda: GrowthTauParams(nu=math.inf)),
+    "growth-tau-beta-nan": (OutOfRegime, lambda: GrowthTauParams(
+        beta=math.nan)),
+    "growth-tau-beta-0": (OutOfRegime, lambda: GrowthTauParams(beta=0.0)),
+    "growth-tau-a-inf": (OutOfRegime, lambda: GrowthTauParams(a=math.inf)),
+    "power-family-alpha-nan": (OutOfRegime, lambda: classify_power_family(
+        math.nan, 0.0, 1.0, _one, "growth")),
+    "power-family-beta-inf": (OutOfRegime, lambda: classify_power_family(
+        0.0, math.inf, 1.0, _one)),
+    "power-family-a-inf": (OutOfRegime, lambda: classify_power_family(
+        1.0, 0.0, math.inf, _one)),
 }
 
 

@@ -4,8 +4,9 @@ and pre-jump position through one rule, only the S operator knows how S is
 stored, only density.py how B and S are stored and which private scipy
 module multiplies S, the characteristics read the monotone maps through
 their public interface, the CLI reads its config through one schema
-reader, the chains run serially, on one driver, and the package exports
-exactly the public names it imports."""
+reader, the chains run serially, on one driver, the f_lambda estimators
+read one Laplace table, and the package exports exactly the public names it
+imports."""
 
 import ast
 from pathlib import Path
@@ -227,6 +228,20 @@ def test_one_chain_driver():
                                       "simulate.py: simulate_chain"]
     assert _callers("_run_batch") == ["simulate.py: run_chains",
                                       "simulate.py: sample_state"]
+
+
+def test_one_laplace_table():
+    # f_lambda_dual, dual_pairing and classify read one table of Laplace
+    # weights, so a change to how e^{-lambda t_n} is reduced to f_hat, its
+    # standard error and the half-budget gap is made in one place
+    assert [c for c in _callers("run_chains") if c.startswith("diagnose")] \
+        == ["diagnose.py: _laplace_table"]
+    assert _callers("_laplace_table") == ["diagnose.py: classify",
+                                          "diagnose.py: dual_pairing",
+                                          "diagnose.py: f_lambda_dual"]
+    gone = {"_probe_estimates", "_need_two_paths", "_laplace_weights"}
+    assert sorted(f"{path.name}: {name}" for path in SRC.glob("*.py")
+                  for name in gone if name in path.read_text()) == []
 
 
 def test_public_api_matches_all():
