@@ -41,6 +41,8 @@ class SemiflowSpec:
         if given != (self.regime is not Regime.PURE_JUMP):
             raise ValueError("growth and decay take exactly one of g and "
                              "power_beta, pure jump neither")
+        if self.power_beta is not None and not np.isfinite(self.power_beta):
+            raise ValueError(f"power_beta must be finite: {self.power_beta}")
 
     def g_eval(self, x):
         if self.g is None:

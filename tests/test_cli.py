@@ -354,11 +354,14 @@ def test_classify_one_path_exit_2(tmp_path):
 
 @pytest.mark.parametrize("action,old,new", [
     ("classify", "nu: 0.0}", "nu: .nan}"),
-    ("simulate", "a: 1.0, alpha: -1.0}", "a: .nan, alpha: -1.0}")],
-    ids=["classify-nu", "simulate-a"])
+    ("simulate", "a: 1.0, alpha: -1.0}", "a: .nan, alpha: -1.0}"),
+    ("classify", "beta: -1.0}", "beta: .nan}"),
+    ("classify", "beta: -1.0}", "beta: .inf}")],
+    ids=["classify-nu", "simulate-a", "classify-beta-nan", "classify-beta-inf"])
 def test_non_finite_model_parameter_exit_2(tmp_path, action, old, new):
     # unchecked, classify wrote StronglyStable from Monte Carlo beside
-    # Stochastic from the table, and simulate an explosion CDF of 1.0 +- 0
+    # Stochastic from the table, and simulate an explosion CDF of 1.0 +- 0;
+    # a nan or inf beta exited 3 with "g must be positive"
     cfg = tmp_path / "nan.yaml"
     text = (CONFIGS / f"{action}.yaml").read_text()
     assert text.count(old) == 1

@@ -90,6 +90,25 @@ CALLS = {
         0.0, math.inf, 1.0, _one)),
     "power-family-a-inf": (OutOfRegime, lambda: classify_power_family(
         1.0, 0.0, math.inf, _one)),
+    # unchecked, a nan or inf beta was refused later as "g must be positive"
+    "semiflow-beta-nan": (ValueError, lambda: SemiflowSpec(
+        regime=Regime.GROWTH, power_beta=math.nan)),
+    "semiflow-beta-inf": (ValueError, lambda: SemiflowSpec(
+        regime=Regime.DECAY, power_beta=-math.inf)),
+    # the tabulation needs one cell on a domain inside (0, inf): unchecked,
+    # an infinite upper edge built a map whose inverse(0.5) of f = 1 read
+    # 6.1e186, a reversed domain called f negative, a nan edge raised
+    # NonIntegrableRate and one node a numpy zero-size error
+    "tabulated-domain-hi-inf": (ValueError, lambda: TabulatedIntegralMap(
+        _one, domain=(1e-3, math.inf))),
+    "tabulated-domain-reversed": (ValueError, lambda: TabulatedIntegralMap(
+        _one, domain=(10.0, 1.0))),
+    "tabulated-domain-lo-nan": (ValueError, lambda: TabulatedIntegralMap(
+        _one, domain=(math.nan, 1.0))),
+    "tabulated-domain-lo-0": (ValueError, lambda: TabulatedIntegralMap(
+        _one, domain=(0.0, 1.0))),
+    "tabulated-one-node": (ValueError, lambda: TabulatedIntegralMap(
+        _one, domain=(0.5, 2.0), n_nodes=1)),
 }
 
 

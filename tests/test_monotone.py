@@ -171,6 +171,20 @@ class _Counted:
         return self.f(x)
 
 
+@pytest.mark.parametrize("kw,name", [
+    ({"domain": (1e-3, np.inf)}, "domain"),
+    ({"domain": (10.0, 1.0)}, "domain"),
+    ({"domain": (np.nan, 1.0)}, "domain"),
+    ({"domain": (0.0, 1.0)}, "domain"),
+    ({"domain": (0.5, 2.0), "n_nodes": 1}, "n_nodes")],
+    ids=["hi-inf", "reversed", "lo-nan", "lo-0", "one-node"])
+def test_tabulated_refuses_bad_grid_before_quadrature(kw, name):
+    counted = _Counted(_INTEGRANDS["one"][0])
+    with pytest.raises(ValueError, match=name):
+        TabulatedIntegralMap(counted, **kw)
+    assert counted.points == 0
+
+
 @pytest.mark.parametrize("name", sorted(_INTEGRANDS))
 def test_inverse_matches_bisection(name):
     f, orientation = _INTEGRANDS[name]
@@ -218,6 +232,21 @@ def test_inverse_across_jump_in_cell():
     assert abs(m.inverse(q)[0] - x) <= 4.0 * np.spacing(x)
 
 
+def test_start_is_log_linear_where_integrand_vanishes():
+    # f = 0 on [1, 2]: a cell there has no increasing integral fractions,
+    # so its start is r = s, and the inverse still matches log bisection
+    m, _, _ = _jump_in_cell()
+    log_linear = np.all(m._start == np.eye(8)[:, 1:2], axis=0)
+    a, b = m.nodes[:-1], m.nodes[1:]
+    assert np.all(log_linear[(a >= 1.0) & (b <= 2.0)])
+    assert not np.any(log_linear[(b < 1.0) | (a > 2.0)])
+    xs = np.exp(np.random.default_rng(11).uniform(np.log(1e-2), np.log(1e2),
+                                                  2000))
+    q = np.concatenate([m(xs), m(m.nodes)])
+    want = _bisect_inverse(m, q)
+    assert np.all(np.abs(m.inverse(q) - want) <= 4.0 * np.spacing(want))
+
+
 def test_inverse_at_double_zero_of_integrand():
     # f = (log x)^2 vanishes to second order at 1, where Newton converges
     # only linearly; the residual in q must still reach the rounding floor
@@ -232,8 +261,9 @@ def test_inverse_at_double_zero_of_integrand():
 
 @pytest.mark.parametrize("name", sorted(_INTEGRANDS))
 def test_inverse_integrand_evaluations_per_point(name):
-    # the per-cell Hermite start leaves most points two Newton passes of 16
-    # evaluations (a 15-point panel and f(x)) each
+    # the per-cell degree-7 start is off by O(log(b / a)^8), so on these
+    # smooth integrands most points end after one Newton pass of 16
+    # evaluations (a 15-point panel and f(x))
     f, orientation = _INTEGRANDS[name]
     counted = _Counted(f)
     m = TabulatedIntegralMap(counted, orientation=orientation, n_nodes=4096)
@@ -242,7 +272,7 @@ def test_inverse_integrand_evaluations_per_point(name):
     q = m(xs)
     counted.points = 0
     m.inverse(q)
-    assert counted.points / q.size <= 40
+    assert counted.points / q.size <= 20
 
 
 # name: map builder.  One map per anchor case: 0 (the tabulated Q of growth
@@ -284,7 +314,10 @@ def map_arrays(m):
 @pytest.mark.parametrize("name", sorted(MAP_CASES))
 def test_maps_golden(name):
     # frozen before the table was summed outward from one origin; floats
-    # stored by repr, infinite limits as Infinity
+    # stored by repr, infinite limits as Infinity.  inverse_V (2 to 5 of 47
+    # per case) and one inverse_clamped element in two cases re-frozen when
+    # the inverse's start became a degree-7 polynomial per cell: they moved
+    # by <= 1.6e-16 relative, everything else kept its bits
     want = json.loads((DATA / "maps_golden.json").read_text())[name]
     got = map_arrays(MAP_CASES[name]())
     assert sorted(got) == sorted(want)
