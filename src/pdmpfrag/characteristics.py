@@ -75,7 +75,8 @@ def _power_map(coeff, p, orientation):
     """Closed-form map for integrand coeff * x**(p-1), anchored per convention.
 
     With d = +1 (from_below) or -1 (from_above): V = d coeff log x for p = 0,
-    V = (coeff/|p|) x**p for d p > 0 (generalized inverse 0 once q <= 0).
+    V = (coeff/|p|) x**p for d p > 0 (generalized inverse 0 once q <= 0,
+    NaN at q = NaN).
     """
     d = +1 if orientation == "from_below" else -1
     if p == 0:
@@ -94,7 +95,7 @@ def _power_map(coeff, p, orientation):
 
     def inv(q):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return np.where(q > 0.0, np.maximum(q / c, 1e-300) ** (1.0 / p), 0.0)
+            return np.where(q <= 0.0, 0.0, np.maximum(q / c, 1e-300) ** (1.0 / p))
 
     return ClosedFormMap(fwd, inv, direction=d,
                          limit_zero=np.inf if d < 0 else 0.0,
@@ -140,10 +141,10 @@ def build_characteristics(semiflow, rate, kernel=None, *, domain=DEFAULT_DOMAIN)
     """
     regime = semiflow.regime
     xs = np.geomspace(domain[0], domain[1], 64)
+    phis = rate.phi_eval(xs)
+    if not np.all(phis >= 0):  # NaN too
+        raise DomainError("phi must be nonnegative")
     if regime is Regime.PURE_JUMP:
-        phis = rate.phi_eval(xs)
-        if not np.all(phis >= 0):  # NaN too
-            raise DomainError("phi must be nonnegative")
         flag = "verified" if np.all(phis > 0) else "failed"
         return CharacteristicsSpec(semiflow, rate, kernel, None, None,
                                    domain, {"phi_positive": flag})

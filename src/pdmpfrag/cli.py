@@ -29,7 +29,8 @@ import scipy
 import yaml
 
 from . import __version__
-from .characteristics import Regime, SemiflowSpec, RateSpec, build_characteristics
+from .characteristics import (Regime, SemiflowSpec, RateSpec, _check_states,
+                              build_characteristics)
 from .density import GridDensity, LogGrid, dyson_phillips
 from .diagnose import classify, classify_power_family
 from .errors import ConfigError, ModelError, NumericalError, OutOfRegime
@@ -313,8 +314,10 @@ def _action_classify(num, spec, out, seed, work):
 
 
 def _action_audit(num, spec, out, seed, work):
+    ys = [float(y) for y in num["y_values"]]
+    _check_states(ys)  # parents in (0, inf), before any quadrature
     rows = []
-    for y in map(float, num["y_values"]):
+    for y in ys:
         edges = np.geomspace(y * 1e-12, y, 2049)
         val = float(np.sum(gauss_panels(
             lambda x: spec.kernel.b(x, y) * x, edges[:-1], edges[1:]))

@@ -102,8 +102,9 @@ class GridDensity:
     @classmethod
     def uniform_in_m(cls, grid, lo, hi):
         """The density u = 2/(hi^2 - lo^2) 1_[lo,hi], of unit mass."""
-        if not lo < hi:
-            raise ValueError(f"uniform_in_m needs lo < hi, got lo={lo}, hi={hi}")
+        if not 0.0 <= lo < hi < np.inf:  # NaN too
+            raise ValueError(f"uniform_in_m needs 0 <= lo < hi < inf, got "
+                             f"lo={lo}, hi={hi}")
         c = 2.0 / (hi ** 2 - lo ** 2)
         a = np.clip(grid.edges[:-1], lo, hi)
         b = np.clip(grid.edges[1:], lo, hi)

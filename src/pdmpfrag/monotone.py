@@ -184,13 +184,16 @@ class TabulatedIntegralMap(MonotoneMap):
                              f"{domain}")
         if int(n_nodes) < 2:
             raise ValueError(f"n_nodes must be at least 2, got {n_nodes}")
+        if not (anchor == "auto" or 0.0 <= float(anchor) <= np.inf):
+            raise ValueError(f"anchor must lie in [0, inf], got {anchor}")
         self.f = integrand
         self.domain = (lo, hi)
         self.direction = d = +1 if orientation == "from_below" else -1
         self.nodes = np.geomspace(lo, hi, int(n_nodes))
         cells = gauss_panels(integrand, self.nodes[:-1], self.nodes[1:])
-        if np.any(cells < -1e-15 * max(1.0, float(np.max(np.abs(cells))))):
-            raise ValueError("integrand must be nonnegative")
+        tol = 1e-15 * max(1.0, float(np.max(np.abs(cells))))
+        if not np.all((cells >= -tol) & (cells < np.inf)):  # NaN too
+            raise ValueError("integrand must be nonnegative, cells finite")
         cells = np.maximum(cells, 0.0)
         self._head, _ = endpoint_integral(integrand, lo, "zero")
         self._tail, _ = endpoint_integral(integrand, hi, "inf")
@@ -280,12 +283,11 @@ class TabulatedIntegralMap(MonotoneMap):
         t = t.ravel()
         lo, hi = self.domain
         # a target beyond the table's value at the lower domain edge maps to
-        # that edge, beyond its value at the upper edge to the upper edge
+        # that edge, beyond its value at the upper edge to the upper edge; a
+        # NaN target maps to NaN and, like those, takes no Newton pass
         cum = self.cumvals
-        to_lo = t <= cum[0]
-        to_hi = t >= cum[-1]
-        out = np.where(to_hi, hi, lo)
-        pos = np.flatnonzero(~(to_lo | to_hi))
+        out = np.where(t >= cum[-1], hi, np.where(t <= cum[0], lo, t))
+        pos = np.flatnonzero((t > cum[0]) & (t < cum[-1]))
         t = t[pos]
         # leftmost x with V(x) >= q (increasing), rightmost (non-increasing)
         side = "left" if self.direction > 0 else "right"

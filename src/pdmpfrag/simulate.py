@@ -6,10 +6,10 @@ through Q) from ``characteristics._holding``, the rule behind
 ``inverse_cumulative_rate`` and ``post_flow_position`` too, and draws the
 daughter sizes through the kernel's inverse CDF.  One vectorized step,
 ``_jump``, does this for a batch of paths, and one driver, ``_run_block``,
-runs it, recording each path's time and state at given steps:
-``run_chains`` drives many paths to their checkpoints, ``simulate_chain``
-one path with every step a checkpoint, and ``sample_state`` reads X(t) and
-N(t) off each path's state before the step past t.  Explosion is never
+entered by ``_run_batch`` alone, runs it: ``run_chains`` drives many paths
+to their checkpoints, ``simulate_chain`` one path with every step a
+checkpoint, and ``sample_state`` reads X(t) and N(t) off each path's state
+before the step past t.  Explosion is never
 detected, only bracketed: estimators expose their truncation sensitivity.
 
 Randomness is counter-based (Philox4x64-10, Salmon et al., SC'11), computed
@@ -212,41 +212,38 @@ def simulate_chain(spec, x0, *, seed, path_id=0, n_max=DEFAULT_N_MAX,
                    t_max=DEFAULT_T_MAX):
     """Sample one jump chain.  Bit-identical for identical (seed, path_id, spec).
 
-    One ``_run_block`` call on the path, every step a checkpoint (so its
-    record takes n_max + 1 rows however soon the chain stops), trimmed at
-    the stop step.  Stops at the first of: t_n > t_max, n = n_max jumps,
+    One ``_run_batch`` call on the path, every step a checkpoint (so its
+    record takes n_max rows however soon the chain stops), trimmed at the
+    stop step.  Stops at the first of: t_n > t_max, n = n_max jumps,
     0-absorption of the decay orbit, or a step whose time no longer
     advances (not recorded).  Raises InfiniteHolding for mis-specified
     models whose cumulative rate along an orbit stays bounded.
     """
-    if not 0.0 < x0 < math.inf:
-        raise ValueError(f"starting state {x0} is not in (0, inf)")
     if n_max < 1 or not t_max > 0:  # NaN too
         raise ValueError("need n_max >= 1 and t_max > 0")
-    times, xs = np.zeros((n_max + 1, 1)), np.full((n_max + 1, 1), float(x0))
-    stop, last = np.empty(1, dtype=np.int8), np.empty((3, 1))
-    _run_block(spec, xs[0], seed, path_id, range(1, n_max + 1), t_max,
-               times[1:], xs[1:], stop, last)
+    times, xs, stop, _, last = _run_batch(
+        spec, [x0], seed, n_max, range(1, n_max + 1), t_max, path_id)
     n, code = int(last[2, 0]), int(stop[0])
     if code == _SETTLED:  # stuck in place, or jumped out of (0, inf)
-        code = _RUNNING if 0.0 < xs[n + 1, 0] < math.inf else _ABSORBED
-    end = n + 1 + (code != _RUNNING)  # rows 0..n, and a stop step that moved
+        code = _RUNNING if 0.0 < xs[n, 0] < math.inf else _ABSORBED
+    end = n + (code != _RUNNING)  # steps 1..n, and a stop step that moved
     status = {_RUNNING: TrajectoryStatus.EXHAUSTED_JUMP_BUDGET,
               _PARKED: TrajectoryStatus.ALIVE_AT_HORIZON,
               _ABSORBED: TrajectoryStatus.DOMAIN_EXIT_AT_ZERO}[code]
-    return Trajectory(times[:end, 0].copy(), xs[:end, 0].copy(), status,
+    return Trajectory(np.append(0.0, times[:end, 0]),
+                      np.append(float(x0), xs[:end, 0]), status,
                       float(t_max), int(seed), int(path_id))
 
 
 # -- vectorized chain engine ------------------------------------------------
 
 def _run_block(spec, x0s, seed, path_offset, checkpoints, t_stop, times, xs,
-               status, last=None):
+               status, last):
     """Advance a contiguous block of paths to step checkpoints[-1], writing
     into views of the batch: ``times[k, p]`` and ``xs[k, p]`` are path p's
-    time and state after step checkpoints[k], ``status[p]`` its stop code.
-    ``last``, if given, a (3, P) array, gets each path's time, state and
-    step count before its stop step, or at the end if still running there.
+    time and state after step checkpoints[k], ``status[p]`` its stop code
+    and ``last[:, p]`` its time, state and step count before its stop step,
+    or at the end if still running there.
 
     Only the running paths' states are carried from step to step, as compact
     arrays.  A path's status, time and state are written out once, when it
@@ -284,21 +281,21 @@ def _run_block(spec, x0s, seed, path_offset, checkpoints, t_stop, times, xs,
             gone = run[stop]
             times[k:, gone], xs[k:, gone] = tr[stop], xr[stop]
             status[gone] = st[stop]
-            if last is not None:
-                last[:, gone] = (t_pre[stop], x_pre[stop],
-                                 np.full(len(stop), n_done - 1))
+            last[:, gone] = (t_pre[stop], x_pre[stop],
+                             np.full(len(stop), n_done - 1))
             cols = keep if cols is None else cols[keep]
             run, tr, xr = run[keep], tr[keep], xr[keep]
         if checkpoints[k] == n_done:
             times[k, run], xs[k, run] = tr, xr
             k += 1
     status[run] = _RUNNING
-    if last is not None:
-        last[:, run] = tr, xr, np.full(len(run), n_done)
+    last[:, run] = tr, xr, np.full(len(run), n_done)
 
 
-def _run_batch(spec, x0s, seed, n_max, checkpoints, t_stop, offset, last=None):
-    """``run_chains`` on a ``last`` record of the batch (see ``_run_block``)."""
+def _run_batch(spec, x0s, seed, n_max, checkpoints, t_stop, offset):
+    """The one entry into ``_run_block``: checks a batch and runs it block
+    by block.  Returns (times, xs, status, checkpoints, last), times and xs
+    with one row per checkpoint and a last one for n_max if it is none."""
     x0s = np.asarray(x0s, dtype=float)
     P = len(x0s)
     ok = (x0s > 0) & (x0s < np.inf)
@@ -308,19 +305,17 @@ def _run_batch(spec, x0s, seed, n_max, checkpoints, t_stop, offset, last=None):
         raise ValueError("t_stop must be nonnegative")
     if checkpoints is None:
         checkpoints = (n_max,)
-    checkpoints = sorted(set(int(c) for c in checkpoints))
+    checkpoints = sorted(set(map(int, checkpoints)))
     if checkpoints[-1] > n_max or checkpoints[0] < 1:
         raise ValueError("checkpoints must lie in [1, n_max]")
     rows = checkpoints + [n_max] * (checkpoints[-1] < n_max)  # final_x's row
     times, xs = np.full((len(rows), P), np.nan), np.empty((len(rows), P))
-    status = np.empty(P, dtype=np.int8)
+    status, last = np.empty(P, dtype=np.int8), np.empty((3, P))
     for a in range(0, P, _BLOCK):
         sl = slice(a, a + _BLOCK)
         _run_block(spec, x0s[sl], seed, offset + a, rows, t_stop,
-                   times[:, sl], xs[:, sl], status[sl],
-                   None if last is None else last[:, sl])
-    # copies, so no result keeps the n_max row or the other states alive
-    return times[:len(checkpoints)].copy(), xs[-1].copy(), status, checkpoints
+                   times[:, sl], xs[:, sl], status[sl], last[:, sl])
+    return times, xs, status, checkpoints, last
 
 
 def run_chains(spec, x0s, *, seed, n_max=DEFAULT_N_MAX, checkpoints=None,
@@ -342,7 +337,10 @@ def run_chains(spec, x0s, *, seed, n_max=DEFAULT_N_MAX, checkpoints=None,
     and beat one whole-batch block (100,000 pure-jump paths, n_max 400, on
     a 2-core VM: 0.65-0.81 s against 0.84-0.96 s).  ``workers`` is ignored.
     """
-    return _run_batch(spec, x0s, seed, n_max, checkpoints, t_stop, path_offset)
+    times, xs, status, cps, _ = _run_batch(spec, x0s, seed, n_max, checkpoints,
+                                           t_stop, path_offset)
+    # copies, so no result keeps the n_max row or the other states alive
+    return times[:len(cps)].copy(), xs[-1].copy(), status, cps
 
 
 def sample_state(spec, x0s, t, *, seed, n_max=DEFAULT_N_MAX):
@@ -355,8 +353,8 @@ def sample_state(spec, x0s, t, *, seed, n_max=DEFAULT_N_MAX):
     """
     if not 0 <= t < math.inf:
         raise ValueError("t must lie in [0, inf)")
-    last = t_prev, x_prev, n_t = np.empty((3, len(x0s)))
-    times, _, status, _ = _run_batch(spec, x0s, seed, n_max, None, t, 0, last)
+    times, _, status, _, (t_prev, x_prev, n_t) = _run_batch(
+        spec, x0s, seed, n_max, None, t, 0)
     alive = times[0] > t
     x_t = np.full_like(t_prev, np.nan)
     x_t[alive] = flow_vec(spec, t - t_prev[alive], x_prev[alive])[0]

@@ -22,6 +22,9 @@ from pdmpfrag.cli import build_model, load_config, main
 from pdmpfrag.diagnose import EPS_CONV, EPS_S, EPS_SS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# sha256 of every CSV body of the shipped configs' runs
+CONFIG_OUTPUTS = json.loads((Path(__file__).resolve().parent / "data"
+                             / "config_outputs.json").read_text())
 
 
 def _run(args):
@@ -58,6 +61,8 @@ def test_example_configs_run(tmp_path, action, expected):
         assert (out / name).is_file(), name
     manifest = _check_manifest(out)
     assert set(manifest["outputs"]) == set(expected)
+    # the CSV bodies are pinned bitwise, like the goldens in tests/data
+    assert manifest["outputs"] == CONFIG_OUTPUTS[action]
     # the model's divergence flags travel with the artifacts
     cfg = load_config(CONFIGS / f"{action}.yaml")
     assert manifest["divergence"] == build_model(cfg).divergence
@@ -495,16 +500,22 @@ def test_evolve_u0_off_grid_exit_2(tmp_path):
     assert not (tmp_path / "o" / "mass_vs_t.csv").exists()
 
 
-@pytest.mark.parametrize("action", ["evolve", "oracle"])
-def test_u0_empty_interval_exit_2(tmp_path, action):
+@pytest.mark.parametrize("action,lo,hi", [
+    pytest.param(action, lo, hi, id=action + tag)
+    for tag, lo, hi in (("", 1.0, 1.0), ("-lo-negative", -1.0, 2.0),
+                        ("-hi-inf", 1.0, ".inf"))
+    for action in ("evolve", "oracle")])
+def test_u0_empty_interval_exit_2(tmp_path, action, lo, hi):
     # u0 with lo = hi has no uniform density: a config error naming both
-    # ends, not a ZeroDivisionError traceback and exit 1
+    # ends, not a ZeroDivisionError traceback and exit 1; nor has u0 with
+    # lo < 0 or hi = inf, which ran to exit 0 with a mass above 1 (evolve)
+    # or an exact mass of 0 at every t (oracle)
     cfg = tmp_path / "u0.yaml"
     cfg.write_text("model:\n  regime: pure_jump\n"
                    "  phi: {a: 1.0, alpha: -1.0}\n"
                    "  kernel: {family: power, nu: 0.0}\n"
                    "numeric:\n  seed: 0\n  t_values: [1.0]\n"
-                   "  u0: {lo: 1.0, hi: 1.0}\n")
+                   f"  u0: {{lo: {lo}, hi: {hi}}}\n")
     res = _run([action, "-c", str(cfg), "-o", str(tmp_path / "o")])
     assert res.exit_code == 2, res.output
     assert "config error" in res.output and "lo < hi" in res.output
@@ -540,6 +551,20 @@ def test_audit_counts_the_kernel_mass_below_the_panels(tmp_path):
     assert res.exit_code == 0, res.output
     rows = (tmp_path / "o" / "kernel_normalization.csv").read_text()
     assert {r.split(",")[-1] for r in rows.splitlines()[1:]} == {"pass"}
+
+
+@pytest.mark.parametrize("y", ["-1.0", ".nan", ".inf", "0.0"])
+def test_audit_refuses_parents_outside_domain_exit_2(tmp_path, y):
+    # unchecked, y = -1 wrote a passing row (its negative residual passed the
+    # tolerance) and exited 0, and y = nan or inf exited 4
+    cfg = tmp_path / "audit.yaml"
+    cfg.write_text((CONFIGS / "audit.yaml").read_text().replace(
+        "y_values: [0.5,", f"y_values: [{y},"))
+    assert f"[{y}," in cfg.read_text()
+    res = _run(["audit", "-c", str(cfg), "-o", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert "config error" in res.output and "(0, inf)" in res.output
+    assert not (tmp_path / "o" / "kernel_normalization.csv").exists()
 
 
 def test_audit_kernel_fail_exits_4(tmp_path):

@@ -109,6 +109,24 @@ CALLS = {
         _one, domain=(0.0, 1.0))),
     "tabulated-one-node": (ValueError, lambda: TabulatedIntegralMap(
         _one, domain=(0.5, 2.0), n_nodes=1)),
+    # phi is probed in every regime: unchecked, a NaN phi built growth and
+    # decay models whose asGQ/asGQd flags read verified with a nan limit of
+    # Q, and a NaN cell integral passed the tabulation's sign test
+    "growth-nan-phi": (DomainError, lambda: build_characteristics(
+        SemiflowSpec(regime=Regime.GROWTH, power_beta=0.0),
+        RateSpec(phi=lambda x: np.where(x > 1e3, np.nan, x)))),
+    "decay-nan-phi": (DomainError, lambda: build_characteristics(
+        SemiflowSpec(regime=Regime.DECAY, power_beta=-1.0),
+        RateSpec(phi=lambda x: np.where(x < 1e-3, np.nan, 1.0)))),
+    "tabulated-nan-integrand": (ValueError, lambda: TabulatedIntegralMap(
+        lambda x: np.where(x > 1.0, np.nan, 1.0), domain=(0.5, 2.0),
+        n_nodes=16)),
+    # an anchor lies in [0, inf]: unchecked, -1 built a map anchored at -1
+    # (V(0.5) = 1.5 for f = 1 on (0.5, 2)) and nan raised NonIntegrableRate
+    "tabulated-anchor-negative": (ValueError, lambda: TabulatedIntegralMap(
+        _one, anchor=-1.0, domain=(0.5, 2.0), n_nodes=16)),
+    "tabulated-anchor-nan": (ValueError, lambda: TabulatedIntegralMap(
+        _one, anchor=math.nan, domain=(0.5, 2.0), n_nodes=16)),
 }
 
 

@@ -219,15 +219,23 @@ def _callers(name):
 
 
 def test_one_chain_driver():
-    # the jump step has one caller, the block driver behind run_chains,
-    # sample_state and simulate_chain, so no second driver loop with its
-    # own refills and stop rules comes back; run_chains and sample_state
-    # share one loop over the blocks
+    # the jump step has one caller, the block driver, and the driver one
+    # entry, behind run_chains, sample_state and simulate_chain, so no
+    # second driver loop with its own refills and stop rules comes back, and
+    # the three views share one start-state check and one loop over blocks
     assert _callers("_jump") == ["simulate.py: _run_block"]
-    assert _callers("_run_block") == ["simulate.py: _run_batch",
-                                      "simulate.py: simulate_chain"]
+    assert _callers("_run_block") == ["simulate.py: _run_batch"]
     assert _callers("_run_batch") == ["simulate.py: run_chains",
-                                      "simulate.py: sample_state"]
+                                      "simulate.py: sample_state",
+                                      "simulate.py: simulate_chain"]
+    # no driver parameter has a default, so the stop record, which
+    # sample_state and simulate_chain read, cannot become optional again
+    tree = ast.parse((SRC / "simulate.py").read_text())
+    defaults = {node.name: [ast.unparse(d) for d in node.args.defaults
+                            + node.args.kw_defaults if d is not None]
+                for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name in ("_run_block", "_run_batch")}
+    assert defaults == {"_run_block": [], "_run_batch": []}
 
 
 def test_one_laplace_table():

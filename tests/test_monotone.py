@@ -8,7 +8,7 @@ import pytest
 
 from pdmpfrag import NonIntegrableRate, TabulatedIntegralMap
 from pdmpfrag.monotone import endpoint_integral, gauss_panels
-from conftest import unit_decay_model
+from conftest import power_model, unit_decay_model
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -323,6 +323,22 @@ def test_maps_golden(name):
     assert sorted(got) == sorted(want)
     for key, arr in got.items():
         np.testing.assert_array_equal(arr, np.array(want[key]), err_msg=key)
+
+
+@pytest.mark.parametrize("name", ["tabulated", "power", "log"])
+def test_inverse_of_nan_is_nan(name):
+    # unchecked, a NaN target spent the tabulated inverse's Newton cap and
+    # returned a state, and the power map's inverse returned 0.0
+    m = {"tabulated": lambda: TabulatedIntegralMap(lambda x: _arr(x),
+                                                   n_nodes=512),
+         "power": lambda: power_model("growth", alpha=0.0, beta=1.0).Q,
+         "log": lambda: power_model("growth", alpha=-1.0, beta=1.0).Q}[name]()
+    q = m(np.geomspace(1e-3, 1e3, 9))
+    assert np.isnan(m.inverse(np.nan))
+    both = m.inverse(np.insert(q, [0, 4, 9], np.nan))
+    assert np.isnan(both[[0, 5, 11]]).all()
+    # the finite targets keep their bits
+    assert np.array_equal(np.delete(both, [0, 5, 11]), m.inverse(q))
 
 
 def test_inverse_keeps_shape():
