@@ -113,6 +113,8 @@ class GridDensity:
     def sample_inverse_cdf(self, us):
         """States whose m-law is this density, via generalized inverse CDF."""
         total = self.grid_mass
+        if not total > 0:  # nan too
+            raise ValueError(f"sampling needs grid mass > 0, got {total}")
         cum = np.concatenate([[0.0], np.cumsum(self.masses)]) / total
         us = np.asarray(us, dtype=float)
         idx = np.clip(np.searchsorted(cum, us, side="right") - 1, 0,
@@ -384,7 +386,7 @@ def resolvent_A(spec, lam, u: GridDensity) -> GridDensity:
     if spec.regime is Regime.PURE_JUMP:
         phi = np.asarray(spec.phi(u.grid.nodes), dtype=float)
         return GridDensity(u.grid, u.masses / (lam + phi), 0.0, 0.0)
-    if np.any(u.masses < 0):
+    if not np.all(u.masses >= 0):  # nan too
         raise ValueError("R(lam, A) of growth/decay needs cell masses >= 0")
     out = _resolvent_transport(spec, u.grid, lam, u.masses)
     return GridDensity(u.grid, out, 0.0, 0.0)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characteristics import Regime, _check_states, _holding
-from .density import _BOperator
+from .density import LogGrid, _BOperator
 from .errors import NonConvergent, OutOfRegime
 from .monotone import gauss_panels
 from .oracles import mu0
@@ -166,12 +166,14 @@ def classify(spec, lam_grid=DEFAULT_LAMBDAS, probe_grid=None, budgets=None,
     probe_grid = np.asarray(probe_grid, dtype=float)
     if probe_grid.size == 0:
         raise ValueError("need at least one probe")
-    budgets = dict(budgets or {})
+    budgets = {"n_iter": 400, "n_paths": 400, **(budgets or {})}
     unknown = sorted(map(str, set(budgets) - {"n_iter", "n_paths"}))
     if unknown:
         raise ValueError(f"unknown budgets {unknown}; allowed: n_iter, n_paths")
-    n_paths = int(budgets.get("n_paths", 400))
-    n_iter = int(budgets.get("n_iter", 400))
+    bad = sorted(k for k, v in budgets.items() if not float(v).is_integer())
+    if bad:
+        raise ValueError(f"budgets {bad} must be integers")
+    n_paths, n_iter = int(budgets["n_paths"]), int(budgets["n_iter"])
     f_hat, se, _, gap = _laplace_table(
         spec, lam_grid, probe_grid.reshape(-1, 1), n_paths, n_iter, seed=seed)
     evidence = [{"lam": lam, "x": float(x), "f_hat": float(f_hat[j, i]),
@@ -311,12 +313,10 @@ def lyapunov_check(kern: EmbeddedKernel, V, y_probes, r_probes=None):
         # positivity of the minorant: crude midpoint x-quadrature suffices
         lows = []
         for r in np.asarray(r_probes, dtype=float):
+            grid = LogGrid(r * 1e-4, r * 1e2, 40)  # refuses r <= 0 and nan
             ys = np.geomspace(r * 1e-3, r, 6)
-            xs_edges = np.geomspace(r * 1e-4, r * 1e2, 41)
-            xs = np.sqrt(xs_edges[:-1] * xs_edges[1:])
-            kmin = np.min([kern.k(xs, y) for y in ys], axis=0)
-            mw = 0.5 * (xs_edges[1:] ** 2 - xs_edges[:-1] ** 2)
-            lows.append(float(kmin @ mw))
+            kmin = np.min([kern.k(grid.nodes, y) for y in ys], axis=0)
+            lows.append(float(kmin @ grid.m_weights))
         details["r"] = np.asarray(r_probes, dtype=float)
         details["L"] = np.array(lows)
     return c_hat, d_hat, passed, details

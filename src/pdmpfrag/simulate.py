@@ -219,10 +219,10 @@ def simulate_chain(spec, x0, *, seed, path_id=0, n_max=DEFAULT_N_MAX,
     advances (not recorded).  Raises InfiniteHolding for mis-specified
     models whose cumulative rate along an orbit stays bounded.
     """
-    if n_max < 1 or not t_max > 0:  # NaN too
-        raise ValueError("need n_max >= 1 and t_max > 0")
-    times, xs, stop, _, last = _run_batch(
-        spec, [x0], seed, n_max, range(1, n_max + 1), t_max, path_id)
+    if not (n_max >= 1 and float(n_max).is_integer() and t_max > 0):
+        raise ValueError("need an integer n_max >= 1 and t_max > 0")
+    times, xs, stop, last = _run_batch(
+        spec, [x0], seed, range(1, int(n_max) + 1), t_max, path_id)
     n, code = int(last[2, 0]), int(stop[0])
     if code == _SETTLED:  # stuck in place, or jumped out of (0, inf)
         code = _RUNNING if 0.0 < xs[n, 0] < math.inf else _ABSORBED
@@ -292,30 +292,22 @@ def _run_block(spec, x0s, seed, path_offset, checkpoints, t_stop, times, xs,
     last[:, run] = tr, xr, np.full(len(run), n_done)
 
 
-def _run_batch(spec, x0s, seed, n_max, checkpoints, t_stop, offset):
-    """The one entry into ``_run_block``: checks a batch and runs it block
-    by block.  Returns (times, xs, status, checkpoints, last), times and xs
-    with one row per checkpoint and a last one for n_max if it is none."""
+def _run_batch(spec, x0s, seed, rows, t_stop, offset):
+    """The one entry into ``_run_block``: checks a batch's start states and
+    runs it, block by block, to the steps of ``rows`` (increasing, >= 1, the
+    last the budget).  Returns (times, xs, status, last), one row per step."""
     x0s = np.asarray(x0s, dtype=float)
     P = len(x0s)
     ok = (x0s > 0) & (x0s < np.inf)
     if not ok.all():
         raise ValueError(f"starting state {x0s[~ok][0]} is not in (0, inf)")
-    if t_stop is not None and not t_stop >= 0:  # NaN too
-        raise ValueError("t_stop must be nonnegative")
-    if checkpoints is None:
-        checkpoints = (n_max,)
-    checkpoints = sorted(set(map(int, checkpoints)))
-    if checkpoints[-1] > n_max or checkpoints[0] < 1:
-        raise ValueError("checkpoints must lie in [1, n_max]")
-    rows = checkpoints + [n_max] * (checkpoints[-1] < n_max)  # final_x's row
     times, xs = np.full((len(rows), P), np.nan), np.empty((len(rows), P))
     status, last = np.empty(P, dtype=np.int8), np.empty((3, P))
     for a in range(0, P, _BLOCK):
         sl = slice(a, a + _BLOCK)
         _run_block(spec, x0s[sl], seed, offset + a, rows, t_stop,
                    times[:, sl], xs[:, sl], status[sl], last[:, sl])
-    return times, xs, status, checkpoints, last
+    return times, xs, status, last
 
 
 def run_chains(spec, x0s, *, seed, n_max=DEFAULT_N_MAX, checkpoints=None,
@@ -337,8 +329,17 @@ def run_chains(spec, x0s, *, seed, n_max=DEFAULT_N_MAX, checkpoints=None,
     and beat one whole-batch block (100,000 pure-jump paths, n_max 400, on
     a 2-core VM: 0.65-0.81 s against 0.84-0.96 s).  ``workers`` is ignored.
     """
-    times, xs, status, cps, _ = _run_batch(spec, x0s, seed, n_max, checkpoints,
-                                           t_stop, path_offset)
+    if t_stop is not None and not t_stop >= 0:  # NaN too
+        raise ValueError("t_stop must be nonnegative")
+    cps = sorted(set((n_max,) if checkpoints is None else checkpoints))
+    if not cps or not all(float(c).is_integer() for c in [*cps, n_max]):
+        raise ValueError(f"need checkpoints and n_max integers: {cps}, {n_max}")
+    cps, n_max = list(map(int, cps)), int(n_max)
+    if cps[-1] > n_max or cps[0] < 1:
+        raise ValueError("checkpoints must lie in [1, n_max]")
+    rows = cps + [n_max] * (cps[-1] < n_max)  # final_x's row
+    times, xs, status, _ = _run_batch(spec, x0s, seed, rows, t_stop,
+                                      path_offset)
     # copies, so no result keeps the n_max row or the other states alive
     return times[:len(cps)].copy(), xs[-1].copy(), status, cps
 
@@ -351,10 +352,10 @@ def sample_state(spec, x0s, t, *, seed, n_max=DEFAULT_N_MAX):
     absorbed at 0 after t); then x_t is the flow from its last state before
     t, and n_t its jumps by t.  Otherwise x_t is nan and n_t its jumps.
     """
-    if not 0 <= t < math.inf:
-        raise ValueError("t must lie in [0, inf)")
-    times, _, status, _, (t_prev, x_prev, n_t) = _run_batch(
-        spec, x0s, seed, n_max, None, t, 0)
+    if not (0 <= t < math.inf and n_max >= 1 and float(n_max).is_integer()):
+        raise ValueError("t must lie in [0, inf), n_max be an integer >= 1")
+    times, _, status, (t_prev, x_prev, n_t) = _run_batch(
+        spec, x0s, seed, [int(n_max)], t, 0)
     alive = times[0] > t
     x_t = np.full_like(t_prev, np.nan)
     x_t[alive] = flow_vec(spec, t - t_prev[alive], x_prev[alive])[0]

@@ -18,10 +18,17 @@ from pdmpfrag import (
     TabulatedIntegralMap,
     TauOracle,
     build_characteristics,
+    classify,
     classify_power_family,
+    dual_pairing,
     embedded_kernel,
+    estimate_survival_mass,
+    lyapunov_check,
+    resolvent_A,
     resolvent_series,
     run_chains,
+    sample_state,
+    simulate_chain,
     tau_tail,
 )
 from pdmpfrag.monotone import endpoint_integral
@@ -33,6 +40,8 @@ def _one(x):
 
 
 GROWTH = SemiflowSpec(regime=Regime.GROWTH, power_beta=1.0)
+# unit mass, all of it in the sub-grid bucket: nothing to sample starts from
+NO_GRID_MASS = GridDensity(LogGrid(1e-3, 1e2, 64), np.zeros(64), 1.0)
 
 CALLS = {
     "run_chains-checkpoint-0": (ValueError, lambda: run_chains(
@@ -127,6 +136,40 @@ CALLS = {
         _one, anchor=-1.0, domain=(0.5, 2.0), n_nodes=16)),
     "tabulated-anchor-nan": (ValueError, lambda: TabulatedIntegralMap(
         _one, anchor=math.nan, domain=(0.5, 2.0), n_nodes=16)),
+    # a step count is an integer: unchecked, no checkpoints failed with an
+    # IndexError, 2.7 ran as step 2, an n_iter of 2.5 as 2 iterations and
+    # a fractional n_max ended in a TypeError
+    "run_chains-no-checkpoints": (ValueError, lambda: run_chains(
+        power_model("pure_jump", alpha=-1.0), [1.0, 2.0], seed=0, n_max=5,
+        checkpoints=[])),
+    "run_chains-fractional-checkpoint": (ValueError, lambda: run_chains(
+        power_model("pure_jump", alpha=-1.0), [1.0, 2.0], seed=0, n_max=5,
+        checkpoints=[2.7, 5])),
+    "run_chains-fractional-n_max": (ValueError, lambda: run_chains(
+        power_model("pure_jump", alpha=-1.0), [1.0, 2.0], seed=0, n_max=5.5,
+        checkpoints=[2])),
+    "sample_state-fractional-n_max": (ValueError, lambda: sample_state(
+        power_model("pure_jump", alpha=-1.0), [1.0], 0.5, seed=0, n_max=2.5)),
+    "simulate_chain-fractional-n_max": (ValueError, lambda: simulate_chain(
+        power_model("pure_jump", alpha=-1.0), 1.0, seed=0, n_max=2.5)),
+    "classify-fractional-n_iter": (ValueError, lambda: classify(
+        power_model("pure_jump", alpha=-1.0),
+        budgets={"n_iter": 2.5, "n_paths": 10})),
+    # unchecked, a NaN cell passed the sign test of R(lam, A) and a density
+    # with no grid mass was divided by it, each ending in a RuntimeWarning
+    "resolvent-A-nan-mass": (ValueError, lambda: resolvent_A(
+        power_model("growth", alpha=0.0, beta=0.0), 1.0,
+        GridDensity(LogGrid(1e-3, 1e2, 64), np.full(64, math.nan)))),
+    "survival-no-grid-mass": (ValueError, lambda: estimate_survival_mass(
+        power_model("pure_jump", alpha=-1.0), NO_GRID_MASS, 1.0, 100,
+        seed=0)),
+    "pairing-no-grid-mass": (ValueError, lambda: dual_pairing(
+        power_model("pure_jump", alpha=-1.0), 1.0, NO_GRID_MASS, 4, 10)),
+    # the minorant grid, a LogGrid, refuses r <= 0 and nan before any
+    # kernel evaluation of the r-probes
+    "lyapunov-r-probe-negative": (ValueError, lambda: lyapunov_check(
+        embedded_kernel(power_model("growth", alpha=1.0, beta=0.0)),
+        lambda y: np.asarray(y, float), [1.0, 2.0, 4.0], r_probes=[-1.0])),
 }
 
 

@@ -236,6 +236,14 @@ def test_one_chain_driver():
                 for node in tree.body if isinstance(node, ast.FunctionDef)
                 and node.name in ("_run_block", "_run_batch")}
     assert defaults == {"_run_block": [], "_run_batch": []}
+    # the driver runs the step rows it is given: run_chains alone reads
+    # checkpoints, so no view pays for sorting a budget's worth of steps
+    batch = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and node.name == "_run_batch")
+    assert [a.arg for a in batch.args.args] == [
+        "spec", "x0s", "seed", "rows", "t_stop", "offset"]
+    assert [c for c in _callers("sorted") if c.startswith("simulate")] \
+        == ["simulate.py: run_chains"]
 
 
 def test_one_laplace_table():

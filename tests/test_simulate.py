@@ -239,6 +239,24 @@ def test_run_chains_independent_of_batch_split(model):
             assert np.array_equal(a, np.concatenate([b, c], axis=-1))
 
 
+def test_integral_float_budgets_run_as_integers(pure_frag):
+    # n_max = 5.0 runs as 5 in every view: unchecked, it ended in a
+    # TypeError in simulate_chain and in run_chains below its checkpoints
+    x0s = np.linspace(0.5, 2.0, 16)
+
+    def views(n_max):
+        times, xs, status, cps = run_chains(pure_frag, x0s, seed=3,
+                                            n_max=n_max, checkpoints=[2, 2.0])
+        state = sample_state(pure_frag, x0s, 0.3, seed=3, n_max=n_max)
+        tr = simulate_chain(pure_frag, 1.0, seed=3, n_max=n_max)
+        return cps, (times, xs, status, *state, tr.jump_times, tr.positions)
+
+    (cps, want), (cps_f, got) = views(5), views(5.0)
+    assert cps == cps_f == [2]
+    for a, b in zip(want, got):
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+
+
 def test_domain_exit_at_zero():
     spec = unit_decay_model()
     tr = simulate_chain(spec, 0.5, seed=2, path_id=0, n_max=10_000)
