@@ -65,7 +65,6 @@ from .oracles import (
     TauOracle,
     exact_mass,
     explosion_cdf,
-    mass_upper_bound,
     mu0,
     sample_tau,
     tau_tail,
@@ -99,8 +98,8 @@ __all__ = [
     "simulate_chain",
     "GridDensity", "LogGrid", "OperatorTrace", "apply_B", "apply_S",
     "dyson_phillips", "resolvent_A", "resolvent_series",
-    "GrowthTauParams", "TauOracle", "exact_mass", "explosion_cdf",
-    "mass_upper_bound", "mu0", "sample_tau", "tau_tail",
+    "GrowthTauParams", "TauOracle", "exact_mass", "explosion_cdf", "mu0",
+    "sample_tau", "tau_tail",
     "Classification", "Verdict", "classify", "classify_power_family",
     "dual_pairing", "embedded_kernel", "f_lambda_dual", "f_lambda_grid",
     "lyapunov_check",

@@ -67,6 +67,16 @@ def _section(parent, key, where, schema):
             else val.get(k, d) for k, d in schema.items()}
 
 
+def _integer(value, key):
+    """A count or seed of the config as an int: an integral float such as
+    400.0 reads as 400, and anything else is a ConfigError naming its key."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
 def load_config(path):
     p = Path(path)
     if not p.is_file():
@@ -151,7 +161,8 @@ def build_model(cfg):
 def _initial_density(num):
     """The numeric.u0 density, uniform in m on [lo, hi], on the numeric.grid."""
     g, u0 = num["grid"], num["u0"]
-    grid = LogGrid(float(g["x_min"]), float(g["x_max"]), int(g["n_cells"]))
+    grid = LogGrid(float(g["x_min"]), float(g["x_max"]),
+                   _integer(g["n_cells"], "numeric.grid.n_cells"))
     return GridDensity.uniform_in_m(grid, float(u0["lo"]), float(u0["hi"]))
 
 
@@ -204,19 +215,11 @@ def _tau_oracle(spec):
     return TauOracle(nu=spec.kernel.nu, gamma=-power[1], a=power[0])
 
 
-def _oracle_mass(orc, t, u0):
-    """The oracle's exact mass of P(t) u0; nan without an oracle or outside
-    the oracle's regime."""
-    try:
-        return exact_mass(orc, t, u0) if orc is not None else float("nan")
-    except OutOfRegime:
-        return float("nan")
-
-
 # -- actions -------------------------------------------------------------------
 
 def _action_simulate(num, spec, out, seed, work):
-    n_paths, n_max = int(num["n_paths"]), int(num["n_max"])
+    n_paths = _integer(num["n_paths"], "numeric.n_paths")
+    n_max = _integer(num["n_max"], "numeric.n_max")
     x0 = float(num["x0"])
     ts = [float(t) for t in num["t_values"]]
     rows = []
@@ -245,7 +248,7 @@ def _action_evolve(num, spec, out, seed, work):
                           f"[{grid.edges[0]:g}, {grid.edges[-1]:g}]")
     ts = [float(t) for t in num["t_values"]]
     dyson = num["dyson"]
-    N = int(dyson["N"])
+    N = _integer(dyson["N"], "numeric.dyson.N")
     tol = float(num["tolerance"])
     files = []
     rows = []
@@ -256,7 +259,8 @@ def _action_evolve(num, spec, out, seed, work):
     for t in ts:
         # the default n_s = max(64, 32 t) only for a finite t: any other t
         # meets dyson_phillips' check
-        n_s = (int(dyson["n_s"]) if dyson["n_s"] is not _UNSET
+        n_s = (_integer(dyson["n_s"], "numeric.dyson.n_s")
+               if dyson["n_s"] is not _UNSET
                else max(64, int(32 * t)) if 1.0 < t < np.inf else 64)
         res, trace = dyson_phillips(spec, t, u0, N=N, n_s=n_s)
         work["dyson"].append({"t": t, "n_s": n_s,
@@ -266,7 +270,9 @@ def _action_evolve(num, spec, out, seed, work):
             budget_hit = True
         rows.append((t, res.total_mass, res.grid_mass,
                      res.sub_grid_mass, res.super_grid_mass,
-                     u0.total_mass - res.total_mass, _oracle_mass(orc, t, u0),
+                     u0.total_mass - res.total_mass,
+                     exact_mass(orc, t, u0) if orc is not None
+                     else float("nan"),
                      tol, len(trace.term_norms), float(trace.term_norms[-1]),
                      int(trace.converged)))
         files.append(_write_csv(
@@ -285,8 +291,10 @@ def _action_evolve(num, spec, out, seed, work):
 def _action_classify(num, spec, out, seed, work):
     lams = [float(l) for l in num["lambdas"]]
     pr = num["probes"]
-    probes = np.geomspace(float(pr["lo"]), float(pr["hi"]), int(pr["n"]))
-    budgets = {"n_paths": int(num["n_paths"]), "n_iter": int(num["n_iter"])}
+    probes = np.geomspace(float(pr["lo"]), float(pr["hi"]),
+                          _integer(pr["n"], "numeric.probes.n"))
+    budgets = {k: _integer(num[k], f"numeric.{k}")
+               for k in ("n_paths", "n_iter")}
     mc = classify(spec, lams, probes, budgets, seed=seed)
     files = []
     ev_path = Path(out) / "evidence.csv"
@@ -351,7 +359,7 @@ def _action_oracle(num, spec, out, seed, work):
     ts = [float(t) for t in num["t_values"]]
     u0 = _initial_density(num)
     rows = [(t, float(orc.time_scale(x0) * t), explosion_cdf(orc, t, x0),
-             _oracle_mass(orc, t, u0)) for t in ts]
+             exact_mass(orc, t, u0)) for t in ts]
     return [_write_csv(out, "oracle.csv",
                        "t,q,explosion_cdf_at_x0,exact_mass_u0", rows)]
 
@@ -406,7 +414,7 @@ def run(action, config_path, out_dir=None, seed=None):
     try:
         out = Path(out_dir if out_dir is not None else out_cfg["dir"])
         out.mkdir(parents=True, exist_ok=True)
-        seed = int(seed)
+        seed = _integer(seed, "numeric.seed")
         if not 0 <= seed < 2 ** 64:
             raise ConfigError(f"the seed must lie in [0, 2**64), got {seed}")
         t0 = time.perf_counter()

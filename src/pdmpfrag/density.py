@@ -47,10 +47,12 @@ class LogGrid:
     """Log-spaced cell grid on [x_min, x_max] with geometric midpoints."""
 
     def __init__(self, x_min=1e-4, x_max=1e4, n_cells=512):
-        if not (0 < x_min < x_max < math.inf and n_cells >= 1):
-            raise ValueError("a grid needs 0 < x_min < x_max < inf and n_cells"
-                             f" >= 1, got {x_min}, {x_max}, {n_cells}")
-        self.edges = np.geomspace(x_min, x_max, n_cells + 1)
+        if not (0 < x_min < x_max < math.inf and n_cells >= 1
+                and float(n_cells).is_integer()):
+            raise ValueError("a grid needs 0 < x_min < x_max < inf and an "
+                             f"integer n_cells >= 1, got {x_min}, {x_max}, "
+                             f"{n_cells}")
+        self.edges = np.geomspace(x_min, x_max, int(n_cells) + 1)
         self.nodes = np.sqrt(self.edges[:-1] * self.edges[1:])
         self.m_weights = 0.5 * (self.edges[1:] ** 2 - self.edges[:-1] ** 2)
 
@@ -433,8 +435,11 @@ def dyson_phillips(spec, t, u: GridDensity, N=60, n_s=64):
     after one level; if the budget N is reached first the trace is flagged
     unconverged (result still returned).
     """
-    if not 0 <= t < math.inf or N < 0 or n_s < 1:
-        raise ValueError("need t in [0, inf), N >= 0, n_s >= 1")
+    if not (0 <= t < math.inf and N >= 0 and n_s >= 1
+            and float(N).is_integer() and float(n_s).is_integer()):
+        raise ValueError("need t in [0, inf), integers N >= 0 and n_s >= 1, "
+                         f"got t = {t}, N = {N}, n_s = {n_s}")
+    N, n_s = int(N), int(n_s)
     if t == 0.0 or N == 0:
         res = apply_S(spec, t, u)
         return res, OperatorTrace(term_norms=[res.total_mass])
@@ -497,8 +502,8 @@ def resolvent_series(spec, lam, u: GridDensity, N=60):
     in the pure-fragmentation limit x -> 0) and carried in the norms."""
     if not 0 < lam < math.inf:
         raise ValueError("lam must lie in (0, inf)")
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    if not (N >= 0 and float(N).is_integer()):
+        raise ValueError(f"N must be an integer >= 0, got {N}")
     grid = u.grid
     b_op = _BOperator(spec, grid)
     u_norm = u.total_mass
@@ -508,7 +513,7 @@ def resolvent_series(spec, lam, u: GridDensity, N=60):
     acc = np.zeros(grid.n_cells)
     acc_R_norm = 0.0
     trace = OperatorTrace()
-    for n_term in range(N + 1):
+    for n_term in range(int(N) + 1):
         r = resolvent_A(spec, lam, GridDensity(grid, v)).masses
         acc += r
         acc_R_norm += float(np.sum(r))

@@ -120,13 +120,15 @@ def f_lambda_grid(spec, lam, grid, n_iter):
     """
     if spec.regime is not Regime.PURE_JUMP:
         raise OutOfRegime("grid dual iteration is a pure-jump cross-check only")
-    if not 0 < lam < math.inf or n_iter < 0:
-        raise ValueError("need lam in (0, inf) and n_iter >= 0")
+    if not (0 < lam < math.inf and n_iter >= 0
+            and float(n_iter).is_integer()):
+        raise ValueError("need lam in (0, inf) and an integer n_iter >= 0, "
+                         f"got lam = {lam}, n_iter = {n_iter}")
     b_op = _BOperator(spec, grid)
     phi = np.asarray(spec.phi(grid.nodes), dtype=float)
     damp = phi / (lam + phi)
     f = np.ones(grid.n_cells)
-    for _ in range(n_iter):
+    for _ in range(int(n_iter)):
         f = damp * b_op.adjoint(f)
     return f
 
@@ -134,9 +136,10 @@ def f_lambda_grid(spec, lam, grid, n_iter):
 def dual_pairing(spec, lam, u, n_iter, n_paths, *, seed=0):
     """Monte Carlo estimate of <f_lambda, u> = int f_lambda(x) u(x) x dx.
 
-    Initial states are drawn from u by stratified inverse-CDF sampling; the
-    estimate is the u-average of e^{-lambda t_{n_iter}} (an upper bound,
-    decreasing to the pairing as n_iter grows).
+    Initial states are drawn from u, which must have no out-of-grid mass, by
+    stratified inverse-CDF sampling; the estimate is the u-average of
+    e^{-lambda t_{n_iter}} (an upper bound, decreasing to the pairing as
+    n_iter grows).
     """
     x0s = _stratified_starts(u, n_paths, seed, "pairing")
     f_hat, se, _, _ = _laplace_table(spec, [lam], x0s[None], n_paths,

@@ -182,8 +182,8 @@ class TabulatedIntegralMap(MonotoneMap):
         if not 0.0 < lo < hi < np.inf:  # NaN too
             raise ValueError(f"domain must satisfy 0 < lo < hi < inf, got "
                              f"{domain}")
-        if int(n_nodes) < 2:
-            raise ValueError(f"n_nodes must be at least 2, got {n_nodes}")
+        if not (n_nodes >= 2 and float(n_nodes).is_integer()):
+            raise ValueError(f"n_nodes must be an integer >= 2, got {n_nodes}")
         if not (anchor == "auto" or 0.0 <= float(anchor) <= np.inf):
             raise ValueError(f"anchor must lie in [0, inf], got {anchor}")
         self.f = integrand

@@ -1,10 +1,13 @@
 """Closed-form ground truth for the power fragmentation family.
 
-For pure fragmentation with rate phi(x) = a x^{-gamma} (gamma > 0) and the
-homogeneous power kernel h(z) = (nu+2) z^nu, the explosion time tau started
-from x0 = 1, a = 1 has the gamma distribution with shape 1 + (nu+2)/gamma
-and unit scale; general (a, x0) rescale time by a x0^{-gamma}.  This gives
-independent targets for the Monte Carlo engine and the grid evolution.
+For pure fragmentation with rate phi(x) = a x^{-gamma} and the homogeneous
+power kernel h(z) = (nu+2) z^nu, for every nu > -2 and gamma > 0, the
+explosion time tau started from x0 = 1, a = 1 has the gamma distribution
+with shape 1 + (nu+2)/gamma and unit scale (the perpetuity
+tau = eps + R^gamma tau', solved by the beta-gamma algebra); general
+(a, x0) rescale time by a x0^{-gamma}.  One tail, ``tau_tail``, gives the
+explosion CDF and the exact semigroup mass, independent targets for the
+Monte Carlo engine and the grid evolution.
 """
 
 from __future__ import annotations
@@ -86,55 +89,22 @@ def explosion_cdf(oracle: TauOracle, t, x0=1.0):
     return 1.0 - tau_tail(oracle, t * oracle.time_scale(x0))
 
 
-def _survival_weight(oracle, t, x):
-    """e^{-s} sum_{k<=rho} s^k/k! with s = a t x^{-gamma}, rho = (nu+2)/gamma."""
-    rho = (oracle.nu + 2.0) / oracle.gamma
-    k_max = int(round(rho))
-    s = oracle.a * t * np.asarray(x, dtype=float) ** (-oracle.gamma)
-    term = np.ones_like(s)
-    acc = np.ones_like(s)
-    for k in range(1, k_max + 1):
-        term = term * s / k
-        acc = acc + term
-    return np.exp(-s) * acc
-
-
 def exact_mass(oracle: TauOracle, t, u) -> float:
-    """Exact mass of the semigroup at time t acting on density u.
+    """Exact mass ||P(t) u|| of the semigroup at time t acting on density u.
 
-    int e^{-atx^{-gamma}} sum_{k<=rho} (atx^{-gamma})^k/k! u(x) x dx, valid
-    when rho = (nu+2)/gamma is a nonnegative integer.  ``u`` is a
-    GridDensity: the weight is integrated over each cell against its
+    int P_x(t < t_inf) u(x) x dx: the gamma tail ``tau_tail`` at
+    t a x^{-gamma}, for every nu > -2 and gamma > 0.  The same integral
+    bounds from above the mass of any pure-jump model with this kernel and
+    phi(x) >= a x^{-gamma}, because that chain explodes sooner.  ``u`` is a
+    GridDensity: the tail is integrated over each cell against its
     midpoint reconstruction ``u.values()``, and the out-of-grid buckets
     are not counted.
     """
-    rho = (oracle.nu + 2.0) / oracle.gamma
-    if abs(rho - round(rho)) > 1e-9:
-        raise OutOfRegime("exact_mass needs (nu+2)/gamma to be an integer")
     if not 0 <= t < math.inf:
         raise ValueError("t must lie in [0, inf)")
     edges = u.grid.edges
-    w = gauss_panels(lambda x: _survival_weight(oracle, t, x) * x,
+    w = gauss_panels(lambda x: tau_tail(oracle, t * oracle.time_scale(x)) * x,
                      edges[:-1], edges[1:])
-    core = float(w @ u.values())
-    # sub-grid mass (if any) is below every x: s large, weight ~ 0
-    return core
-
-
-def mass_upper_bound(oracle: TauOracle, t, u) -> float:
-    """int (1 - F_tau(a t x^{-gamma})) u(x) x dx via tau_tail.
-
-    Upper bound for the semigroup mass under phi(x) <= a x^{-gamma}, with
-    equality when phi(x) = a x^{-gamma}; independent route from exact_mass.
-    """
-    if not 0 <= t < math.inf:
-        raise ValueError("t must lie in [0, inf)")
-    edges = u.grid.edges
-
-    def wfun(x):
-        return tau_tail(oracle, oracle.a * t * x ** (-oracle.gamma)) * x
-
-    w = gauss_panels(wfun, edges[:-1], edges[1:])
     return float(w @ u.values())
 
 

@@ -162,7 +162,13 @@ def _uniforms(seed, ids, start, n):
 def _stratified_starts(u, n_paths, seed, stream):
     """n_paths states drawn from the grid density ``u`` by stratified
     inverse-CDF sampling, one stratum per path, each placed by a draw of a
-    stream id above every path id: 2**63 for "survival", 2**62 for "pairing"."""
+    stream id above every path id: 2**63 for "survival", 2**62 for "pairing".
+    The states come from the cells alone, so ``u`` must have no out-of-grid
+    mass: a start in a bucket has no state to draw."""
+    if u.sub_grid_mass or u.super_grid_mass:  # nan too
+        raise ValueError("starts are drawn from the grid cells, but u has "
+                         f"sub-grid mass {u.sub_grid_mass} and super-grid "
+                         f"mass {u.super_grid_mass}")
     sid = {"survival": 2 ** 63, "pairing": 2 ** 62}[stream]
     strat = _uniforms(seed, [sid], 0, n_paths)[:, 0]
     return u.sample_inverse_cdf((np.arange(n_paths) + strat) / n_paths)
@@ -410,8 +416,9 @@ def estimate_survival_mass(spec, u0, t, n_paths, n_max=DEFAULT_N_MAX, *,
     """||P(t) u0|| estimated as the u0-average of 1{t_{n_max} > t}.
 
     Initial states are drawn by stratified inverse-CDF sampling from the grid
-    density (one stratum per path), whose mass must be 1 to within 1e-6; the
-    truncation bias is upward and bounded by the half-budget sensitivity.
+    density (one stratum per path), whose mass must be 1 to within 1e-6,
+    all of it on the grid; the truncation bias is upward and bounded by the
+    half-budget sensitivity.
     An absorbed path counts at its hit time, as in ``estimate_explosion_cdf``.
     """
     if abs(u0.total_mass - 1.0) > 1e-6:

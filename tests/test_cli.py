@@ -183,6 +183,30 @@ def test_simulate_oracle_column_agrees(tmp_path):
     assert np.all(np.abs(est - oracle) <= 3.0 * se + 1e-3)
 
 
+@pytest.mark.parametrize("action,name,col", [
+    ("evolve", "mass_vs_t.csv", 6), ("oracle", "oracle.csv", 3)])
+def test_oracle_mass_for_non_integer_rho(tmp_path, action, name, col):
+    # nu = 0.5, gamma = 1: (nu+2)/gamma = 2.5 is no integer, and the gamma
+    # tail still gives the exact mass; a Poisson-sum oracle wrote nan here
+    cfg = tmp_path / "nu.yaml"
+    text = (CONFIGS / f"{action}.yaml").read_text()
+    assert text.count("nu: 0.0}") == 1
+    cfg.write_text(text.replace("nu: 0.0}", "nu: 0.5}"))
+    out = tmp_path / "o"
+    res = _run([action, "-c", str(cfg), "-o", str(out)])
+    assert res.exit_code == 0, res.output
+    num = load_config(cfg)["numeric"]
+    u0 = GridDensity.uniform_in_m(LogGrid(**num["grid"]), num["u0"]["lo"],
+                                  num["u0"]["hi"])
+    orc = TauOracle(nu=0.5, gamma=1.0, a=1.0)
+    rows = [line.split(",") for line in
+            (out / name).read_text().strip().splitlines()[1:]]
+    assert len(rows) == len(num["t_values"])
+    for cols in rows:
+        assert np.isfinite(float(cols[col]))
+        assert cols[col] == repr(exact_mass(orc, float(cols[0]), u0))
+
+
 def test_simulate_cdf_truncation_columns(tmp_path):
     # the half-budget value and the exhausted fraction behind each estimate
     # are the estimator's own diagnostics
@@ -375,6 +399,43 @@ def test_non_finite_model_parameter_exit_2(tmp_path, action, old, new):
     assert res.exit_code == 2, res.output
     assert "config error" in res.output and "finite" in res.output
     assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("action,old,new,key", [
+    ("evolve", "n_cells: 256}", "n_cells: 256.5}", "numeric.grid.n_cells"),
+    ("simulate", "n_paths: 2000", "n_paths: 2000.5", "numeric.n_paths"),
+    ("simulate", "n_max: 1500", "n_max: 1500.5", "numeric.n_max"),
+    ("evolve", "N: 60,", "N: 60.5,", "numeric.dyson.N"),
+    ("evolve", "n_s: 64}", "n_s: 2.5}", "numeric.dyson.n_s"),
+    ("classify", "n: 7}", "n: 7.5}", "numeric.probes.n"),
+    ("classify", "n_paths: 400", "n_paths: 50.9", "numeric.n_paths"),
+    ("classify", "n_iter: 800", "n_iter: 40.7", "numeric.n_iter"),
+    ("simulate", "seed: 42", "seed: 42.5", "numeric.seed")],
+    ids=["n_cells", "simulate-n_paths", "n_max", "N", "n_s", "probes-n",
+         "classify-n_paths", "n_iter", "seed"])
+def test_fractional_count_exit_2(tmp_path, action, old, new, key):
+    # unchecked, each was truncated: classify ran n_iter 40.7 as 40 and
+    # n_paths 50.9 as 50, and evolve ran n_s 2.5 as 2, all exiting 0
+    cfg = tmp_path / "count.yaml"
+    text = (CONFIGS / f"{action}.yaml").read_text()
+    assert text.count(old) == 1
+    cfg.write_text(text.replace(old, new))
+    res = _run([action, "-c", str(cfg), "-o", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert "config error" in res.output and key in res.output
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_integral_float_count_runs_as_integer(tmp_path):
+    # 2000.0 paths and seed 42.0 are the shipped 2000 and 42, bit for bit
+    cfg = tmp_path / "float.yaml"
+    cfg.write_text((CONFIGS / "simulate.yaml").read_text()
+                   .replace("n_paths: 2000", "n_paths: 2000.0")
+                   .replace("seed: 42", "seed: 42.0"))
+    out = tmp_path / "o"
+    res = _run(["simulate", "-c", str(cfg), "-o", str(out)])
+    assert res.exit_code == 0, res.output
+    assert _check_manifest(out)["outputs"] == CONFIG_OUTPUTS["simulate"]
 
 
 @pytest.mark.parametrize("numeric", [

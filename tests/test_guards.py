@@ -21,8 +21,10 @@ from pdmpfrag import (
     classify,
     classify_power_family,
     dual_pairing,
+    dyson_phillips,
     embedded_kernel,
     estimate_survival_mass,
+    f_lambda_grid,
     lyapunov_check,
     resolvent_A,
     resolvent_series,
@@ -42,6 +44,10 @@ def _one(x):
 GROWTH = SemiflowSpec(regime=Regime.GROWTH, power_beta=1.0)
 # unit mass, all of it in the sub-grid bucket: nothing to sample starts from
 NO_GRID_MASS = GridDensity(LogGrid(1e-3, 1e2, 64), np.zeros(64), 1.0)
+SMALL_U = GridDensity.uniform_in_m(LogGrid(0.5, 4.0, 8), 1.0, 2.0)
+# unit mass, half of it in the sub-grid bucket
+HALF_OUT_OF_GRID = GridDensity(LogGrid(1e-3, 1e2, 64), np.full(64, 0.5 / 64),
+                               0.5)
 
 CALLS = {
     "run_chains-checkpoint-0": (ValueError, lambda: run_chains(
@@ -165,6 +171,30 @@ CALLS = {
         seed=0)),
     "pairing-no-grid-mass": (ValueError, lambda: dual_pairing(
         power_model("pure_jump", alpha=-1.0), 1.0, NO_GRID_MASS, 4, 10)),
+    # starts come from the grid cells alone: unchecked, half of u in the
+    # sub-grid bucket read a survival mass of 0.967 where the grid half
+    # carries 0.484, and a pairing of half the all-grid value
+    "survival-out-of-grid-mass": (ValueError, lambda: estimate_survival_mass(
+        power_model("pure_jump", alpha=-1.0), HALF_OUT_OF_GRID, 1.0, 100,
+        seed=0)),
+    "pairing-out-of-grid-mass": (ValueError, lambda: dual_pairing(
+        power_model("pure_jump", alpha=-1.0), 0.1, HALF_OUT_OF_GRID, 4, 10)),
+    # a count is an integer, and an integral float such as 400.0 runs as
+    # 400: unchecked, n_nodes = 2.5 built 2 nodes, and the other counts
+    # failed with a TypeError from numpy or range
+    "log-grid-fractional-n_cells": (ValueError, lambda: LogGrid(
+        1e-4, 1e4, 64.5)),
+    "tabulated-fractional-n_nodes": (ValueError, lambda: TabulatedIntegralMap(
+        _one, domain=(0.5, 2.0), n_nodes=2.5)),
+    "dyson-fractional-N": (ValueError, lambda: dyson_phillips(
+        power_model("pure_jump", alpha=-1.0), 1.0, SMALL_U, N=2.5)),
+    "dyson-fractional-n_s": (ValueError, lambda: dyson_phillips(
+        power_model("pure_jump", alpha=-1.0), 1.0, SMALL_U, n_s=2.5)),
+    "resolvent_series-fractional-N": (ValueError, lambda: resolvent_series(
+        power_model("pure_jump", alpha=-1.0), 1.0, SMALL_U, N=2.5)),
+    "f_lambda_grid-fractional-n_iter": (ValueError, lambda: f_lambda_grid(
+        power_model("pure_jump", alpha=-1.0), 1.0, LogGrid(1e-4, 1e2, 16),
+        2.5)),
     # the minorant grid, a LogGrid, refuses r <= 0 and nan before any
     # kernel evaluation of the r-probes
     "lyapunov-r-probe-negative": (ValueError, lambda: lyapunov_check(
@@ -178,3 +208,22 @@ def test_unreached_checks_raise_their_type(name):
     error, call = CALLS[name]
     with pytest.raises(error):
         call()
+
+
+def test_integral_float_counts_run_as_integers():
+    # a count of 8.0 is the count 8: the same edges, nodes, terms and iterates
+    spec = power_model("pure_jump", alpha=-1.0)
+    assert np.array_equal(LogGrid(0.5, 4.0, 8.0).edges, SMALL_U.grid.edges)
+    assert np.array_equal(
+        TabulatedIntegralMap(_one, domain=(0.5, 2.0), n_nodes=16.0).nodes,
+        TabulatedIntegralMap(_one, domain=(0.5, 2.0), n_nodes=16).nodes)
+    for got, want in (
+            (dyson_phillips(spec, 1.0, SMALL_U, N=8.0, n_s=4.0),
+             dyson_phillips(spec, 1.0, SMALL_U, N=8, n_s=4)),
+            (resolvent_series(spec, 1.0, SMALL_U, N=3.0),
+             resolvent_series(spec, 1.0, SMALL_U, N=3))):
+        assert np.array_equal(got[0].masses, want[0].masses)
+        assert got[1].term_norms == want[1].term_norms
+    grid = LogGrid(1e-4, 1e2, 16)
+    assert np.array_equal(f_lambda_grid(spec, 1.0, grid, 3.0),
+                          f_lambda_grid(spec, 1.0, grid, 3))

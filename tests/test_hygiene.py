@@ -5,8 +5,8 @@ stored, only density.py how B and S are stored and which private scipy
 module multiplies S, the characteristics read the monotone maps through
 their public interface, the CLI reads its config through one schema
 reader, the chains run serially, on one driver, the f_lambda estimators
-read one Laplace table, and the package exports exactly the public names it
-imports."""
+read one Laplace table, the power-family oracles one gamma tail, and the
+package exports exactly the public names it imports."""
 
 import ast
 from pathlib import Path
@@ -256,6 +256,20 @@ def test_one_laplace_table():
                                           "diagnose.py: dual_pairing",
                                           "diagnose.py: f_lambda_dual"]
     gone = {"_probe_estimates", "_need_two_paths", "_laplace_weights"}
+    assert sorted(f"{path.name}: {name}" for path in SRC.glob("*.py")
+                  for name in gone if name in path.read_text()) == []
+
+
+def test_one_gamma_tail():
+    # the power family's explosion law is computed once: explosion_cdf and
+    # exact_mass read the one gamma tail at the one time scale, so no second
+    # copy of the law (a Poisson partial sum, an "upper bound") comes back
+    assert _callers("gammaincc") == ["oracles.py: tau_tail"]
+    fns = ["oracles.py: exact_mass", "oracles.py: explosion_cdf"]
+    assert _callers("tau_tail") == fns
+    assert [c for c in _callers("time_scale") if c.startswith("oracles")] \
+        == fns
+    gone = {"_survival_weight", "mass_upper_bound"}
     assert sorted(f"{path.name}: {name}" for path in SRC.glob("*.py")
                   for name in gone if name in path.read_text()) == []
 

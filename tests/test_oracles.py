@@ -4,16 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, special, stats
 
-from pdmpfrag import OutOfRegime
+from pdmpfrag import OutOfRegime, estimate_survival_mass
 from pdmpfrag.density import GridDensity
 from pdmpfrag.oracles import (
     GrowthTauParams,
     TauOracle,
     exact_mass,
     explosion_cdf,
-    mass_upper_bound,
     mu0,
     sample_tau,
     tau_tail,
@@ -71,22 +70,30 @@ def test_exact_mass_golden_values():
     assert ms[-1] < 1e-4
 
 
-def test_exact_mass_integer_rho_guard():
-    o = TauOracle(nu=0.5, gamma=1.0, a=1.0)  # rho = 2.5
-    u = GridDensity.uniform_in_m(aligned_grid(), 1.0, 2.0)
-    with pytest.raises(OutOfRegime):
-        exact_mass(o, 1.0, u)
-    with pytest.raises(ValueError):
-        exact_mass(TauOracle(), -1.0, u)
+# Monte Carlo budget of the non-integer-rho check, fixed before its first run
+MC_PATHS, MC_N_MAX, MC_SEED = 40_000, 4_000, 3
 
 
-def test_mass_upper_bound_equality_route():
-    # for phi exactly a x^{-gamma} the bound is an equality; the two
-    # quadratures (truncated exponential sum vs gammaincc) must agree
-    o = TauOracle(nu=0.0, gamma=1.0, a=1.0)
+@pytest.mark.parametrize("nu", [0.5, -1.5])
+def test_exact_mass_non_integer_rho(nu):
+    # rho = (nu+2)/gamma = 2.5 and 0.5: the gamma tail holds for every rho,
+    # so exact_mass agrees with the jump chain and with an adaptive
+    # quadrature of the same tail, (2/3) int_1^2 Q(s, t/x) x dx
+    o = TauOracle(nu=nu, gamma=1.0, a=1.0)
+    spec = power_model("pure_jump", alpha=-1.0, nu=nu)
     u = GridDensity.uniform_in_m(aligned_grid(), 1.0, 2.0)
     for t in (0.25, 1.0, 4.0):
-        assert abs(exact_mass(o, t, u) - mass_upper_bound(o, t, u)) < 1e-10
+        got = exact_mass(o, t, u)
+        est = estimate_survival_mass(spec, u, t, MC_PATHS, MC_N_MAX,
+                                     seed=MC_SEED)
+        assert abs(got - est.value) <= 3.0 * est.std_error, (t, got, est)
+        if nu == -1.5:
+            want, _ = integrate.quad(
+                lambda x: special.gammaincc(o.shape, t / x) * x, 1.0, 2.0,
+                epsabs=0.0, epsrel=1e-13)
+            assert abs(got - 2.0 / 3.0 * want) < 1e-12, t
+    with pytest.raises(ValueError):
+        exact_mass(TauOracle(), -1.0, u)
 
 
 def test_sample_tau_distribution():

@@ -19,9 +19,9 @@ from pdmpfrag import (
     dyson_phillips,
     estimate_explosion_cdf,
     estimate_survival_mass,
+    exact_mass,
     f_lambda_dual,
     f_lambda_grid,
-    mass_upper_bound,
     path_rng,
     run_chains,
     sample_state,
@@ -488,7 +488,6 @@ def test_survival_mass_estimator(pure_frag, bounded_pure_jump):
 
 
 def test_survival_mass_vs_oracle(pure_frag):
-    from pdmpfrag import exact_mass
     grid = aligned_grid()
     u0 = GridDensity.uniform_in_m(grid, 1.0, 2.0)
     oracle = TauOracle(nu=0.0, gamma=1.0, a=1.0)
@@ -515,7 +514,7 @@ BAD_STOP_CALLS = {
         spec, -1.0, LogGrid(1e-4, 1e2, 64), 10),
     "f_lambda_grid_negative_n_iter": lambda spec: f_lambda_grid(
         spec, 1.0, LogGrid(1e-4, 1e2, 64), -1),
-    "mass_upper_bound_t_nan": lambda spec: mass_upper_bound(
+    "exact_mass_t_nan": lambda spec: exact_mass(
         TauOracle(), math.nan,
         GridDensity.uniform_in_m(LogGrid(1e-4, 1e2, 64), 1.0, 2.0)),
 }
@@ -525,6 +524,6 @@ BAD_STOP_CALLS = {
 def test_bad_stop_times_and_parameters_refused(name):
     # unchecked: t_stop = nan parked no path (every status 0), t_max = nan
     # ran to the jump budget, lambda = -1 gave iterates above 1 (1.0036),
-    # n_iter = -1 gave ones and mass_upper_bound(t = nan) gave nan
+    # n_iter = -1 gave ones and an oracle mass at t = nan read nan
     with pytest.raises(ValueError):
         BAD_STOP_CALLS[name](power_model("pure_jump", alpha=-1.0))
