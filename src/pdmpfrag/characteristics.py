@@ -212,6 +212,14 @@ def _check_states(x):
         raise ValueError("states must lie in (0, inf)")
 
 
+def _count(n, name):
+    """A count as an int: an integral float such as 400.0 is 400, and
+    anything else is a ValueError naming the parameter."""
+    if not float(n).is_integer():  # NaN and inf too
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    return int(n)
+
+
 def cumulative_rate(spec, x, t):
     """phi_x(t) = int_0^t phi(pi_s x) ds, via the Q identity, for states x in
     (0, inf) and times t >= 0."""
@@ -247,8 +255,12 @@ def _holding(spec, x, eps):
         return eps / rate, x, np.zeros(len(x), dtype=bool)
     lim = spec.Q.limit_inf if regime is Regime.GROWTH else spec.Q.limit_zero
     qx = spec.Q(x)
-    absorbed = eps > (lim - qx) if lim < np.inf else np.zeros(len(x), bool)
-    any_absorbed, g0 = absorbed.any(), spec.G.limit_zero
+    if lim < np.inf:
+        absorbed = eps > (lim - qx)
+        any_absorbed = absorbed.any()
+    else:
+        absorbed, any_absorbed = np.zeros(len(x), bool), False
+    g0 = spec.G.limit_zero
     if any_absorbed and (regime is Regime.GROWTH or not np.isfinite(g0)):
         raise InfiniteHolding(
             "cumulative rate along the orbit is bounded; check asGQ/asGQd")

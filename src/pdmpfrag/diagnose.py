@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristics import Regime, _check_states, _holding
+from .characteristics import Regime, _check_states, _count, _holding
 from .density import LogGrid, _BOperator
 from .errors import NonConvergent, OutOfRegime
 from .monotone import gauss_panels
@@ -103,6 +103,7 @@ def f_lambda_dual(spec, lam, probes, n_iter, n_paths=400, *, seed=0):
     convergence gap.
     """
     probes = np.asarray(probes, dtype=float)
+    n_paths = _count(n_paths, "n_paths")
     f_hat, se, dec, gap = _laplace_table(
         spec, [lam], probes.reshape(-1, 1), n_paths, n_iter, seed=seed)
     return [Estimate(float(f_hat[0, i]), float(se[0, i]), n_paths, {
@@ -141,6 +142,7 @@ def dual_pairing(spec, lam, u, n_iter, n_paths, *, seed=0):
     e^{-lambda t_{n_iter}} (an upper bound, decreasing to the pairing as
     n_iter grows).
     """
+    n_paths = _count(n_paths, "n_paths")
     x0s = _stratified_starts(u, n_paths, seed, "pairing")
     f_hat, se, _, _ = _laplace_table(spec, [lam], x0s[None], n_paths,
                                      n_iter, seed=seed)

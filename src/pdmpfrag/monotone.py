@@ -38,7 +38,8 @@ def gauss_panels(f, a, b):
     b = np.asarray(b, dtype=float)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    pts = mid[..., None] + half[..., None] * _GL_X
+    pts = np.multiply.outer(half, _GL_X)
+    pts += mid[..., None]
     vals = np.asarray(f(pts.reshape(-1)), dtype=float).reshape(pts.shape)
     return (vals * _GL_W).sum(axis=-1) * half
 
@@ -235,8 +236,9 @@ class TabulatedIntegralMap(MonotoneMap):
         """Table value at x, exact per point (cached node value plus a panel
         over the rest of the cell)."""
         x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(self.nodes, x, side="right"),
-                      1, len(self.nodes) - 1)
+        # the cell [nodes[idx - 1], nodes[idx]] holding x, the first or last
+        # cell for x outside the nodes
+        idx = np.searchsorted(self.nodes[1:-1], x, side="right") + 1
         if self._top:
             return self.cumvals[idx] - gauss_panels(self.f, x, self.nodes[idx])
         return self.cumvals[idx - 1] + gauss_panels(
@@ -275,27 +277,41 @@ class TabulatedIntegralMap(MonotoneMap):
         finite or when it leaves (a, b), so flat pieces resolve to the same
         end as bisection would.  A point stops when its relative step is at
         most ``_NEWTON_RTOL``, or when the step no longer halves while |F| is
-        at the rounding floor of the target.
+        at the rounding floor of the target.  No point can stall on pass 1,
+        so when that pass makes every point final the clamped Newton values
+        are returned at once; the stall tolerance and the last step are
+        formed only for the points that need another pass.
         """
         q = np.asarray(q, dtype=float)
         t = self.direction * (q - self._const)  # target table value
         shape = t.shape
         t = t.ravel()
-        lo, hi = self.domain
-        # a target beyond the table's value at the lower domain edge maps to
-        # that edge, beyond its value at the upper edge to the upper edge; a
-        # NaN target maps to NaN and, like those, takes no Newton pass
         cum = self.cumvals
-        out = np.where(t >= cum[-1], hi, np.where(t <= cum[0], lo, t))
-        pos = np.flatnonzero((t > cum[0]) & (t < cum[-1]))
-        t = t[pos]
-        # leftmost x with V(x) >= q (increasing), rightmost (non-increasing)
-        side = "left" if self.direction > 0 else "right"
-        j = np.clip(np.searchsorted(cum, t, side=side), 1, len(cum) - 1)
+        inside = (t > cum[0]) & (t < cum[-1])
+        if inside.all():
+            out = self._newton(t)
+        else:
+            # a target beyond the table's value at the lower domain edge maps
+            # to that edge, beyond its value at the upper edge to the upper
+            # edge; a NaN target maps to NaN and, like those, takes no pass
+            lo, hi = self.domain
+            out = np.where(t >= cum[-1], hi, np.where(t <= cum[0], lo, t))
+            out[inside] = self._newton(t[inside])
+        return float(out[0]) if not shape else out.reshape(shape)
+
+    def _newton(self, t):
+        """The Newton iteration of ``inverse`` at table values t, each
+        strictly between the table's first and last value."""
+        if not t.size:  # no integrand call on an empty batch
+            return t
+        cum = self.cumvals
+        # leftmost x with V(x) >= q (increasing), rightmost (non-increasing);
+        # for such t the index lies in [1, len(cum) - 1]
+        j = np.searchsorted(cum, t, side="left" if self.direction > 0
+                            else "right")
         left = self.nodes[j - 1]
         a, b = left, self.nodes[j]
         tau = t - cum[j - 1]  # target of int_left^x f
-        f_tol = _STALL_ULPS * np.spacing(np.maximum(np.abs(t), tau))
         frac = tau / (cum[j] - cum[j - 1])
         coef = self._start[:, j - 1]
         r = coef[-1]
@@ -303,11 +319,9 @@ class TabulatedIntegralMap(MonotoneMap):
             r = r * frac + c
         r = np.minimum(np.maximum(r, 0.0), 1.0)
         x = a * (b / a) ** r
-        prev = np.full(x.shape, np.inf)
+        prev = None  # each point's last step; none before pass 1
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for _ in range(_MAX_STEPS):
-                if not pos.size:
-                    break
                 F = gauss_panels(self.f, left, x) - tau
                 fx = np.asarray(self.f(x), dtype=float)
                 take_left = F >= 0 if self.direction > 0 else F > 0
@@ -318,18 +332,28 @@ class TabulatedIntegralMap(MonotoneMap):
                 ok = (fx > 0) & np.isfinite(s)
                 step = np.abs(s)
                 final = ok & (step <= _NEWTON_RTOL)
-                done = final | (ok & (step > 0.5 * prev) & (np.abs(F) <= f_tol))
+                if prev is None:  # pass 1 (prev = inf): no point has stalled
+                    if final.all():
+                        return np.minimum(np.maximum(newton, a), b)
+                    done, out, pos = final, np.empty_like(t), np.arange(t.size)
+                else:
+                    done = final | (ok & (step > 0.5 * prev)
+                                    & (np.abs(F) <= f_tol))
                 out[pos[done]] = np.where(
                     final, np.minimum(np.maximum(newton, a), b), x)[done]
                 if done.all():
-                    break
+                    return out
                 nxt = np.where(ok & (newton > a) & (newton < b), newton,
                                np.sqrt(a * b))
-                prev = np.abs(np.log(nxt / x))
                 keep = ~done
-                pos, left, tau, f_tol, a, b, prev = (
-                    arr[keep] for arr in (pos, left, tau, f_tol, a, b, prev))
-                x = nxt[keep]
-            else:
-                out[pos] = b if self.direction > 0 else a
-        return float(out[0]) if not shape else out.reshape(shape)
+                if prev is None:  # the stall tolerance of the points left
+                    f_tol = _STALL_ULPS * np.spacing(
+                        np.maximum(np.abs(t[keep]), tau[keep]))
+                else:
+                    f_tol = f_tol[keep]
+                x_old, x = x[keep], nxt[keep]
+                prev = np.abs(np.log(x / x_old))
+                pos, left, tau, a, b = (
+                    arr[keep] for arr in (pos, left, tau, a, b))
+        out[pos] = b if self.direction > 0 else a
+        return out

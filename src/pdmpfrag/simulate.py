@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristics import _holding, flow_vec
+from .characteristics import _count, _holding, flow_vec
 from .errors import NotADensity
 
 DEFAULT_N_MAX = 10_000
@@ -200,15 +200,18 @@ def _jump(spec, x, t, u_eps, u_theta, t_stop):
     # non-increasing or non-finite time: the increment is lost to rounding;
     # settle at the previous time without a bogus jump
     moved = (t_new > t) & (t_new < np.inf)
-    if absorbed.any():  # no jump before the rate budget runs out: x hits 0
+    any_absorbed = absorbed.any()
+    if any_absorbed:  # no jump before the rate budget runs out: x hits 0
         x_new = np.where(absorbed, 0.0, x_new)
         moved |= absorbed
     if not moved.all():
         t_new = np.where(moved, t_new, t)
         x_new = np.where(moved, x_new, x)
     running = moved & (x_new > 0) & (x_new < np.inf)  # absorbed: x_new = 0
-    status = np.where(running, np.int8(_RUNNING), np.int8(_SETTLED))
-    status[absorbed] = _ABSORBED
+    # _RUNNING is 0 and _SETTLED 1: the bytes of ~running are the status
+    status = np.logical_not(running).view(np.int8)
+    if any_absorbed:
+        status[absorbed] = _ABSORBED
     if t_stop is not None:
         status[(t_new > t_stop) & running] = _PARKED
     return t_new, x_new, status
@@ -406,8 +409,9 @@ def estimate_explosion_cdf(spec, x0, t, n_paths, n_max=DEFAULT_N_MAX, *,
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1 or not np.all((ts >= 0) & (ts < np.inf)):
         raise ValueError("t must lie in [0, inf): a time or a 1-D sequence")
-    est = _truncated_share(spec, np.full(n_paths, float(x0)), ts.reshape(-1),
-                           n_max, seed, np.less_equal)
+    x0s = np.full(_count(n_paths, "n_paths"), float(x0))
+    est = _truncated_share(spec, x0s, ts.reshape(-1), n_max, seed,
+                           np.less_equal)
     return est[0] if ts.ndim == 0 else est
 
 
@@ -425,5 +429,5 @@ def estimate_survival_mass(spec, u0, t, n_paths, n_max=DEFAULT_N_MAX, *,
         raise NotADensity(f"u0 has mass {u0.total_mass}, expected 1")
     if not 0 <= t < math.inf:
         raise ValueError("t must lie in [0, inf)")
-    x0s = _stratified_starts(u0, n_paths, seed, "survival")
+    x0s = _stratified_starts(u0, _count(n_paths, "n_paths"), seed, "survival")
     return _truncated_share(spec, x0s, [t], n_max, seed, np.greater)[0]

@@ -23,13 +23,16 @@ from pdmpfrag import (
     dual_pairing,
     dyson_phillips,
     embedded_kernel,
+    estimate_explosion_cdf,
     estimate_survival_mass,
+    f_lambda_dual,
     f_lambda_grid,
     lyapunov_check,
     resolvent_A,
     resolvent_series,
     run_chains,
     sample_state,
+    sample_tau,
     simulate_chain,
     tau_tail,
 )
@@ -195,6 +198,21 @@ CALLS = {
     "f_lambda_grid-fractional-n_iter": (ValueError, lambda: f_lambda_grid(
         power_model("pure_jump", alpha=-1.0), 1.0, LogGrid(1e-4, 1e2, 16),
         2.5)),
+    # a path count and a draw budget too: unchecked, 100.5 (and 100.0, see
+    # test_integral_float_counts_run_as_integers) failed with a TypeError
+    # from numpy or range
+    "explosion_cdf-fractional-n_paths": (ValueError, lambda:
+        estimate_explosion_cdf(power_model("pure_jump", alpha=-1.0), 1.0, 1.0,
+                               100.5, 20, seed=0)),
+    "survival-fractional-n_paths": (ValueError, lambda: estimate_survival_mass(
+        power_model("pure_jump", alpha=-1.0), SMALL_U, 1.0, 100.5, 20,
+        seed=0)),
+    "f_lambda_dual-fractional-n_paths": (ValueError, lambda: f_lambda_dual(
+        power_model("pure_jump", alpha=-1.0), 1.0, [1.0], 8, 100.5)),
+    "pairing-fractional-n_paths": (ValueError, lambda: dual_pairing(
+        power_model("pure_jump", alpha=-1.0), 1.0, SMALL_U, 8, 100.5)),
+    "sample_tau-fractional-K_max": (ValueError, lambda: sample_tau(
+        TauOracle(), np.random.default_rng(0), K_max=100.5)),
     # the minorant grid, a LogGrid, refuses r <= 0 and nan before any
     # kernel evaluation of the r-probes
     "lyapunov-r-probe-negative": (ValueError, lambda: lyapunov_check(
@@ -227,3 +245,14 @@ def test_integral_float_counts_run_as_integers():
     grid = LogGrid(1e-4, 1e2, 16)
     assert np.array_equal(f_lambda_grid(spec, 1.0, grid, 3.0),
                           f_lambda_grid(spec, 1.0, grid, 3))
+    # 100.0 paths are 100 paths: the same estimates, the count an int
+    for run in (
+            lambda n: estimate_explosion_cdf(spec, 1.0, 1.0, n, 20, seed=0),
+            lambda n: estimate_survival_mass(spec, SMALL_U, 1.0, n, 20,
+                                             seed=0),
+            lambda n: f_lambda_dual(spec, 1.0, [1.0], 8, n)[0],
+            lambda n: dual_pairing(spec, 1.0, SMALL_U, 8, n)):
+        got = run(100.0)
+        assert got == run(100) and type(got.n_paths) is int
+    assert (sample_tau(TauOracle(), np.random.default_rng(0), K_max=100.0)
+            == sample_tau(TauOracle(), np.random.default_rng(0), K_max=100))

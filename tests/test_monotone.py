@@ -275,6 +275,35 @@ def test_inverse_integrand_evaluations_per_point(name):
     assert counted.points / q.size <= 20
 
 
+def _flat_on_1_2(x):
+    x = _arr(x)
+    return np.where((x >= 1.0) & (x <= 2.0), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(_INTEGRANDS) + ["flat_on_1_2"])
+def test_inverse_keeps_bits_on_both_ways_in(name):
+    # targets all strictly inside the table take inverse's short way in; one
+    # target beyond the table and one NaN force the general way, and the
+    # others keep their bits.  The cells of f = 0 on [1, 2] take a second
+    # Newton pass, so both ways run past pass 1 there
+    f, orientation, kw = (
+        (_flat_on_1_2, "from_below", {"anchor": 0.1, "domain": (1e-2, 1e2)})
+        if name == "flat_on_1_2" else (*_INTEGRANDS[name], {}))
+    counted = _Counted(f)
+    m = TabulatedIntegralMap(counted, orientation=orientation, **kw)
+    lo, hi = m.domain
+    xs = np.exp(np.random.default_rng(13).uniform(np.log(1.01 * lo),
+                                                  np.log(hi / 1.01), 500))
+    q = m(xs)
+    counted.points = 0
+    inside = m.inverse(q)
+    if name == "flat_on_1_2":
+        assert counted.points > 16 * q.size
+    both = m.inverse(np.append(q, [m.direction * 1e300, np.nan]))
+    assert np.array_equal(both[:-2], inside)
+    assert both[-2] == hi and np.isnan(both[-1])
+
+
 # name: map builder.  One map per anchor case: 0 (the tabulated Q of growth
 # g = phi = x), +inf, interior from_below (auto anchor 1) and interior
 # from_above (the G of unit decay g = phi = 1, auto anchor 1), plus an
