@@ -18,9 +18,12 @@ expansion, and the truncated resolvent series for R(lambda, C).  Only
 by its nodal survival e^{-phi(node) t}, at the same nodal phi at which B
 redistributes mass, so S and B together create none; it also turns each
 Dyson-Phillips level's time convolution into a recurrence, O(n n_s) work
-in about 4 sqrt(n_s) array operations, as a blocked scan.  B sends mass
-only to smaller cells, so a pure-jump Dyson-Phillips sum runs on the cells
-up to u's highest occupied one and leaves the cells above it exactly 0.
+in about 4 sqrt(n_s) array operations, as a blocked scan.  A transport
+level's convolution is one sparse product per lag, which the compiled
+kernel adds straight into an accumulator of halving width, with
+O(log n_s) array adds per level.  B sends mass only to smaller cells, so
+a pure-jump Dyson-Phillips sum runs on the cells up to u's highest
+occupied one and leaves the cells above it exactly 0.
 R(lambda, A) for growth/decay is a log-space prefix sum over the cells
 upstream of each node.
 """
@@ -31,9 +34,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-# private scipy kernel behind csc_matrix @ stack; its calling convention and
-# bit-equality with that path were checked on scipy 1.17.1 only, and
-# test_transport_S_add_matches_scipy keeps the public path as the reference
+# private scipy kernel behind csc_matrix @ stack; its calling convention,
+# its in-place writes through offset slices and bit-equality with that path
+# were checked on scipy 1.17.1 only, and test_transport_S_add_matches_scipy
+# keeps the public path as the reference
 from scipy.sparse import _sparsetools
 
 from .characteristics import Regime, cumulative_rate
@@ -203,9 +207,11 @@ class _SOperator:
     pointers) per time whose rows n and n + 1 are the super- and sub-grid
     deposits, built in blocks of ~8192 (time, cell) pairs and multiplied by
     scipy's compiled ``csc_matvecs``, the kernel ``csc_matrix @ stack``
-    ends in, without the sparse-matrix layer around it.  A diagonal S
-    convolves a Dyson-Phillips level in O(n n_s) work and about
-    4 sqrt(n_s) array operations."""
+    ends in, without the sparse-matrix layer around it, through the one
+    size-checked ``_matvecs``.  A diagonal S convolves a Dyson-Phillips
+    level in O(n n_s) work and about 4 sqrt(n_s) array operations;
+    transport in one product per lag, written by the kernel into
+    accumulators of halving width, and O(log n_s) array adds."""
 
     def __init__(self, spec, grid, ts):
         ts = np.asarray(ts, dtype=float)
@@ -228,24 +234,38 @@ class _SOperator:
         else:
             out += self._product(r, masses)
 
-    def _product(self, r, masses):
-        """Transport S(ts[r]) of one density (n,) or a stack (..., n), as a
-        (..., n + 2) view whose last two columns are the super- and
-        sub-grid deposits.  The kernel takes the k densities as the columns
-        of a C-order (n, k) array and adds each output row's sources in
-        ascending order into a zeroed (n + 2, k) result.  It checks no
-        sizes, so a density of the wrong length is refused here: it would
-        read past ``ptr`` or write rows past the result."""
-        data, rows, ptr = self.mats[r]
-        n = len(ptr) - 1
+    def _cells(self, masses):
+        """Transport's n, refusing masses whose last axis is not n cells."""
+        n = len(self.mats[0][2]) - 1
         if masses.shape[-1] != n:
             raise ValueError(f"transport S(t) acts on {n} cells, got "
                              f"masses of length {masses.shape[-1]}")
+        return n
+
+    def _matvecs(self, r, x, y, k):
+        """y += S(ts[r]) x for k densities, the columns of the C-order (n, k)
+        array x, into the C-order (n + 2, k) array y, both flat: scipy's
+        compiled csc_matvecs, which adds each output row's sources in
+        ascending order.  It checks no sizes and writes wherever y points,
+        an offset slice too, so the sizes are checked here: a short x would
+        be read past its end, a short y written past it."""
+        data, rows, ptr = self.mats[r]
+        n = len(ptr) - 1
+        if x.size != n * k or y.size != (n + 2) * k:
+            raise ValueError(f"transport S(t) on {k} densities of {n} cells "
+                             f"needs {n * k} sources and {(n + 2) * k} "
+                             f"outputs, got {x.size} and {y.size}")
+        _sparsetools.csc_matvecs(n + 2, n, k, ptr, rows, data, x, y)
+
+    def _product(self, r, masses):
+        """Transport S(ts[r]) of one density (n,) or a stack (..., n), as a
+        (..., n + 2) view whose last two columns are the super- and
+        sub-grid deposits, from one product into a zeroed result."""
+        n = self._cells(masses)
         x = np.ascontiguousarray(masses.reshape(-1, n).T)
         k = x.shape[1]
         res = np.zeros((n + 2, k))
-        _sparsetools.csc_matvecs(n + 2, n, k, ptr, rows, data, x.ravel(),
-                                 res.ravel())
+        self._matvecs(r, x.ravel(), res.ravel(), k)
         return res.T.reshape(masses.shape[:-1] + (n + 2,))
 
     def convolve(self, wm, out):
@@ -256,9 +276,14 @@ class _SOperator:
         e^{-phi h} v[k-1] + e^{-phi h/2} wm[k], run as a blocked scan
         (Blelloch 1990): blocks of b = round(sqrt(n_s)) rows scan all at
         once, then each block's last row carries into the next.  That is
-        O(n n_s) work in about 4 sqrt(n_s) array operations.  Transport adds
-        each lag d = k-j-1, grid cells and both deposits in one add, to the
-        rows out[d:]."""
+        O(n n_s) work in about 4 sqrt(n_s) array operations.  Transport
+        runs one product per lag d = k-j-1, grid cells and both deposits,
+        in decreasing order of d; the kernel adds each straight into the
+        accumulator of its group of lags, whose width w = 1, 2, 4, ...,
+        capped at n_s, is the first at least the lag's n_s - d sources, and
+        each group adds into the rows out[n_s-w:] once: 4/3 of the minimal
+        multiply-adds and O(log n_s) array adds.  A wm not n cells wide is
+        refused."""
         n_s = len(wm)
         if self.mats is None:
             # row 2m+1 of factor, e^{-phi (m+1) h}, carries a block's last
@@ -278,12 +303,25 @@ class _SOperator:
                 vb[k] += vb[k - 1, -1] * carry
             out += v[:n_s]
             return
-        # lags in decreasing order add each row's sources j = 0, 1, ... in
-        # turn; the products copy each block wm[:n_s-d].T, whose rows F
-        # order keeps contiguous (6% of a level at n = 256)
-        wm = np.asfortranarray(wm)
-        for d in range(n_s - 1, -1, -1):
-            out[d:] += self._product(2 * d, wm[:n_s - d])
+        # lag d has s = n_s - d sources, and the lags with s in (w/2, w]
+        # share a width-w group: x holds wm[j] in column j from the first
+        # lag that reads it, zeros before; acc, flat, holds output row
+        # n_s - w + c in column c of its n + 2 rows, plus w of slack.  Lag d
+        # writes at offset w - s = d - (n_s - w), so source j lands in row
+        # j + d, and the zero columns j >= s spill exact zeros into the next
+        # row or the slack
+        n = self._cells(wm)
+        s = 0
+        while s < n_s:
+            w = min(2 * s, n_s) or 1
+            x = np.zeros((n, w))
+            x[:, :s] = wm[:s].T
+            acc = np.zeros((n + 3) * w)
+            for s in range(s + 1, w + 1):
+                x[:, s - 1] = wm[s - 1]
+                self._matvecs(2 * (n_s - s), x.ravel(),
+                              acc[w - s:w - s + (n + 2) * w], w)
+            out[n_s - w:] += acc[:(n + 2) * w].reshape(n + 2, w).T
 
 
 def apply_S(spec, t, u: GridDensity) -> GridDensity:
@@ -412,8 +450,9 @@ def dyson_phillips(spec, t, u: GridDensity, N=60, n_s=64):
     on the whole stack and one ``_SOperator.convolve``: for a diagonal S a
     recurrence over k, O(n n_s) multiply-adds in about 4 sqrt(n_s) array
     operations (a blocked scan); for transport, whose operator
-    depends only on the lag d = k-j-1, one application of each
-    S((d+1/2) h) to the block Wbar[:n_s-d], O(nnz n_s^2).  All the S
+    depends only on the lag d = k-j-1, one product of each S((d+1/2) h)
+    with the block Wbar[:n_s-d], which the compiled kernel adds straight
+    into an accumulator of halving width, O(nnz n_s^2).  All the S
     factors, at the 2 n_s half steps j h/2, are built once per call, in one
     ``_SOperator``, before the first level.
 

@@ -73,6 +73,7 @@ def _laplace_table(spec, lams, x0s, n_paths, n_iter, *, seed):
     """
     if n_paths < 2:  # the standard error of a mean takes two paths
         raise ValueError("need n_paths >= 2 for a standard error")
+    n_iter = _count(n_iter, "n_iter")
     lams = np.asarray(lams, dtype=float)
     if not (lams.size and np.all((lams > 0) & (lams < np.inf))) or n_iter < 1:
         raise ValueError(f"need finite lambdas > 0 (got {lams.tolist()}) and "

@@ -410,8 +410,8 @@ def estimate_explosion_cdf(spec, x0, t, n_paths, n_max=DEFAULT_N_MAX, *,
     if ts.ndim > 1 or not np.all((ts >= 0) & (ts < np.inf)):
         raise ValueError("t must lie in [0, inf): a time or a 1-D sequence")
     x0s = np.full(_count(n_paths, "n_paths"), float(x0))
-    est = _truncated_share(spec, x0s, ts.reshape(-1), n_max, seed,
-                           np.less_equal)
+    est = _truncated_share(spec, x0s, ts.reshape(-1), _count(n_max, "n_max"),
+                           seed, np.less_equal)
     return est[0] if ts.ndim == 0 else est
 
 
@@ -430,4 +430,5 @@ def estimate_survival_mass(spec, u0, t, n_paths, n_max=DEFAULT_N_MAX, *,
     if not 0 <= t < math.inf:
         raise ValueError("t must lie in [0, inf)")
     x0s = _stratified_starts(u0, _count(n_paths, "n_paths"), seed, "survival")
-    return _truncated_share(spec, x0s, [t], n_max, seed, np.greater)[0]
+    return _truncated_share(spec, x0s, [t], _count(n_max, "n_max"), seed,
+                            np.greater)[0]

@@ -507,7 +507,11 @@ def test_transport_dyson_golden(name, spec, grid, t, N, n_s, start):
     # kept their bits and term_norms moved by <= 1.6e-16 relative.  The
     # masses of decay_to_zero (3 of 64) re-frozen when the tabulated
     # inverse's start became a degree-7 polynomial per cell: they moved by
-    # <= 5.4e-16 relative
+    # <= 5.4e-16 relative.  All masses re-frozen when each lag's product
+    # began adding onto the running sum of its accumulator instead of into
+    # a zeroed result: 6 to 39 cells per entry moved, by <= 4.2e-16
+    # relative, with the same zero cells; buckets and term_norms passed as
+    # they stood
     want = json.loads((DATA / "transport_golden.json").read_text())[name]
     u = GridDensity.uniform_in_m(LogGrid(*grid), 1.0, 2.0)
     u.sub_grid_mass, u.super_grid_mass = start
@@ -688,16 +692,55 @@ def test_diagonal_S_convolve_matches_lag_sum(pure_frag, n_s):
     assert not buckets.any()
 
 
-def test_transport_S_convolve_is_lag_sum():
-    spec = power_model("growth", alpha=0.0, beta=0.0)
-    grid = LogGrid(1e-4, 1e2, 64)
-    n_s, h = 16, 1.0 / 16
+def _fsum_lag_sum(op, wm):
+    """The direct convolution exactly rounded: each cell of each row k,
+    buckets included, is the fsum of its nonzero terms S_d[i, c] wm[j, c],
+    j + d = k, with K, the count of those terms, per cell."""
+    n_s, n = wm.shape
+    keys, terms = [], []
+    for d in range(n_s):
+        data, rows, ptr = op.mats[2 * d]
+        cols = np.repeat(np.arange(n), np.diff(ptr))
+        for j in range(n_s - d):
+            keys.append((j + d) * (n + 2) + rows)
+            terms.append(data * wm[j, cols])
+    keys, terms = np.concatenate(keys), np.concatenate(terms)
+    keep = terms != 0.0
+    order = np.argsort(keys[keep], kind="stable")
+    keys, terms = keys[keep][order], terms[keep][order]
+    cells, first, counts = np.unique(keys, return_index=True,
+                                     return_counts=True)
+    want = np.zeros(n_s * (n + 2))
+    K = np.zeros(n_s * (n + 2), dtype=int)
+    for c, a, m in zip(cells, first, counts):
+        want[c], K[c] = math.fsum(terms[a:a + m]), m
+    return want.reshape(n_s, n + 2), K.reshape(n_s, n + 2)
+
+
+@pytest.mark.parametrize("regime,beta,bucket", [
+    ("growth", 0.0, -2), ("decay", -1.0, -1)], ids=["growth", "decay"])
+@pytest.mark.parametrize("n_s", [1, 2, 5, 16, 33])
+def test_transport_S_convolve_is_lag_sum(regime, beta, bucket, n_s):
+    # the convolution against the exact sum, not against one order of its
+    # terms: zero cells alike, and each cell within the bound (K - 1) 2^-53
+    # of recursive summation of K nonnegative terms.  Growth g = x leaves
+    # the grid at the top, decay g = x^2 at the bottom, into the sub-grid
+    # row n + 1, the last of each accumulator, whose writes reach its slack;
+    # a fifth of the cells carry no source, and some cells get no term
+    spec = power_model(regime, alpha=0.0, beta=beta)
+    grid = LogGrid(1e-1, 1e2, 48)
+    h = 1.0 / n_s
     op = _SOperator(spec, grid, np.arange(1, 2 * n_s + 1) * (0.5 * h))
-    wm = np.random.default_rng(12).random((n_s, grid.n_cells))
-    # convolve runs the lag loop on wm in F order, where the sparse products
-    # read contiguous rows; one sparse product, buckets included, has the
-    # same bits in either layout, so the reference runs on the C-order wm
-    assert np.array_equal(_convolved(op, wm), _lag_sum(op, wm))
+    rng = np.random.default_rng(12)
+    wm = rng.random((n_s, grid.n_cells))
+    wm[:, rng.random(grid.n_cells) < 0.2] = 0.0
+    want, K = _fsum_lag_sum(op, wm)
+    got = _convolved(op, wm)
+    assert want[:, bucket].all() and not want.all()
+    assert np.array_equal(got == 0.0, want == 0.0)
+    nz = want != 0.0
+    assert np.all(np.abs(got[nz] - want[nz])
+                  <= (K[nz] - 1) * 2.0 ** -53 * want[nz])
 
 
 def _b_columns(spec, grid):
@@ -807,6 +850,30 @@ def test_apply_S_wrong_length_masses_raise(spec, extra):
     u = GridDensity(grid, np.full(grid.n_cells + extra, 1e-2))
     with pytest.raises(ValueError, match="96 cells"):
         apply_S(spec, 1.0, u)
+
+
+@pytest.mark.parametrize("spec", [
+    power_model("growth", alpha=0.0, beta=0.0),
+    power_model("decay", alpha=0.0, beta=-1.0),
+], ids=["growth", "decay"])
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_transport_convolve_wrong_width_raises(spec, extra):
+    # convolve writes its products through offset slices of accumulators
+    # sized by S's n: a level a cell narrow or wide is refused up front, and
+    # the one entry into the kernel refuses sources or outputs of the wrong
+    # size before the call
+    grid = LogGrid(1e-1, 1e2, 96)
+    op = _SOperator(spec, grid, np.arange(1, 9) * 0.125)
+    out = np.zeros((4, 98))
+    with pytest.raises(ValueError, match="96 cells"):
+        op.convolve(np.full((4, 96 + extra), 1e-2), out)
+    assert not out.any()
+    x, y = np.ones(96 * 2 + 1), np.zeros(98 * 2 + 1)
+    for args in ((x[:96 * 2 + extra], y[:98 * 2]),
+                 (x[:96 * 2], y[:98 * 2 + extra])):
+        with pytest.raises(ValueError, match="192 sources and 196 outputs"):
+            op._matvecs(0, *args, 2)
+    assert not y.any()
 
 
 # entry point: a call on (spec, u, v), v the time or rate it must refuse

@@ -228,6 +228,33 @@ def test_unreached_checks_raise_their_type(name):
         call()
 
 
+# a fractional step budget is refused by a message that names it: run_chains
+# refused it first, naming its internal checkpoints ("need checkpoints and
+# n_max integers: [10.0, 20.5], 20.5")
+NAMED_BUDGETS = {
+    "explosion_cdf-fractional-n_max": ("n_max", lambda: estimate_explosion_cdf(
+        power_model("pure_jump", alpha=-1.0), 1.0, 1.0, 100, 20.5, seed=0)),
+    "survival-fractional-n_max": ("n_max", lambda: estimate_survival_mass(
+        power_model("pure_jump", alpha=-1.0), SMALL_U, 1.0, 100, 20.5,
+        seed=0)),
+    "f_lambda_dual-fractional-n_iter": ("n_iter", lambda: f_lambda_dual(
+        power_model("pure_jump", alpha=-1.0), 1.0, [1.0], 8.5, 10)),
+    "pairing-fractional-n_iter": ("n_iter", lambda: dual_pairing(
+        power_model("pure_jump", alpha=-1.0), 1.0, SMALL_U, 8.5, 10)),
+    "classify-fractional-n_iter": ("n_iter", lambda: classify(
+        power_model("pure_jump", alpha=-1.0),
+        budgets={"n_iter": 8.5, "n_paths": 10})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_BUDGETS))
+def test_fractional_budgets_name_the_parameter(name):
+    param, call = NAMED_BUDGETS[name]
+    with pytest.raises(ValueError, match=param) as err:
+        call()
+    assert "checkpoints" not in str(err.value)
+
+
 def test_integral_float_counts_run_as_integers():
     # a count of 8.0 is the count 8: the same edges, nodes, terms and iterates
     spec = power_model("pure_jump", alpha=-1.0)
@@ -256,3 +283,14 @@ def test_integral_float_counts_run_as_integers():
         assert got == run(100) and type(got.n_paths) is int
     assert (sample_tau(TauOracle(), np.random.default_rng(0), K_max=100.0)
             == sample_tau(TauOracle(), np.random.default_rng(0), K_max=100))
+    # and a budget of 20.0 steps is 20 steps
+    for run in (
+            lambda n: estimate_explosion_cdf(spec, 1.0, 1.0, 100, n, seed=0),
+            lambda n: estimate_survival_mass(spec, SMALL_U, 1.0, 100, n,
+                                             seed=0),
+            lambda n: f_lambda_dual(spec, 1.0, [1.0], n, 100)[0],
+            lambda n: dual_pairing(spec, 1.0, SMALL_U, n, 100)):
+        got = run(20.0)
+        assert got == run(20)
+        assert all(type(v) is int for k, v in got.diagnostics.items()
+                   if k in ("n_max", "n_iter"))

@@ -2,11 +2,12 @@
 module level, every random draw goes through one stream, every holding time
 and pre-jump position through one rule, only the S operator knows how S is
 stored, only density.py how B and S are stored and which private scipy
-module multiplies S, the characteristics read the monotone maps through
-their public interface, the CLI reads its config through one schema
-reader, the chains run serially, on one driver, the f_lambda estimators
-read one Laplace table, the power-family oracles one gamma tail, and the
-package exports exactly the public names it imports."""
+module multiplies S, through one size-checked call, the characteristics
+read the monotone maps through their public interface, the CLI reads its
+config through one schema reader, the chains run serially, on one driver,
+the f_lambda estimators read one Laplace table, the power-family oracles
+one gamma tail, and the package exports exactly the public names it
+imports."""
 
 import ast
 from pathlib import Path
@@ -147,6 +148,23 @@ def test_only_density_imports_private_scipy():
         if isinstance(node, (ast.Import, ast.ImportFrom))
         and "_sparsetools" in f"{getattr(node, 'module', '')}.{alias.name}")
     assert found == ["src/pdmpfrag/density.py"]
+
+
+def test_one_entry_into_the_sparse_kernel():
+    # the compiled csc_matvecs checks no sizes and writes wherever its
+    # output points, offset slices too: one helper calls it, after checking
+    # both sizes, and S's add and convolve reach it only through that helper
+    calls = sorted(
+        str(path.relative_to(ROOT))
+        for folder in ("src", "tests", "perfbench")
+        for path in (ROOT / folder).rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "csc_matvecs")
+    assert calls == ["src/pdmpfrag/density.py"]
+    assert _callers("csc_matvecs") == ["density.py: _matvecs"]
+    assert _callers("_matvecs") == ["density.py: _product",
+                                    "density.py: convolve"]
 
 
 def test_characteristics_reads_no_private_map_state():
