@@ -76,7 +76,8 @@ def _power_map(coeff, p, orientation):
 
     With d = +1 (from_below) or -1 (from_above): V = d coeff log x for p = 0,
     V = (coeff/|p|) x**p for d p > 0 (generalized inverse 0 once q <= 0,
-    NaN at q = NaN).
+    NaN at q = NaN).  Both cases are bare closures with no floating-point
+    scope of their own: ``_holding`` opens one for the jump step.
     """
     d = +1 if orientation == "from_below" else -1
     if p == 0:
@@ -88,18 +89,12 @@ def _power_map(coeff, p, orientation):
         raise NonIntegrableRate(f"{orientation} integrand x**{p - 1:g} "
                                 f"diverges at {'infinity' if d > 0 else '0'}")
     c = coeff / abs(p)
-
-    def fwd(x):
-        with np.errstate(over="ignore", divide="ignore"):
-            return c * x ** p
-
-    def inv(q):
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return np.where(q <= 0.0, 0.0, np.maximum(q / c, 1e-300) ** (1.0 / p))
-
-    return ClosedFormMap(fwd, inv, direction=d,
-                         limit_zero=np.inf if d < 0 else 0.0,
-                         limit_inf=np.inf if d > 0 else 0.0)
+    return ClosedFormMap(
+        lambda x: c * x ** p,
+        lambda q: np.where(q <= 0.0, 0.0,
+                           np.maximum(q / c, 1e-300) ** (1.0 / p)),
+        direction=d, limit_zero=np.inf if d < 0 else 0.0,
+        limit_inf=np.inf if d > 0 else 0.0)
 
 
 @dataclass
@@ -207,17 +202,11 @@ def flow(spec, t, x):
 
 
 def _check_states(x):
-    """Refuse states outside (0, inf), NaN included."""
-    if not np.all((np.asarray(x) > 0) & (np.asarray(x) < np.inf)):
-        raise ValueError("states must lie in (0, inf)")
-
-
-def _count(n, name):
-    """A count as an int: an integral float such as 400.0 is 400, and
-    anything else is a ValueError naming the parameter."""
-    if not float(n).is_integer():  # NaN and inf too
-        raise ValueError(f"{name} must be an integer, got {n!r}")
-    return int(n)
+    """Refuse states outside (0, inf), NaN included, naming the first."""
+    x = np.asarray(x, dtype=float)
+    bad = ~((x > 0) & (x < np.inf))
+    if bad.any():
+        raise ValueError(f"state {x[bad][0]} is not in (0, inf)")
 
 
 def cumulative_rate(spec, x, t):
@@ -245,34 +234,38 @@ def _holding(spec, x, eps):
     bounded cumulative rate, unless the decay orbit reaches 0 first (G(0+)
     finite): that path is ``absorbed`` after G(0+) - G(x).  Absorption is
     tested only if Q's far limit is finite; the absorbed and dead fix-ups
-    run only when some path needs them.
+    run only when some path needs them.  The whole rule runs in one
+    floating-point scope that silences overflow, division by zero and
+    invalid values: the maps it calls are bare, and warn as numpy does
+    only when called directly.
     """
-    regime = spec.regime
-    if regime is Regime.PURE_JUMP:
-        rate = np.asarray(spec.phi(x), dtype=float)
-        if (rate <= 0).any():
-            raise InfiniteHolding("zero jump rate in pure-jump regime")
-        return eps / rate, x, np.zeros(len(x), dtype=bool)
-    lim = spec.Q.limit_inf if regime is Regime.GROWTH else spec.Q.limit_zero
-    qx = spec.Q(x)
-    if lim < np.inf:
-        absorbed = eps > (lim - qx)
-        any_absorbed = absorbed.any()
-    else:
-        absorbed, any_absorbed = np.zeros(len(x), bool), False
-    g0 = spec.G.limit_zero
-    if any_absorbed and (regime is Regime.GROWTH or not np.isfinite(g0)):
-        raise InfiniteHolding(
-            "cumulative rate along the orbit is bounded; check asGQ/asGQd")
-    x_pre = spec.Q.inverse(
-        qx + np.where(absorbed, 0.0, eps) if any_absorbed else qx + eps)
-    gx = spec.G(x)
-    # a state outside float range cannot be advanced: dt = nan freezes it
-    live = (x_pre > 0.0) & (x_pre < np.inf)
-    all_live = live.all()
-    if not all_live:
-        x_pre = np.where(live, x_pre, x)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        regime = spec.regime
+        if regime is Regime.PURE_JUMP:
+            rate = np.asarray(spec.phi(x), dtype=float)
+            if (rate <= 0).any():
+                raise InfiniteHolding("zero jump rate in pure-jump regime")
+            return eps / rate, x, np.zeros(len(x), dtype=bool)
+        lim = (spec.Q.limit_inf if regime is Regime.GROWTH
+               else spec.Q.limit_zero)
+        qx = spec.Q(x)
+        if lim < np.inf:
+            absorbed = eps > (lim - qx)
+            any_absorbed = absorbed.any()
+        else:
+            absorbed, any_absorbed = np.zeros(len(x), bool), False
+        g0 = spec.G.limit_zero
+        if any_absorbed and (regime is Regime.GROWTH or not np.isfinite(g0)):
+            raise InfiniteHolding(
+                "cumulative rate along the orbit is bounded; check asGQ/asGQd")
+        x_pre = spec.Q.inverse(
+            qx + np.where(absorbed, 0.0, eps) if any_absorbed else qx + eps)
+        gx = spec.G(x)
+        # a state outside float range cannot be advanced: dt = nan freezes it
+        live = (x_pre > 0.0) & (x_pre < np.inf)
+        all_live = live.all()
+        if not all_live:
+            x_pre = np.where(live, x_pre, x)
         dt = spec.G(x_pre) - gx
         # short orbit segment, where the G-difference is lost to rounding:
         # small against G(x), or (near G(x) = 0) lost with x_pre's own digits;
@@ -282,11 +275,11 @@ def _holding(spec, x, eps):
             mid = np.sqrt(x * x_pre)
             rate = np.asarray(spec.phi(mid), dtype=float)
             dt = np.where(lossy, eps / rate, dt)
-    if not all_live:
-        dt = np.where(live, dt, np.nan)
-    if any_absorbed:
-        dt = np.where(absorbed, g0 - gx, dt)
-    return dt, x_pre, absorbed
+        if not all_live:
+            dt = np.where(live, dt, np.nan)
+        if any_absorbed:
+            dt = np.where(absorbed, g0 - gx, dt)
+        return dt, x_pre, absorbed
 
 
 def _holding_at(spec, x, q):

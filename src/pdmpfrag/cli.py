@@ -33,7 +33,8 @@ from .characteristics import (Regime, SemiflowSpec, RateSpec, _check_states,
                               build_characteristics)
 from .density import GridDensity, LogGrid, dyson_phillips
 from .diagnose import classify, classify_power_family
-from .errors import ConfigError, ModelError, NumericalError, OutOfRegime
+from .errors import (ConfigError, ModelError, NumericalError, OutOfRegime,
+                     _count)
 from .kernels import HomogeneousKernel, PowerLawKernel, SeparableKernel
 from .monotone import gauss_panels
 from .oracles import TauOracle, exact_mass, explosion_cdf
@@ -68,13 +69,13 @@ def _section(parent, key, where, schema):
 
 
 def _integer(value, key):
-    """A count or seed of the config as an int: an integral float such as
-    400.0 reads as 400, and anything else is a ConfigError naming its key."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{key} must be an integer, got {value!r}")
+    """A count or seed of the config as an int >= 0 by the library's count
+    rule (400.0 reads as 400), or a ConfigError naming its key."""
+    try:
+        return _count(value, key)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"need an integer {key} >= 0, got {value!r}") \
+            from exc
 
 
 def load_config(path):
@@ -415,7 +416,7 @@ def run(action, config_path, out_dir=None, seed=None):
         out = Path(out_dir if out_dir is not None else out_cfg["dir"])
         out.mkdir(parents=True, exist_ok=True)
         seed = _integer(seed, "numeric.seed")
-        if not 0 <= seed < 2 ** 64:
+        if seed >= 2 ** 64:
             raise ConfigError(f"the seed must lie in [0, 2**64), got {seed}")
         t0 = time.perf_counter()
         spec = build_model(cfg)

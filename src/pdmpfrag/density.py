@@ -41,7 +41,7 @@ import numpy as np
 from scipy.sparse import _sparsetools
 
 from .characteristics import Regime, cumulative_rate
-from .errors import NoDensity
+from .errors import NoDensity, _count
 from .monotone import gauss_panels
 
 EPS_TAIL_FACTOR = 1e-8
@@ -51,12 +51,11 @@ class LogGrid:
     """Log-spaced cell grid on [x_min, x_max] with geometric midpoints."""
 
     def __init__(self, x_min=1e-4, x_max=1e4, n_cells=512):
-        if not (0 < x_min < x_max < math.inf and n_cells >= 1
-                and float(n_cells).is_integer()):
-            raise ValueError("a grid needs 0 < x_min < x_max < inf and an "
-                             f"integer n_cells >= 1, got {x_min}, {x_max}, "
-                             f"{n_cells}")
-        self.edges = np.geomspace(x_min, x_max, int(n_cells) + 1)
+        if not 0 < x_min < x_max < math.inf:  # NaN too
+            raise ValueError("a grid needs 0 < x_min < x_max < inf, got "
+                             f"{x_min}, {x_max}")
+        self.edges = np.geomspace(x_min, x_max,
+                                  _count(n_cells, "n_cells", 1) + 1)
         self.nodes = np.sqrt(self.edges[:-1] * self.edges[1:])
         self.m_weights = 0.5 * (self.edges[1:] ** 2 - self.edges[:-1] ** 2)
 
@@ -474,11 +473,9 @@ def dyson_phillips(spec, t, u: GridDensity, N=60, n_s=64):
     after one level; if the budget N is reached first the trace is flagged
     unconverged (result still returned).
     """
-    if not (0 <= t < math.inf and N >= 0 and n_s >= 1
-            and float(N).is_integer() and float(n_s).is_integer()):
-        raise ValueError("need t in [0, inf), integers N >= 0 and n_s >= 1, "
-                         f"got t = {t}, N = {N}, n_s = {n_s}")
-    N, n_s = int(N), int(n_s)
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must lie in [0, inf), got {t}")
+    N, n_s = _count(N, "N"), _count(n_s, "n_s", 1)
     if t == 0.0 or N == 0:
         res = apply_S(spec, t, u)
         return res, OperatorTrace(term_norms=[res.total_mass])
@@ -541,8 +538,7 @@ def resolvent_series(spec, lam, u: GridDensity, N=60):
     in the pure-fragmentation limit x -> 0) and carried in the norms."""
     if not 0 < lam < math.inf:
         raise ValueError("lam must lie in (0, inf)")
-    if not (N >= 0 and float(N).is_integer()):
-        raise ValueError(f"N must be an integer >= 0, got {N}")
+    N = _count(N, "N")
     grid = u.grid
     b_op = _BOperator(spec, grid)
     u_norm = u.total_mass
@@ -552,7 +548,7 @@ def resolvent_series(spec, lam, u: GridDensity, N=60):
     acc = np.zeros(grid.n_cells)
     acc_R_norm = 0.0
     trace = OperatorTrace()
-    for n_term in range(int(N) + 1):
+    for n_term in range(N + 1):
         r = resolvent_A(spec, lam, GridDensity(grid, v)).masses
         acc += r
         acc_R_norm += float(np.sum(r))

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristics import Regime, _check_states, _count, _holding
+from .characteristics import Regime, _check_states, _holding
 from .density import LogGrid, _BOperator
-from .errors import NonConvergent, OutOfRegime
+from .errors import NonConvergent, OutOfRegime, _count
 from .monotone import gauss_panels
 from .oracles import mu0
 from .simulate import _ABSORBED, Estimate, _stratified_starts, run_chains
@@ -70,14 +70,12 @@ def _laplace_table(spec, lams, x0s, n_paths, n_iter, *, seed):
 
     Path p keeps path id p, so its stream does not depend on the lambdas.
     Paths are parked past 745 / min(lams), where every weight underflows.
+    The counts come checked: n_paths >= 2 (a standard error takes two
+    paths) and n_iter >= 1.
     """
-    if n_paths < 2:  # the standard error of a mean takes two paths
-        raise ValueError("need n_paths >= 2 for a standard error")
-    n_iter = _count(n_iter, "n_iter")
     lams = np.asarray(lams, dtype=float)
-    if not (lams.size and np.all((lams > 0) & (lams < np.inf))) or n_iter < 1:
-        raise ValueError(f"need finite lambdas > 0 (got {lams.tolist()}) and "
-                         f"n_iter >= 1 (got {n_iter})")
+    if not (lams.size and np.all((lams > 0) & (lams < np.inf))):
+        raise ValueError(f"need finite lambdas > 0, got {lams.tolist()}")
     cps = (max(1, n_iter // 2), max(1, n_iter - 1), n_iter)
     times, _, status, cp_list = run_chains(
         spec, np.broadcast_to(x0s, (len(x0s), n_paths)).ravel(), seed=seed,
@@ -104,11 +102,11 @@ def f_lambda_dual(spec, lam, probes, n_iter, n_paths=400, *, seed=0):
     convergence gap.
     """
     probes = np.asarray(probes, dtype=float)
-    n_paths = _count(n_paths, "n_paths")
+    n_paths, n_iter = _count(n_paths, "n_paths", 2), _count(n_iter, "n_iter", 1)
     f_hat, se, dec, gap = _laplace_table(
         spec, [lam], probes.reshape(-1, 1), n_paths, n_iter, seed=seed)
     return [Estimate(float(f_hat[0, i]), float(se[0, i]), n_paths, {
-        "x": float(x0), "lambda": float(lam), "n_iter": int(n_iter),
+        "x": float(x0), "lambda": float(lam), "n_iter": n_iter,
         "decrement": float(dec[0, i]), "half_gap": float(gap[0, i])})
         for i, x0 in enumerate(probes)]
 
@@ -122,15 +120,14 @@ def f_lambda_grid(spec, lam, grid, n_iter):
     """
     if spec.regime is not Regime.PURE_JUMP:
         raise OutOfRegime("grid dual iteration is a pure-jump cross-check only")
-    if not (0 < lam < math.inf and n_iter >= 0
-            and float(n_iter).is_integer()):
-        raise ValueError("need lam in (0, inf) and an integer n_iter >= 0, "
-                         f"got lam = {lam}, n_iter = {n_iter}")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lam must lie in (0, inf), got {lam}")
+    n_iter = _count(n_iter, "n_iter")
     b_op = _BOperator(spec, grid)
     phi = np.asarray(spec.phi(grid.nodes), dtype=float)
     damp = phi / (lam + phi)
     f = np.ones(grid.n_cells)
-    for _ in range(int(n_iter)):
+    for _ in range(n_iter):
         f = damp * b_op.adjoint(f)
     return f
 
@@ -143,13 +140,13 @@ def dual_pairing(spec, lam, u, n_iter, n_paths, *, seed=0):
     e^{-lambda t_{n_iter}} (an upper bound, decreasing to the pairing as
     n_iter grows).
     """
-    n_paths = _count(n_paths, "n_paths")
+    n_paths, n_iter = _count(n_paths, "n_paths", 2), _count(n_iter, "n_iter", 1)
     x0s = _stratified_starts(u, n_paths, seed, "pairing")
     f_hat, se, _, _ = _laplace_table(spec, [lam], x0s[None], n_paths,
                                      n_iter, seed=seed)
     return Estimate(float(f_hat[0, 0]) * u.grid_mass,
                     float(se[0, 0]) * u.grid_mass, n_paths,
-                    {"lambda": float(lam), "n_iter": int(n_iter)})
+                    {"lambda": float(lam), "n_iter": n_iter})
 
 
 def classify(spec, lam_grid=DEFAULT_LAMBDAS, probe_grid=None, budgets=None,
@@ -176,10 +173,8 @@ def classify(spec, lam_grid=DEFAULT_LAMBDAS, probe_grid=None, budgets=None,
     unknown = sorted(map(str, set(budgets) - {"n_iter", "n_paths"}))
     if unknown:
         raise ValueError(f"unknown budgets {unknown}; allowed: n_iter, n_paths")
-    bad = sorted(k for k, v in budgets.items() if not float(v).is_integer())
-    if bad:
-        raise ValueError(f"budgets {bad} must be integers")
-    n_paths, n_iter = int(budgets["n_paths"]), int(budgets["n_iter"])
+    n_paths = _count(budgets["n_paths"], "n_paths", 2)
+    n_iter = _count(budgets["n_iter"], "n_iter", 1)
     f_hat, se, _, gap = _laplace_table(
         spec, lam_grid, probe_grid.reshape(-1, 1), n_paths, n_iter, seed=seed)
     evidence = [{"lam": lam, "x": float(x), "f_hat": float(f_hat[j, i]),

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the one rule for counts:
+``_count`` checks every size, budget and path count where it enters."""
+
+import numpy as np
 
 
 class ModelError(Exception):
@@ -51,3 +54,14 @@ class OutOfRegime(ModelError):
 
 class ConfigError(Exception):
     """Invalid experiment configuration."""
+
+
+def _count(n, name, low=0):
+    """A count as an int: an integral float such as 400.0 is 400.  A bool,
+    a string, a fraction, NaN, inf or a value below ``low`` is a ValueError
+    naming the parameter and its bound."""
+    integral = (not isinstance(n, (bool, np.bool_, str))
+                and float(n).is_integer())  # NaN and inf are not
+    if not (integral and n >= low):
+        raise ValueError(f"need an integer {name} >= {low}, got {n!r}")
+    return int(n)

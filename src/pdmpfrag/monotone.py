@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonIntegrableRate
+from .errors import NonIntegrableRate, _count
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
 
@@ -183,14 +183,13 @@ class TabulatedIntegralMap(MonotoneMap):
         if not 0.0 < lo < hi < np.inf:  # NaN too
             raise ValueError(f"domain must satisfy 0 < lo < hi < inf, got "
                              f"{domain}")
-        if not (n_nodes >= 2 and float(n_nodes).is_integer()):
-            raise ValueError(f"n_nodes must be an integer >= 2, got {n_nodes}")
+        n_nodes = _count(n_nodes, "n_nodes", 2)
         if not (anchor == "auto" or 0.0 <= float(anchor) <= np.inf):
             raise ValueError(f"anchor must lie in [0, inf], got {anchor}")
         self.f = integrand
         self.domain = (lo, hi)
         self.direction = d = +1 if orientation == "from_below" else -1
-        self.nodes = np.geomspace(lo, hi, int(n_nodes))
+        self.nodes = np.geomspace(lo, hi, n_nodes)
         cells = gauss_panels(integrand, self.nodes[:-1], self.nodes[1:])
         tol = 1e-15 * max(1.0, float(np.max(np.abs(cells))))
         if not np.all((cells >= -tol) & (cells < np.inf)):  # NaN too

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .characteristics import _check_states, _count
-from .errors import NonConvergent, OutOfRegime
+from .characteristics import _check_states
+from .errors import NonConvergent, OutOfRegime, _count
 from .monotone import endpoint_integral, gauss_panels
 
 _PROD_FLOOR = 1e-16  # series truncation: remaining factors below this are noise
@@ -122,7 +122,7 @@ def sample_tau(params, rng, K_max=100_000, x0=1.0) -> float:
     explosion) is returned without drawing.  x0 must lie in (0, inf).
     """
     _check_states(x0)
-    K_max = _count(K_max, "K_max")
+    K_max = _count(K_max, "K_max", 1)
     # per family: the exponent of H^{<-}(theta) in the product, the final
     # scale x0^power / div, and a step eps -> (increment, growth factor)
     if isinstance(params, TauOracle):

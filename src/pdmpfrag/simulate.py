@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristics import _count, _holding, flow_vec
-from .errors import NotADensity
+from .characteristics import _check_states, _holding, flow_vec
+from .errors import NotADensity, _count
 
 DEFAULT_N_MAX = 10_000
 DEFAULT_T_MAX = 1_000.0
@@ -228,10 +228,11 @@ def simulate_chain(spec, x0, *, seed, path_id=0, n_max=DEFAULT_N_MAX,
     advances (not recorded).  Raises InfiniteHolding for mis-specified
     models whose cumulative rate along an orbit stays bounded.
     """
-    if not (n_max >= 1 and float(n_max).is_integer() and t_max > 0):
-        raise ValueError("need an integer n_max >= 1 and t_max > 0")
+    n_max = _count(n_max, "n_max", 1)
+    if not t_max > 0:  # NaN too
+        raise ValueError(f"need t_max > 0, got {t_max}")
     times, xs, stop, last = _run_batch(
-        spec, [x0], seed, range(1, int(n_max) + 1), t_max, path_id)
+        spec, [x0], seed, range(1, n_max + 1), t_max, path_id)
     n, code = int(last[2, 0]), int(stop[0])
     if code == _SETTLED:  # stuck in place, or jumped out of (0, inf)
         code = _RUNNING if 0.0 < xs[n, 0] < math.inf else _ABSORBED
@@ -307,9 +308,7 @@ def _run_batch(spec, x0s, seed, rows, t_stop, offset):
     last the budget).  Returns (times, xs, status, last), one row per step."""
     x0s = np.asarray(x0s, dtype=float)
     P = len(x0s)
-    ok = (x0s > 0) & (x0s < np.inf)
-    if not ok.all():
-        raise ValueError(f"starting state {x0s[~ok][0]} is not in (0, inf)")
+    _check_states(x0s)
     times, xs = np.full((len(rows), P), np.nan), np.empty((len(rows), P))
     status, last = np.empty(P, dtype=np.int8), np.empty((3, P))
     for a in range(0, P, _BLOCK):
@@ -340,12 +339,12 @@ def run_chains(spec, x0s, *, seed, n_max=DEFAULT_N_MAX, checkpoints=None,
     """
     if t_stop is not None and not t_stop >= 0:  # NaN too
         raise ValueError("t_stop must be nonnegative")
-    cps = sorted(set((n_max,) if checkpoints is None else checkpoints))
-    if not cps or not all(float(c).is_integer() for c in [*cps, n_max]):
-        raise ValueError(f"need checkpoints and n_max integers: {cps}, {n_max}")
-    cps, n_max = list(map(int, cps)), int(n_max)
-    if cps[-1] > n_max or cps[0] < 1:
-        raise ValueError("checkpoints must lie in [1, n_max]")
+    n_max = _count(n_max, "n_max", 1)
+    cps = sorted({_count(c, "checkpoint", 1) for c in
+                  ((n_max,) if checkpoints is None else checkpoints)})
+    if not cps or cps[-1] > n_max:
+        raise ValueError(f"need checkpoints in [1, n_max = {n_max}], "
+                         f"got {cps}")
     rows = cps + [n_max] * (cps[-1] < n_max)  # final_x's row
     times, xs, status, _ = _run_batch(spec, x0s, seed, rows, t_stop,
                                       path_offset)
@@ -361,10 +360,10 @@ def sample_state(spec, x0s, t, *, seed, n_max=DEFAULT_N_MAX):
     absorbed at 0 after t); then x_t is the flow from its last state before
     t, and n_t its jumps by t.  Otherwise x_t is nan and n_t its jumps.
     """
-    if not (0 <= t < math.inf and n_max >= 1 and float(n_max).is_integer()):
-        raise ValueError("t must lie in [0, inf), n_max be an integer >= 1")
+    if not 0 <= t < math.inf:
+        raise ValueError("t must lie in [0, inf)")
     times, _, status, (t_prev, x_prev, n_t) = _run_batch(
-        spec, x0s, seed, [int(n_max)], t, 0)
+        spec, x0s, seed, [_count(n_max, "n_max", 1)], t, 0)
     alive = times[0] > t
     x_t = np.full_like(t_prev, np.nan)
     x_t[alive] = flow_vec(spec, t - t_prev[alive], x_prev[alive])[0]
@@ -377,8 +376,6 @@ def _truncated_share(spec, x0s, ts, n_max, seed, event):
     """One Estimate per t of ``ts`` from one ``run_chains`` batch parked past
     max(ts), by the rule given in ``estimate_explosion_cdf``."""
     half, n = max(1, n_max // 2), len(x0s)
-    if n < 100:
-        raise ValueError("need n_paths >= 100")
     times, _, status, cps = run_chains(
         spec, x0s, seed=seed, n_max=n_max, checkpoints=(half, n_max),
         t_stop=np.max(ts, initial=0.0))
@@ -409,9 +406,9 @@ def estimate_explosion_cdf(spec, x0, t, n_paths, n_max=DEFAULT_N_MAX, *,
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1 or not np.all((ts >= 0) & (ts < np.inf)):
         raise ValueError("t must lie in [0, inf): a time or a 1-D sequence")
-    x0s = np.full(_count(n_paths, "n_paths"), float(x0))
-    est = _truncated_share(spec, x0s, ts.reshape(-1), _count(n_max, "n_max"),
-                           seed, np.less_equal)
+    x0s = np.full(_count(n_paths, "n_paths", 100), float(x0))
+    est = _truncated_share(spec, x0s, ts.reshape(-1),
+                           _count(n_max, "n_max", 1), seed, np.less_equal)
     return est[0] if ts.ndim == 0 else est
 
 
@@ -429,6 +426,7 @@ def estimate_survival_mass(spec, u0, t, n_paths, n_max=DEFAULT_N_MAX, *,
         raise NotADensity(f"u0 has mass {u0.total_mass}, expected 1")
     if not 0 <= t < math.inf:
         raise ValueError("t must lie in [0, inf)")
-    x0s = _stratified_starts(u0, _count(n_paths, "n_paths"), seed, "survival")
-    return _truncated_share(spec, x0s, [t], _count(n_max, "n_max"), seed,
+    x0s = _stratified_starts(u0, _count(n_paths, "n_paths", 100), seed,
+                             "survival")
+    return _truncated_share(spec, x0s, [t], _count(n_max, "n_max", 1), seed,
                             np.greater)[0]

@@ -426,6 +426,26 @@ def test_fractional_count_exit_2(tmp_path, action, old, new, key):
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("action,old,new,key", [
+    ("simulate", "n_paths: 2000", "n_paths: -5", "numeric.n_paths"),
+    ("evolve", "N: 60,", "N: -1,", "numeric.dyson.N"),
+    ("classify", "n_iter: 800", "n_iter: true", "numeric.n_iter"),
+    ("simulate", "n_max: 1500", "n_max: '1500'", "numeric.n_max")],
+    ids=["negative-n_paths", "negative-N", "bool-n_iter", "string-n_max"])
+def test_non_count_exit_2(tmp_path, action, old, new, key):
+    # a negative, bool or string count is refused by the one count rule,
+    # naming its key: unchecked, -5 paths failed in numpy ("negative
+    # dimensions are not allowed") and N = -1 was named "N"
+    cfg = tmp_path / "count.yaml"
+    text = (CONFIGS / f"{action}.yaml").read_text()
+    assert text.count(old) == 1
+    cfg.write_text(text.replace(old, new))
+    res = _run([action, "-c", str(cfg), "-o", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert "config error" in res.output and key in res.output
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 def test_integral_float_count_runs_as_integer(tmp_path):
     # 2000.0 paths and seed 42.0 are the shipped 2000 and 42, bit for bit
     cfg = tmp_path / "float.yaml"
@@ -663,10 +683,11 @@ def test_audit_tabulated_decay_rate(tmp_path):
     assert [r.split(",")[-1] for r in rows[1:]] == ["pass", "pass"]
 
 
-@pytest.mark.parametrize("grid", [
-    "{x_min: 100.0, x_max: 1.0e-6, n_cells: 256}",
-    "{x_min: 1.0e-6, x_max: 100.0, n_cells: 0}"], ids=["reversed", "empty"])
-def test_non_grid_exit_2(tmp_path, grid):
+@pytest.mark.parametrize("grid,match", [
+    ("{x_min: 100.0, x_max: 1.0e-6, n_cells: 256}", "x_min < x_max"),
+    ("{x_min: 1.0e-6, x_max: 100.0, n_cells: 0}", "n_cells >= 1")],
+    ids=["reversed", "empty"])
+def test_non_grid_exit_2(tmp_path, grid, match):
     # unchecked: the reversed grid exited 0 with exact_mass_u0 the negative
     # of the correct column
     cfg = tmp_path / "grid.yaml"
@@ -675,5 +696,5 @@ def test_non_grid_exit_2(tmp_path, grid):
     assert grid in cfg.read_text()
     res = _run(["oracle", "-c", str(cfg), "-o", str(tmp_path / "o")])
     assert res.exit_code == 2, res.output
-    assert "config error" in res.output and "x_min < x_max" in res.output
+    assert "config error" in res.output and match in res.output
     assert not (tmp_path / "o" / "oracle.csv").exists()

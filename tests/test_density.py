@@ -85,8 +85,10 @@ def test_uniform_in_m_needs_lo_below_hi(lo, hi):
     (1.0, 0.5, 8), (1e-3, 1.0, 0), (1.0, 1.0, 8), (0.0, 1.0, 8),
     (-1.0, 1.0, 8), (1e-3, math.inf, 8), (math.nan, 1.0, 8), (1e-3, 1.0, -1)])
 def test_log_grid_refuses_non_grids(x_min, x_max, n_cells):
-    # unchecked: a reversed grid had decreasing edges, n_cells = 0 no cells
-    with pytest.raises(ValueError, match="0 < x_min < x_max < inf"):
+    # unchecked: a reversed grid had decreasing edges, n_cells = 0 no cells;
+    # a bad range and a bad count are each refused by name
+    match = "n_cells >= 1" if n_cells < 1 else "0 < x_min < x_max < inf"
+    with pytest.raises(ValueError, match=match):
         LogGrid(x_min, x_max, n_cells)
 
 

@@ -244,6 +244,14 @@ NAMED_BUDGETS = {
     "classify-fractional-n_iter": ("n_iter", lambda: classify(
         power_model("pure_jump", alpha=-1.0),
         budgets={"n_iter": 8.5, "n_paths": 10})),
+    # so is a budget of no steps: run_chains refused it as "checkpoints must
+    # lie in [1, n_max]"
+    "explosion_cdf-zero-n_max": ("n_max", lambda: estimate_explosion_cdf(
+        power_model("pure_jump", alpha=-1.0), 1.0, 1.0, 100, 0, seed=0)),
+    "survival-zero-n_max": ("n_max", lambda: estimate_survival_mass(
+        power_model("pure_jump", alpha=-1.0), SMALL_U, 1.0, 100, 0, seed=0)),
+    "run_chains-zero-n_max": ("n_max", lambda: run_chains(
+        power_model("pure_jump", alpha=-1.0), [1.0], seed=0, n_max=0)),
 }
 
 
@@ -253,6 +261,64 @@ def test_fractional_budgets_name_the_parameter(name):
     with pytest.raises(ValueError, match=param) as err:
         call()
     assert "checkpoints" not in str(err.value)
+
+
+# every count is refused by one rule, with a ValueError naming the parameter
+# and its bound; unchecked, -5 paths failed in numpy ("negative dimensions
+# are not allowed"), K_max = 0 raised NonConvergent, a numerical error, and
+# True and "200" ran as 1 cell and 200 paths
+BAD_COUNTS = {
+    "log_grid-n_cells-true": ("n_cells >= 1", lambda: LogGrid(0.5, 4.0, True)),
+    "log_grid-n_cells-string": ("n_cells >= 1", lambda: LogGrid(0.5, 4.0, "8")),
+    "log_grid-n_cells-numpy-bool": ("n_cells >= 1", lambda: LogGrid(
+        0.5, 4.0, np.True_)),
+    "tabulated-n_nodes-1": ("n_nodes >= 2", lambda: TabulatedIntegralMap(
+        _one, domain=(0.5, 2.0), n_nodes=1)),
+    "dyson-negative-N": ("N >= 0", lambda: dyson_phillips(
+        power_model("pure_jump", alpha=-1.0), 1.0, SMALL_U, N=-1)),
+    "dyson-zero-n_s": ("n_s >= 1", lambda: dyson_phillips(
+        power_model("pure_jump", alpha=-1.0), 1.0, SMALL_U, n_s=0)),
+    "resolvent_series-nan-N": ("N >= 0", lambda: resolvent_series(
+        power_model("pure_jump", alpha=-1.0), 1.0, SMALL_U, N=math.nan)),
+    "simulate_chain-zero-n_max": ("n_max >= 1", lambda: simulate_chain(
+        power_model("pure_jump", alpha=-1.0), 1.0, seed=0, n_max=0)),
+    "sample_state-inf-n_max": ("n_max >= 1", lambda: sample_state(
+        power_model("pure_jump", alpha=-1.0), [1.0], 0.5, seed=0,
+        n_max=math.inf)),
+    "run_chains-true-n_max": ("n_max >= 1", lambda: run_chains(
+        power_model("pure_jump", alpha=-1.0), [1.0], seed=0, n_max=True)),
+    "run_chains-checkpoint-0": ("checkpoint >= 1", lambda: run_chains(
+        power_model("pure_jump", alpha=-1.0), [1.0], seed=0, n_max=4,
+        checkpoints=[0, 4])),
+    "explosion_cdf-negative-n_paths": ("n_paths >= 100", lambda:
+        estimate_explosion_cdf(power_model("pure_jump", alpha=-1.0), 1.0, 1.0,
+                               -5, seed=0)),
+    "explosion_cdf-string-n_paths": ("n_paths >= 100", lambda:
+        estimate_explosion_cdf(power_model("pure_jump", alpha=-1.0), 1.0, 1.0,
+                               "200", 20, seed=0)),
+    "survival-true-n_paths": ("n_paths >= 100", lambda: estimate_survival_mass(
+        power_model("pure_jump", alpha=-1.0), SMALL_U, 1.0, True, 20,
+        seed=0)),
+    "f_lambda_grid-negative-n_iter": ("n_iter >= 0", lambda: f_lambda_grid(
+        power_model("pure_jump", alpha=-1.0), 1.0, LogGrid(1e-4, 1e2, 16),
+        -1)),
+    "f_lambda_dual-one-path": ("n_paths >= 2", lambda: f_lambda_dual(
+        power_model("pure_jump", alpha=-1.0), 1.0, [1.0], 8, 1)),
+    "pairing-zero-n_iter": ("n_iter >= 1", lambda: dual_pairing(
+        power_model("pure_jump", alpha=-1.0), 1.0, SMALL_U, 0, 10)),
+    "classify-string-n_paths": ("n_paths >= 2", lambda: classify(
+        power_model("pure_jump", alpha=-1.0),
+        budgets={"n_iter": 8, "n_paths": "10"})),
+    "sample_tau-zero-K_max": ("K_max >= 1", lambda: sample_tau(
+        TauOracle(), np.random.default_rng(0), K_max=0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_COUNTS))
+def test_bad_counts_are_refused_by_name_and_bound(name):
+    match, call = BAD_COUNTS[name]
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_integral_float_counts_run_as_integers():

@@ -6,8 +6,8 @@ module multiplies S, through one size-checked call, the characteristics
 read the monotone maps through their public interface, the CLI reads its
 config through one schema reader, the chains run serially, on one driver,
 the f_lambda estimators read one Laplace table, the power-family oracles
-one gamma tail, and the package exports exactly the public names it
-imports."""
+one gamma tail, every count is checked by one rule, and the package exports
+exactly the public names it imports."""
 
 import ast
 from pathlib import Path
@@ -290,6 +290,17 @@ def test_one_gamma_tail():
     gone = {"_survival_weight", "mass_upper_bound"}
     assert sorted(f"{path.name}: {name}" for path in SRC.glob("*.py")
                   for name in gone if name in path.read_text()) == []
+
+
+def test_one_count_rule():
+    # what a count is, and how a bad one is refused, is decided in one
+    # place: errors._count alone tests .is_integer(), and no module keeps a
+    # second _count
+    assert _callers("is_integer") == ["errors.py: _count"]
+    assert sorted(f"{path.name}: {node.name}" for path in SRC.glob("*.py")
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_count") == ["errors.py: _count"]
 
 
 def test_public_api_matches_all():
